@@ -2,15 +2,16 @@
 
 Automorphisms here are arc-preserving vertex bijections; arc labels are
 not required to be preserved (and one generator rotates them).  The
-group search is a standard individualization-refinement enumeration
-with a numpy colour refinement, small enough here that every leaf is
-visited and verified.
+group search is individualization-refinement with a numpy colour
+refinement and pruning by the automorphisms already found; the group is
+kept as generators and a stabilizer chain, never as a list of elements.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -71,107 +72,201 @@ def swap_slots(v: DVertex) -> DVertex:
 
 
 # ---------------------------------------------------------------------------
-# colour refinement and group enumeration
+# colour refinement and the automorphism search
 
 
-def _refine(colors: np.ndarray, src: np.ndarray, dst: np.ndarray, n: int):
-    """Stable colouring refined by in/out colour counts.
+def _neighbour_index(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
+    """Out- and in-neighbour rows as index arrays, padded with n up to
+    the maximum degree, so damaged graphs with uneven degrees fit."""
 
-    The returned labels are canonical for the signature matrix (sorted
-    row order), so two sides of a paired search stay comparable.
+    def padded(rows) -> np.ndarray:
+        idx = np.full((d.n, max(map(len, rows), default=0)), d.n, np.int64)
+        for v, row in enumerate(rows):
+            idx[v, : len(row)] = row
+        return idx
+
+    return padded(d.out), padded(d.inn)
+
+
+def _refine(colors: np.ndarray, out_idx: np.ndarray, in_idx: np.ndarray):
+    """Stable colouring refined by neighbour colours.
+
+    A vertex's signature is (colour, sorted out-neighbour colours, sorted
+    in-neighbour colours), padded with -1; it splits cells exactly as the
+    in/out colour counts do.  The returned labels are the ranks of the
+    signatures in sorted order, canonical so that two sides of a paired
+    search stay comparable.
     """
     while True:
         k = int(colors.max()) + 1
-        mout = np.zeros((n, k), dtype=np.int32)
-        np.add.at(mout, (src, colors[dst]), 1)
-        minn = np.zeros((n, k), dtype=np.int32)
-        np.add.at(minn, (dst, colors[src]), 1)
-        sig = np.concatenate([colors[:, None].astype(np.int32), mout, minn], axis=1)
-        _, new = np.unique(sig, axis=0, return_inverse=True)
-        new = new.astype(np.int64)
-        if int(new.max()) + 1 == k:
+        ext = np.append(colors, -1)
+        sig = np.concatenate(
+            [colors[:, None], np.sort(ext[out_idx], axis=1), np.sort(ext[in_idx], axis=1)],
+            axis=1,
+        )
+        order = np.lexsort(sig.T[::-1])
+        rows = sig[order]
+        step = np.zeros(len(rows), np.int64)
+        step[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        new = np.empty_like(colors)
+        new[order] = np.cumsum(step)
+        if int(step.sum()) + 1 == k:
             return new
         colors = new
 
 
 @dataclass(frozen=True)
 class AutGroup:
+    """A permutation group on range(degree), held as a stabilizer chain.
+
+    The pointwise stabilizer of `base` is trivial.  `transversals[i]`
+    maps each point x of the orbit of base[i] under the stabilizer of
+    base[:i] to an element taking base[i] to x, so the order is the
+    product of the orbit lengths and membership is decided by sifting.
+    `nodes` and `leaves` count the search-tree nodes refined and the
+    discrete leaves reached while the group was found.
+    """
+
+    degree: int
     generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
     order: int
+    base: tuple[int, ...]
+    transversals: tuple[dict[int, Perm], ...] = field(repr=False, compare=False)
+    nodes: int
+    leaves: int
+
+    def __contains__(self, perm) -> bool:
+        p = tuple(perm)
+        ident = tuple(range(self.degree))
+        if sorted(p) != list(ident):
+            return False
+        for b, trans in zip(self.base, self.transversals):
+            u = trans.get(p[b])
+            if u is None:
+                return False
+            p = compose(inverse(u), p)
+        return p == ident
 
 
-def _closure(gens, n: int) -> set:
-    ident = tuple(range(n))
-    elems = {ident}
-    frontier = [ident]
+def _transversal(b: int, gens: list[Perm], n: int) -> dict[int, Perm]:
+    """For each point x of the orbit of b under gens, an element of the
+    generated group taking b to x."""
+    trans = {b: tuple(range(n))}
+    frontier = [b]
     while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                x = compose(g, h)
-                if x not in elems:
-                    elems.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return elems
+        x = frontier.pop()
+        for g in gens:
+            y = g[x]
+            if y not in trans:
+                trans[y] = compose(g, trans[x])
+                frontier.append(y)
+    return trans
 
 
 @lru_cache(maxsize=8)
 def automorphism_group(d: Digraph) -> AutGroup:
-    """Enumerate every automorphism by individualization-refinement.
+    """Find the automorphism group by individualization-refinement with
+    pruning by automorphisms (McKay & Piperno, Practical graph
+    isomorphism II, 2014).
 
-    Each automorphism corresponds to exactly one leaf of the search
-    tree (the branch choice at depth i is the image of the i-th base
-    vertex), and every leaf candidate is verified against the adjacency
-    matrix before being kept.  Cached per digraph: the group is reused
-    by every verification suite in a session.
+    The first path individualizes the first vertex of the smallest
+    non-singleton cell at each level until the colouring is discrete;
+    those vertices are the base.  Then, deepest level first, level i
+    branches only on cell members outside the orbit of base[i] under the
+    generators found so far (which all fix base[:i]), and in each branch
+    looks for one leaf that maps the first leaf by an automorphism fixing
+    base[:i] and taking base[i] to that member.  Every kept leaf is
+    verified against the adjacency matrix.  The orbits reached are the
+    basic orbits of the stabilizer chain.  Cached per digraph: the group
+    is reused by every verification suite in a session.
     """
     n = d.n
-    src = np.fromiter((u for u, row in enumerate(d.out) for _ in row), np.int64)
-    dst = np.fromiter((w for row in d.out for w in row), np.int64)
+    out_idx, in_idx = _neighbour_index(d)
     a = adjacency_matrix(d).astype(bool)
-    found: set[Perm] = set()
 
-    def leaf(cd: np.ndarray, ci: np.ndarray):
-        pos = np.empty(n, np.int64)
-        pos[ci] = np.arange(n)
-        perm = pos[cd]
-        if np.array_equal(a[perm][:, perm], a):
-            found.add(tuple(int(x) for x in perm))
+    # the first path: colourings and cell sizes by level, target cell
+    # labels, base
+    path = [_refine(np.zeros(n, np.int64), out_idx, in_idx)]
+    sizes = [np.bincount(path[0])]
+    target: list[int] = []
+    base: list[int] = []
 
-    def search(cd: np.ndarray, ci: np.ndarray):
-        counts = np.bincount(cd)
-        if not np.array_equal(counts, np.bincount(ci)):
-            return
+    def individualize(colors: np.ndarray, level: int, v: int) -> np.ndarray:
+        nxt = colors.copy()
+        nxt[v] = sizes[level].size
+        return _refine(nxt, out_idx, in_idx)
+
+    while (sizes[-1] > 1).any():
+        counts = sizes[-1]
         big = np.flatnonzero(counts > 1)
-        if big.size == 0:
-            leaf(cd, ci)
-            return
         c = int(big[np.argmin(counts[big])])
-        v = int(np.flatnonzero(cd == c)[0])
-        fresh = int(cd.max()) + 1
-        cd2 = cd.copy()
-        cd2[v] = fresh
-        cd2 = _refine(cd2, src, dst, n)
-        for w in np.flatnonzero(ci == c):
-            ci2 = ci.copy()
-            ci2[int(w)] = fresh
-            search(cd2, _refine(ci2, src, dst, n))
+        v = int(np.flatnonzero(path[-1] == c)[0])
+        target.append(c)
+        base.append(v)
+        path.append(individualize(path[-1], len(base) - 1, v))
+        sizes.append(np.bincount(path[-1]))
+    first_leaf = path[-1]
+    base_arr = np.array(base, np.int64)
+    nodes = len(path)
+    leaves = 1
 
-    base = _refine(np.zeros(n, np.int64), src, dst, n)
-    search(base, base)
+    def leaf_search(colors: np.ndarray, level: int, want: np.ndarray):
+        """An automorphism at a leaf below this node taking base[:len(want)]
+        to want, or None."""
+        nonlocal nodes, leaves
+        nodes += 1
+        if not np.array_equal(np.bincount(colors), sizes[level]):
+            return None
+        if level == len(base):
+            leaves += 1
+            pos = np.empty(n, np.int64)
+            pos[colors] = np.arange(n)
+            perm = pos[first_leaf]
+            if np.array_equal(perm[base_arr[: want.size]], want) and np.array_equal(
+                a[perm][:, perm], a
+            ):
+                return perm
+            return None
+        for w in np.flatnonzero(colors == target[level]):
+            perm = leaf_search(individualize(colors, level, w), level + 1, want)
+            if perm is not None:
+                return perm
+        return None
 
-    elements = tuple(sorted(found))
+    # orbits of the generators found so far, as a union-find forest
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     gens: list[Perm] = []
-    closed = {tuple(range(n))}
-    for e in elements:
-        if e not in closed:
-            gens.append(e)
-            closed = _closure(gens, n)
-    if len(closed) != len(elements) or closed != found:
-        raise AssertionError("found permutations do not form a group")
-    return AutGroup(tuple(gens), elements, len(elements))
+    transversals: list[dict[int, Perm]] = []
+    for i in reversed(range(len(base))):
+        b = base[i]
+        for w in np.flatnonzero(path[i] == target[i]):
+            if find(w) == find(b):
+                continue
+            want = np.append(base_arr[:i], w)
+            perm = leaf_search(individualize(path[i], i, w), i + 1, want)
+            if perm is not None:
+                g = tuple(int(x) for x in perm)
+                gens.append(g)
+                for x in range(n):
+                    parent[find(x)] = find(g[x])
+        transversals.insert(0, _transversal(b, gens, n))
+
+    return AutGroup(
+        degree=n,
+        generators=tuple(gens),
+        order=math.prod(len(t) for t in transversals),
+        base=tuple(base),
+        transversals=tuple(transversals),
+        nodes=nodes,
+        leaves=leaves,
+    )
 
 
 def vertex_orbits(group: AutGroup, n: int) -> tuple[tuple[int, ...], ...]:
@@ -216,7 +311,9 @@ def arc_orbits(d: Digraph, group: AutGroup) -> tuple[tuple, ...]:
 
 
 def stabilizer_order(group: AutGroup, v: int) -> int:
-    return sum(1 for g in group.elements if g[v] == v)
+    """Order of the stabilizer of v, by orbit-stabilizer."""
+    orbit = next(o for o in vertex_orbits(group, group.degree) if v in o)
+    return group.order // len(orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +490,8 @@ def verify_c4uh(
     one aligned image per source cycle, so uncovered triples trigger at
     most one search each.
     """
+    if sample < 0:
+        raise ValueError(f"sample must be >= 0, got {sample}")
     if cycles is None:
         cycles = enumerate_4cycles(d)
     if group is None:

@@ -11,6 +11,13 @@ from .autos import UHReport
 from .verify import SELECTORS, run_verification
 
 
+def _sample_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanopencils",
@@ -25,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--output", default=None, help="write the report here")
     v.add_argument(
         "--sample",
-        type=int,
+        type=_sample_count,
         default=100,
         help="homogeneity extensions to sample; 0 checks all 63504 pairs",
     )

@@ -1,8 +1,12 @@
 
+import random
+
+import pytest
+
 from fanopencils.autos import (
-    _closure,
     _pin_map,
     arc_orbits,
+    automorphism_group,
     compose,
     extend_isomorphism,
     induced_automorphism,
@@ -15,10 +19,29 @@ from fanopencils.autos import (
     verify_c4uh,
     vertex_orbits,
 )
-from fanopencils.digraph import canonical_cycle, with_retargeted_arc
+from fanopencils.digraph import Digraph, canonical_cycle, with_retargeted_arc
 from fanopencils.fano import collineations
 from fanopencils.golden import EXAMPLE_CYCLE
 from fanopencils.pencils import parse_compact, translate, vertex_index
+from fanopencils.verify import run_verification
+
+
+def _closure(gens, n: int) -> set:
+    """Every element of the group generated by gens, by breadth-first
+    products: an order oracle that shares no code with the search."""
+    ident = tuple(range(n))
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                x = compose(g, h)
+                if x not in elems:
+                    elems.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return elems
 
 
 def test_identity_and_junk_permutations(d):
@@ -72,7 +95,8 @@ def test_group_order_cross_checked_by_known_generators(d, group):
     lifted.append(lift_vertex_map(swap_slots))
     known = _closure(lifted, d.n)
     assert len(known) == 1008
-    assert set(group.elements) == known
+    assert len(known) == group.order
+    assert all(g in group for g in known)
     assert group.order == 1008
 
 
@@ -82,7 +106,62 @@ def test_group_invariants(d, group):
     for g in group.generators:
         assert is_automorphism(d, g)
         assert is_automorphism(d, inverse(g))
-    assert _closure(list(group.generators), d.n) == set(group.elements)
+    assert len(_closure(list(group.generators), d.n)) == group.order
+
+
+def test_membership_rejects_non_automorphisms(d, group):
+    ident = tuple(range(d.n))
+    assert ident in group
+    swapped = list(ident)
+    swapped[0], swapped[1] = 1, 0
+    assert tuple(swapped) not in group
+    assert ident[:-1] not in group
+    assert (0,) * d.n not in group
+
+
+def test_stabilizer_chain_shape(d, group):
+    assert len(group.base) == len(group.transversals)
+    assert group.order == 1008
+    lengths = [len(t) for t in group.transversals]
+    assert lengths[0] == d.n
+    for i, (b, trans) in enumerate(zip(group.base, group.transversals)):
+        for x, u in trans.items():
+            assert u[b] == x
+            assert all(u[c] == c for c in group.base[:i])
+            assert is_automorphism(d, u)
+
+
+def test_order_oracle_schreier_sims(group, cox_group):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for grp, order in ((group, 1008), (cox_group, 336)):
+        gens = [combinatorics.Permutation(list(g)) for g in grp.generators]
+        assert combinatorics.PermutationGroup(gens).order() == order
+
+
+def _relabelled_cycle(n: int, seed: int) -> Digraph:
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    out = [[] for _ in range(n)]
+    for i in range(n):
+        out[label[i]].append(label[(i + 1) % n])
+    return Digraph(out)
+
+
+@pytest.mark.parametrize(
+    "name, graph, order",
+    [
+        ("directed 168-cycle", lambda cox: _relabelled_cycle(168, 3), 168),
+        ("coxeter", lambda cox: cox.to_digraph(), 336),
+        ("edgeless 8", lambda cox: Digraph([[] for _ in range(8)]), 40320),
+    ],
+)
+def test_symmetric_input_search_budget(cox, name, graph, order):
+    dg = graph(cox)
+    grp = automorphism_group(dg)
+    assert grp.order == order, name
+    assert grp.nodes <= dg.n**2, (name, grp.nodes)
+    assert grp.leaves <= grp.nodes
+    assert all(is_automorphism(dg, g) for g in grp.generators)
 
 
 def test_vertex_and_arc_transitivity(d, group):
@@ -139,6 +218,13 @@ def test_uh_report_sampled(d, cycles, group):
     assert set(payload) == {"pass", "aut_order", "failures"}
     assert payload["pass"] is True
     assert payload["failures"] == []
+
+
+def test_uh_rejects_negative_sample(d, cycles, group):
+    with pytest.raises(ValueError):
+        verify_c4uh(d, sample=-3, group=group, cycles=cycles)
+    with pytest.raises(ValueError):
+        run_verification("uh", sample=-3, d=d)
 
 
 def test_uh_detects_retargeted_arc(d):

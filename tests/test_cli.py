@@ -43,6 +43,11 @@ def test_verify_bad_selector_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_verify_negative_sample_usage_error(capsys):
+    assert main(["verify", "uh", "--sample", "-3"]) == 2
+    assert "--sample" in capsys.readouterr().err
+
+
 def test_verify_output_file(tmp_path, capsys):
     path = tmp_path / "report.txt"
     assert main(["verify", "voltage", "--output", str(path)]) == 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fanopencils import verify
 from fanopencils.digraph import build_d, with_retargeted_arc
 from fanopencils.pencils import enumerate_vertices, compact, parse_compact, translate, vertex_index
 from fanopencils.voltage import (
@@ -57,6 +58,22 @@ def test_retargeted_graph_rejects_translation(d):
     broken = with_retargeted_arc(d, 4, 0, target)
     with pytest.raises(InvalidAction):
         z7_action(broken)
+
+
+def test_failed_action_is_built_once(d, monkeypatch):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return z7_action(graph)
+
+    monkeypatch.setattr(verify.voltage, "z7_action", counted)
+    broken = with_retargeted_arc(d, 4, 0, 0 if d.out[4][0] != 0 else 1)
+    rep = verify.run_verification("voltage", d=broken)
+    assert len(calls) == 1
+    assert len(rep.checks) == 5 and not any(c.passed for c in rep.checks)
+    reasons = {c.detail.removeprefix("raised InvalidAction: ") for c in rep.checks}
+    assert len(reasons) == 1
 
 
 def test_orbit_structure(d, action):
