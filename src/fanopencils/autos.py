@@ -325,9 +325,16 @@ def extend_isomorphism(d: Digraph, pins: dict) -> Perm | None:
 
     Constraint propagation: once u -> w is pinned, the out- and
     in-neighbourhoods of u and w must correspond bijectively, so
-    singleton leftovers force further assignments.  Ambiguities (the
-    degrees here are 3, so leftovers of size 2) are resolved by
-    depth-first branching.  Returns None when no extension exists.
+    singleton leftovers force further assignments.  The rest is a
+    depth-first search over the mapped frontier: the unmapped vertices
+    with a mapped in- or out-neighbour, whose free images are the
+    matching free neighbours of those neighbours' images.  It picks the
+    frontier vertex with the fewest images (lowest index on ties) and
+    assigns it without branching when one image is left.  Only when the
+    frontier is empty (the map has covered whole weak components) does
+    the first unmapped vertex range over every free image.  Every
+    result is checked by is_automorphism; returns None when no
+    extension exists.
     """
     n = d.n
     tgt = [-1] * n
@@ -383,7 +390,9 @@ def extend_isomorphism(d: Digraph, pins: dict) -> Perm | None:
         if not assign(u, w, trail):
             return None
 
-    def candidates(u: int):
+    def images(u: int):
+        """Free images of u allowed by its mapped neighbours, or None when
+        u has no mapped neighbour."""
         opts = None
         for q in d.inn[u]:
             if tgt[q] >= 0:
@@ -393,28 +402,43 @@ def extend_isomorphism(d: Digraph, pins: dict) -> Perm | None:
             if tgt[q] >= 0:
                 s = {x for x in d.inn[tgt[q]] if src[x] < 0}
                 opts = s if opts is None else opts & s
-        if opts is None:
-            opts = {x for x in range(n) if src[x] < 0}
-        return sorted(opts)
+        return opts
 
-    def dfs() -> bool:
-        pick = None
-        pick_opts = None
+    def pick():
+        """The next vertex to map and its sorted images, or (None, None)
+        once every vertex is mapped."""
+        best = best_opts = None
+        first_free = None
         for u in range(n):
             if tgt[u] >= 0:
                 continue
-            opts = candidates(u)
-            if not opts:
-                return False
-            if pick_opts is None or len(opts) < len(pick_opts):
-                pick, pick_opts = u, opts
-                if len(opts) == 1:
+            if first_free is None:
+                first_free = u
+            opts = images(u)
+            if opts is None:
+                continue
+            if best_opts is None or len(opts) < len(best_opts):
+                best, best_opts = u, opts
+                if len(opts) <= 1:
                     break
-        if pick is None:
-            return True
-        for w in pick_opts:
+        if best is not None:
+            return best, sorted(best_opts)
+        if first_free is not None:
+            return first_free, [x for x in range(n) if src[x] < 0]
+        return None, None
+
+    def dfs() -> bool:
+        while True:
+            u, opts = pick()
+            if u is None:
+                return True
+            if len(opts) != 1:
+                break
+            if not assign(u, opts[0], trail):
+                return False
+        for w in opts:
             mark = len(trail)
-            if assign(pick, w, trail) and dfs():
+            if assign(u, w, trail) and dfs():
                 return True
             undo(trail, mark)
         return False

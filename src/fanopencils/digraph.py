@@ -104,22 +104,6 @@ def reverse(d: Digraph) -> Digraph:
     return Digraph(d.inn)
 
 
-def induced_subgraph(d: Digraph, vertices) -> Digraph:
-    """Subgraph on the given vertices, reindexed in the order supplied."""
-    keep = {v: i for i, v in enumerate(vertices)}
-    return Digraph(
-        [tuple(keep[w] for w in d.out[v] if w in keep) for v in vertices]
-    )
-
-
-def relabel(d: Digraph, mapping) -> Digraph:
-    """Image of d under a vertex bijection, preserving out-list order."""
-    rows = [None] * d.n
-    for u, row in enumerate(d.out):
-        rows[mapping[u]] = tuple(mapping[w] for w in row)
-    return Digraph(rows)
-
-
 def _reachable(out_lists, start: int) -> int:
     seen = bytearray(len(out_lists))
     seen[start] = 1

@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanopencils.autos import (
     _pin_map,
@@ -195,6 +197,30 @@ def test_extend_translation_between_cycle_and_its_shift(d, cycles):
     assert is_automorphism(d, perm)
     for k in range(4):
         assert perm[cyc[k]] == shift[cyc[k]]
+
+
+@settings(max_examples=50)
+@given(i=st.integers(0, 125), j=st.integers(0, 125), r=st.integers(0, 3))
+def test_extension_is_a_group_element(d, cycles, group, i, j, r):
+    pins = _pin_map(cycles, i, j, r)
+    perm = extend_isomorphism(d, pins)
+    assert perm is not None
+    assert all(perm[u] == w for u, w in pins.items())
+    assert is_automorphism(d, perm)
+    assert perm in group
+
+
+def test_extend_across_components(d, cycles):
+    # two disjoint copies of D: once one copy is mapped the frontier is
+    # empty, and the search must restart from a vertex of the other copy
+    n = d.n
+    twice = Digraph(list(d.out) + [tuple(w + n for w in row) for row in d.out])
+    a, b = cycles[0], cycles[5]
+    for pins in ({v: v for v in a}, {a[k]: b[(k + 1) % 4] + n for k in range(4)}):
+        perm = extend_isomorphism(twice, pins)
+        assert perm is not None
+        assert all(perm[u] == w for u, w in pins.items())
+        assert is_automorphism(twice, perm)
 
 
 def test_extend_fails_on_arc_to_non_arc(d):

@@ -121,3 +121,21 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "124_0 : 165_3, 325_6, 364_5" in proc.stdout
+
+
+def test_verify_report_deterministic_apart_from_timings():
+    def payload():
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanopencils", "verify", "all"]
+            + ["--format", "json", "--seed", "0"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        for check in report["checks"]:
+            del check["ms"]
+        return report
+
+    assert payload() == payload()
