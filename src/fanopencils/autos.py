@@ -17,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .digraph import Digraph, adjacency_matrix, enumerate_4cycles, cycle_arc_cover
-from .pencils import DVertex, enumerate_vertices, vertex_index
+from .fano import NotALine
+from .pencils import DVertex, enumerate_vertices, vertex_index, vertex_table
 
 Perm = tuple[int, ...]
 
@@ -50,13 +51,23 @@ def lift_vertex_map(fn) -> Perm:
 
 
 def induced_automorphism(point_perm) -> Perm:
-    """Lift a permutation of the 7 points (a collineation) to vertices."""
+    """Lift a permutation of the 7 points (a collineation) to vertices.
+
+    Each image is looked up by its (base, *line) key; raises NotALine
+    when point_perm is not a permutation of the 7 points or some image
+    is not a vertex, i.e. point_perm is not a collineation.
+    """
     s = tuple(point_perm)
-
-    def fn(v: DVertex) -> DVertex:
-        return DVertex(s[v.base], tuple(s[q] for q in v.line))
-
-    return lift_vertex_map(fn)
+    if sorted(s) != list(range(7)):
+        raise NotALine(f"{s} is not a permutation of the 7 points")
+    table = vertex_table()
+    try:
+        return tuple(
+            table[(s[v.base], s[v.line[0]], s[v.line[1]], s[v.line[2]])]
+            for v in enumerate_vertices()
+        )
+    except KeyError:
+        raise NotALine(f"{s} is not a collineation") from None
 
 
 def rotate_slots(v: DVertex) -> DVertex:
@@ -86,6 +97,33 @@ def _neighbour_index(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
         return idx
 
     return padded(d.out), padded(d.inn)
+
+
+def _closed_walk_colours(out_idx: np.ndarray) -> np.ndarray:
+    """Colour each vertex by its numbers of closed walks of length 4 and
+    of length 8, diag(A^4) and diag(A^8), ranked to 0..k-1.
+
+    Automorphisms preserve both counts, so the colouring can seed the
+    search.  The 4-walks split off the vertices near a damaged 4-cycle;
+    the 8-walks also split a two-arc swap inside one 4-cycle, which
+    trades the cycle for two 2-circuits and leaves every vertex on three
+    closed 4-walks.  diag(A^2k) is the row sum of A^k * (A^k)^T, and
+    A^(k+1) sums the rows of A^k over out-neighbours, in int64: a count
+    that wraps is still an invariant.
+    """
+    n = out_idx.shape[0]
+    # A^k, with a zero row n for the padding index of out_idx
+    power = np.zeros((n + 1, n), np.int64)
+    power[np.arange(n), np.arange(n)] = 1
+    walks = []
+    for k in range(1, 5):
+        nxt = np.zeros_like(power)
+        for col in out_idx.T:
+            nxt[:n] += power[col]
+        power = nxt
+        if k % 2 == 0:
+            walks.append((power[:n] * power[:n].T).sum(axis=1))
+    return np.unique(np.stack(walks, axis=1), axis=0, return_inverse=True)[1].ravel()
 
 
 def _refine(colors: np.ndarray, out_idx: np.ndarray, in_idx: np.ndarray):
@@ -169,9 +207,12 @@ def automorphism_group(d: Digraph) -> AutGroup:
     pruning by automorphisms (McKay & Piperno, Practical graph
     isomorphism II, 2014).
 
-    The first path individualizes the first vertex of the smallest
-    non-singleton cell at each level until the colouring is discrete;
-    those vertices are the base.  Then, deepest level first, level i
+    The first refinement starts from each vertex's numbers of closed
+    4- and 8-walks, invariants that split off the vertices near a
+    damaged spot of an otherwise symmetric graph.  The first path then
+    individualizes the first vertex of the smallest non-singleton cell
+    at each level until the colouring is discrete; those vertices are
+    the base.  Then, deepest level first, level i
     branches only on cell members outside the orbit of base[i] under the
     generators found so far (which all fix base[:i]), and in each branch
     looks for one leaf that maps the first leaf by an automorphism fixing
@@ -186,7 +227,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
 
     # the first path: colourings and cell sizes by level, target cell
     # labels, base
-    path = [_refine(np.zeros(n, np.int64), out_idx, in_idx)]
+    path = [_refine(_closed_walk_colours(out_idx), out_idx, in_idx)]
     sizes = [np.bincount(path[0])]
     target: list[int] = []
     base: list[int] = []

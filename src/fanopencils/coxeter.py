@@ -1,4 +1,4 @@
-"""The 28-vertex graph on unordered pencils, and its validation.
+"""The 28-vertex graph on unordered pencils and its invariants.
 
 A vertex is a base point together with a line avoiding it; equivalently
 an unordered pencil of ordered lines through the base whose far entries
@@ -54,8 +54,10 @@ def cox_vertices() -> tuple[CoxVertex, ...]:
     return tuple(out)
 
 
+@cache
 def orderings(v: CoxVertex) -> tuple[DVertex, ...]:
-    """The six ordered pencils refining an unordered one."""
+    """The six ordered pencils refining an unordered one, built once per
+    pencil so that their `thirds` are computed once too."""
     return tuple(DVertex(v.base, t) for t in itertools.permutations(v.line))
 
 
@@ -172,10 +174,6 @@ def distance_matrix(g: Graph) -> list[list[int]]:
     return [_bfs_dist(g, v) for v in range(g.n)]
 
 
-def diameter(g: Graph) -> int:
-    return max(max(row) for row in distance_matrix(g))
-
-
 def distance_regular_array(g: Graph):
     """Intersection numbers (b_0..b_{d-1}; c_1..c_d), or None.
 
@@ -209,50 +207,6 @@ def distance_regular_array(g: Graph):
 
 
 EXPECTED_ARRAY = ((3, 2, 2, 1), (1, 1, 1, 2))
-
-
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-
-def validate_coxeter(g: Graph) -> ValidationReport:
-    """Run the full invariant suite against the expected constants."""
-    from .autos import automorphism_group, vertex_orbits
-
-    checks = []
-
-    def add(name, ok, detail=""):
-        checks.append(ValidationCheck(name, bool(ok), detail))
-
-    edges = g.edges()
-    add("counts", g.n == 28 and len(edges) == 42, f"{g.n} vertices, {len(edges)} edges")
-    degs = {len(r) for r in g.nbrs}
-    add("cubic", degs == {3}, f"degrees {sorted(degs)}")
-    add("connected", connected(g))
-    girth, witness = girth_with_witness(g)
-    add("girth", girth == 7, f"girth {girth}, witness {witness}")
-    arr = distance_regular_array(g)
-    add("distance_regular", arr == EXPECTED_ARRAY, f"array {arr}")
-    group = automorphism_group(g.to_digraph())
-    add("aut_order", group.order == 336, f"order {group.order}")
-    orbits = vertex_orbits(group, g.n)
-    add("vertex_transitive", len(orbits) == 1, f"{len(orbits)} vertex orbits")
-    return ValidationReport(tuple(checks))
 
 
 def to_json_dict(g: Graph) -> dict:

@@ -64,12 +64,13 @@ def enumerate_vertices() -> tuple[DVertex, ...]:
 
 
 @cache
-def _vertex_index() -> dict[DVertex, int]:
-    return {v: i for i, v in enumerate(enumerate_vertices())}
+def vertex_table() -> dict[tuple[int, int, int, int], int]:
+    """(base, *line) -> vertex index, over all 168 vertices."""
+    return {(v.base, *v.line): i for i, v in enumerate(enumerate_vertices())}
 
 
 def vertex_index(v: DVertex) -> int:
-    return _vertex_index()[v]
+    return vertex_table()[(v.base, *v.line)]
 
 
 def vertex_at(i: int) -> DVertex:

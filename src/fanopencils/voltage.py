@@ -28,12 +28,6 @@ class GroupAction:
     generator: Perm
     order: int = 7
 
-    def power(self, k: int) -> Perm:
-        p = tuple(range(len(self.generator)))
-        for _ in range(k % self.order):
-            p = tuple(self.generator[x] for x in p)
-        return p
-
 
 def z7_action(d: Digraph | None = None) -> GroupAction:
     """The translation action, validated against the digraph."""

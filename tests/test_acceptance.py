@@ -124,8 +124,8 @@ def test_criterion_10_coxeter_validation(cox, cox_group):
     assert girth == 7 and len(witness) == 7
     assert cox_mod.distance_regular_array(cox) == ((3, 2, 2, 1), (1, 1, 1, 2))
     assert cox_group.order == 336
-    report = cox_mod.validate_coxeter(cox)
-    assert report.passed, [c.name for c in report.failures()]
+    report = run_verification("coxeter", cox=cox)
+    assert report.passed, [c.name for c in report.checks if not c.passed]
     _ok(10, "28/42 cubic, connected, girth 7, DR {3,2,2,1;1,1,1,2}, |Aut| 336")
 
 

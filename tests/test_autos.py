@@ -1,11 +1,14 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanopencils.autos import (
+    _closed_walk_colours,
+    _neighbour_index,
     _pin_map,
     arc_orbits,
     automorphism_group,
@@ -21,8 +24,13 @@ from fanopencils.autos import (
     verify_c4uh,
     vertex_orbits,
 )
-from fanopencils.digraph import Digraph, canonical_cycle, with_retargeted_arc
-from fanopencils.fano import collineations
+from fanopencils.digraph import (
+    Digraph,
+    adjacency_matrix,
+    canonical_cycle,
+    with_retargeted_arc,
+)
+from fanopencils.fano import NotALine, collineations
 from fanopencils.golden import EXAMPLE_CYCLE
 from fanopencils.pencils import parse_compact, translate, vertex_index
 from fanopencils.verify import run_verification
@@ -65,6 +73,17 @@ def test_compose_inverse():
 def test_collineation_lifts_are_automorphisms(d):
     for s in collineations()[:25]:
         assert is_automorphism(d, induced_automorphism(s))
+
+
+def test_bad_lifts_are_rejected():
+    not_collineation = (1, 0, 2, 3, 4, 5, 6)
+    assert not_collineation not in collineations()
+    with pytest.raises(NotALine):
+        induced_automorphism(not_collineation)
+    with pytest.raises(NotALine):
+        induced_automorphism((0, 0, 1, 2, 3, 4, 5))
+    with pytest.raises(NotALine):
+        induced_automorphism(collineations()[0] + (7,))
 
 
 def test_slot_maps_are_automorphisms(d):
@@ -164,6 +183,54 @@ def test_symmetric_input_search_budget(cox, name, graph, order):
     assert grp.nodes <= dg.n**2, (name, grp.nodes)
     assert grp.leaves <= grp.nodes
     assert all(is_automorphism(dg, g) for g in grp.generators)
+
+
+def test_symmetric_searches_keep_their_shape(group, cox_group):
+    # both graphs are vertex-transitive, so every vertex has the same
+    # closed-walk counts and the starting colouring leaves both searches
+    # alone
+    assert (group.nodes, group.leaves, group.base) == (16, 6, (0, 6, 7))
+    assert (cox_group.nodes, cox_group.leaves) == (15, 5)
+
+
+def _two_arc_swaps(d: Digraph, seed: int, count: int) -> list[Digraph]:
+    """Seeded degree-preserving two-arc swaps of d: arcs u1 -> t1 and
+    u2 -> t2 become u1 -> t2 and u2 -> t1, kept only when the result has
+    no loop and no parallel arc."""
+    arcs = list(d.arcs())
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        (u1, t1), (u2, t2) = rng.sample(arcs, 2)
+        if len({u1, t1, u2, t2}) < 4 or t2 in d.out[u1] or t1 in d.out[u2]:
+            continue
+        rows = [list(row) for row in d.out]
+        rows[u1][rows[u1].index(t1)] = t2
+        rows[u2][rows[u2].index(t2)] = t1
+        out.append(Digraph(rows))
+    return out
+
+
+def test_closed_walk_colours_match_matrix_powers(d):
+    for g in (d, *_two_arc_swaps(d, seed=1, count=3)):
+        a = adjacency_matrix(g).astype(np.int64)
+        walks = np.stack(
+            [np.diag(np.linalg.matrix_power(a, k)) for k in (4, 8)], axis=1
+        )
+        ranks = np.unique(walks, axis=0, return_inverse=True)[1].ravel()
+        out_idx, _ = _neighbour_index(g)
+        assert np.array_equal(_closed_walk_colours(out_idx), ranks)
+
+
+def test_near_asymmetric_search_budget(d):
+    # a swap changes the closed walks near it, so the closed-walk counts
+    # split the first colouring and the search stays small; one of these
+    # swaps takes 24 nodes when the search starts from 4-walk counts alone
+    for swapped in _two_arc_swaps(d, seed=5, count=20):
+        grp = automorphism_group(swapped)
+        assert grp.nodes <= 16, grp.nodes
+        assert all(is_automorphism(swapped, g) for g in grp.generators)
+        assert len(_closure(list(grp.generators), swapped.n)) == grp.order
 
 
 def test_vertex_and_arc_transitivity(d, group):

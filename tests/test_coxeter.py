@@ -13,13 +13,13 @@ from fanopencils.coxeter import (
     cox_neighbors,
     cox_translate,
     cox_vertices,
-    diameter,
+    distance_matrix,
     distance_regular_array,
     girth_with_witness,
     to_dot,
     to_json,
-    validate_coxeter,
 )
+from fanopencils.verify import run_verification
 
 
 def test_vertex_universe():
@@ -52,7 +52,7 @@ def test_counts_and_regularity(cox):
 
 def test_connected_and_diameter(cox):
     assert connected(cox)
-    assert diameter(cox) == 4
+    assert max(max(row) for row in distance_matrix(cox)) == 4
 
 
 def test_girth_seven_with_valid_witness(cox):
@@ -103,17 +103,16 @@ def test_translation_is_a_graph_automorphism(cox):
 
 
 def test_validation_report(cox, cox_group):
-    report = validate_coxeter(cox)
-    assert report.passed, [c.name for c in report.failures()]
+    report = run_verification("coxeter", cox=cox)
+    assert report.passed, [c.name for c in report.checks if not c.passed]
     names = [c.name for c in report.checks]
     assert names == [
-        "counts",
-        "cubic",
-        "connected",
-        "girth",
-        "distance_regular",
-        "aut_order",
-        "vertex_transitive",
+        "coxeter.counts",
+        "coxeter.cubic_connected",
+        "coxeter.girth",
+        "coxeter.distance_regular",
+        "coxeter.automorphisms",
+        "coxeter.alignment_consistency",
     ]
     assert cox_group.order == 336
 
@@ -123,9 +122,9 @@ def test_validation_locates_retargeted_edge(cox):
     swap = 0 if rows[3][1] != 0 else 1
     rows[3][1] = swap
     broken = Graph(cox.vertices, rows)
-    report = validate_coxeter(broken)
+    report = run_verification("coxeter", cox=broken)
     assert not report.passed
-    assert report.failures()
+    assert [c for c in report.checks if not c.passed]
 
 
 def test_exports(cox):
