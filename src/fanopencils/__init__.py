@@ -3,106 +3,17 @@ its 28-vertex unordered quotient, and the machinery to verify their
 structure (degrees, circuits, 4-cycle decomposition, automorphisms,
 cycle homogeneity, Z7 voltage presentation)."""
 
-from .fano import (
-    LINES,
-    POINTS,
-    DegeneratePair,
-    NotALine,
-    collineations,
-    is_line,
-    line,
-    line_index,
-    lines_avoiding,
-    lines_through,
-    third_point,
-)
-from .pencils import (
-    DVertex,
-    InconsistentPencil,
-    RowColSymbol,
-    compact,
-    enumerate_vertices,
-    format_long,
-    parse_compact,
-    parse_long,
-    rowcol,
-    symbol_grid,
-    translate,
-    vertex_at,
-    vertex_index,
-)
-from .digraph import (
-    LABELS,
-    Digraph,
-    arc_label,
-    build_d,
-    canonical_cycle,
-    enumerate_4cycles,
-    step,
-    strongly_connected,
-)
-from .coxeter import CoxVertex, Graph, build_coxeter
-from .autos import (
-    AutGroup,
-    UHReport,
-    automorphism_group,
-    extend_isomorphism,
-    is_automorphism,
-    verify_c4uh,
-)
-from .voltage import GroupAction, InvalidAction, VoltageGraph, derive, quotient, z7_action
-from .verify import VerificationReport, run_verification
+from .autos import automorphism_group, verify_c4uh
+from .coxeter import build_coxeter
+from .digraph import build_d
+from .verify import run_verification
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutGroup",
-    "CoxVertex",
-    "DVertex",
-    "DegeneratePair",
-    "Digraph",
-    "Graph",
-    "GroupAction",
-    "InconsistentPencil",
-    "InvalidAction",
-    "LABELS",
-    "LINES",
-    "NotALine",
-    "POINTS",
-    "RowColSymbol",
-    "UHReport",
-    "VerificationReport",
-    "VoltageGraph",
-    "arc_label",
     "automorphism_group",
     "build_coxeter",
     "build_d",
-    "canonical_cycle",
-    "collineations",
-    "compact",
-    "derive",
-    "enumerate_4cycles",
-    "enumerate_vertices",
-    "extend_isomorphism",
-    "format_long",
-    "is_automorphism",
-    "is_line",
-    "line",
-    "line_index",
-    "lines_avoiding",
-    "lines_through",
-    "parse_compact",
-    "parse_long",
-    "quotient",
-    "rowcol",
     "run_verification",
-    "step",
-    "strongly_connected",
-    "symbol_grid",
-    "third_point",
-    "translate",
     "verify_c4uh",
-    "vertex_at",
-    "vertex_index",
-    "z7_action",
 ]

@@ -13,10 +13,17 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import getitem
 
 import numpy as np
 
-from .digraph import Digraph, adjacency_matrix, enumerate_4cycles, cycle_arc_cover
+from .digraph import (
+    Digraph,
+    adjacency_matrix,
+    cycle_arc_cover,
+    enumerate_4cycles,
+    orbits,
+)
 from .fano import NotALine
 from .pencils import DVertex, enumerate_vertices, vertex_index, vertex_table
 
@@ -311,44 +318,16 @@ def automorphism_group(d: Digraph) -> AutGroup:
 
 
 def vertex_orbits(group: AutGroup, n: int) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * n
-    orbits = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        orb = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for g in group.generators:
-                y = g[x]
-                if y not in orb:
-                    orb.add(y)
-                    frontier.append(y)
-        for x in orb:
-            seen[x] = True
-        orbits.append(tuple(sorted(orb)))
-    return tuple(orbits)
+    return tuple(
+        tuple(sorted(o)) for o in orbits(range(n), group.generators, getitem)
+    )
 
 
 def arc_orbits(d: Digraph, group: AutGroup) -> tuple[tuple, ...]:
-    seen = set()
-    orbits = []
-    for arc in d.arcs():
-        if arc in seen:
-            continue
-        orb = {arc}
-        frontier = [arc]
-        while frontier:
-            u, w = frontier.pop()
-            for g in group.generators:
-                img = (g[u], g[w])
-                if img not in orb:
-                    orb.add(img)
-                    frontier.append(img)
-        seen |= orb
-        orbits.append(tuple(sorted(orb)))
-    return tuple(orbits)
+    def act(g: Perm, arc):
+        return g[arc[0]], g[arc[1]]
+
+    return tuple(tuple(sorted(o)) for o in orbits(d.arcs(), group.generators, act))
 
 
 def stabilizer_order(group: AutGroup, v: int) -> int:

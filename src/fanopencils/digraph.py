@@ -10,6 +10,7 @@ the arc with label LABELS[k].
 from __future__ import annotations
 
 import json
+from operator import getitem
 
 import numpy as np
 
@@ -121,34 +122,38 @@ def _reachable(out_lists, start: int) -> int:
     return count
 
 
-def strongly_connected(d: Digraph) -> bool:
-    """True iff the digraph has a single strong component."""
+def strongly_connected(d: Digraph) -> tuple[bool, tuple[int, int]]:
+    """(ok, (forward, backward)): ok iff the digraph has a single strong
+    component; forward and backward count the vertices reached from
+    vertex 0 along and against the arcs."""
     if d.n == 0:
-        return False
-    return _reachable(d.out, 0) == d.n and _reachable(d.inn, 0) == d.n
+        return False, (0, 0)
+    reach = (_reachable(d.out, 0), _reachable(d.inn, 0))
+    return reach == (d.n, d.n), reach
 
 
-def check_no_short_circuits(d: Digraph) -> bool:
-    """Direct search: no directed circuits of length 1, 2 or 3."""
+def check_no_short_circuits(d: Digraph) -> tuple[bool, tuple[int, ...]]:
+    """Direct search: (ok, circuit), ok iff there is no directed circuit
+    of length 1, 2 or 3; circuit is the first one found, else ()."""
     for u, row in enumerate(d.out):
         for a in row:
-            if a == u or u in d.out[a]:
-                return False
+            if a == u:
+                return False, (u,)
+            if u in d.out[a]:
+                return False, (u, a)
             for b in d.out[a]:
                 if b != u and u in d.out[b]:
-                    return False
-    return True
+                    return False, (u, a, b)
+    return True, ()
 
 
-def short_circuit_matrix_check(d: Digraph) -> bool:
-    """Independent oracle: traces of the first three adjacency powers vanish."""
+def short_circuit_matrix_check(d: Digraph) -> tuple[bool, tuple[int, int, int]]:
+    """Independent oracle: (ok, (tr A, tr A^2, tr A^3)), ok iff the
+    traces of the first three adjacency powers vanish."""
     a = adjacency_matrix(d).astype(np.int64)
     a2 = a @ a
-    return (
-        int(np.trace(a)) == 0
-        and int(np.trace(a2)) == 0
-        and int(np.trace(a2 @ a)) == 0
-    )
+    traces = (int(np.trace(a)), int(np.trace(a2)), int(np.trace(a2 @ a)))
+    return traces == (0, 0, 0), traces
 
 
 def canonical_cycle(cyc) -> tuple[int, int, int, int]:
@@ -187,8 +192,35 @@ def label_permutations(d: Digraph) -> dict[int, tuple[int, ...]]:
     }
 
 
+def orbits(points, generators, act) -> list[tuple]:
+    """The orbits that meet `points` under the group the generators
+    generate, where act(g, x) is the image of x under g.
+
+    Orbits come in the order of their first point, each listing its
+    points in the order a breadth-first walk reaches them: under a
+    single generator g, the cycle x, g x, g^2 x, ... of its first point x.
+    For permutations held as tuples, act is operator.getitem.
+    """
+    seen = set()
+    result = []
+    for p in points:
+        if p in seen:
+            continue
+        seen.add(p)
+        orbit = [p]
+        for x in orbit:
+            for g in generators:
+                y = act(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        result.append(tuple(orbit))
+    return result
+
+
 def step_orbit_cycles(d: Digraph) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Orbits of each label map, as canonically rotated vertex tuples.
+    """Orbits of each label map, as vertex tuples in cycle order from
+    their least vertex, i.e. canonically rotated.
 
     Orbits of any length are returned; callers check they all have
     length 4.
@@ -197,20 +229,7 @@ def step_orbit_cycles(d: Digraph) -> dict[int, tuple[tuple[int, ...], ...]]:
     for lab, perm in label_permutations(d).items():
         if sorted(perm) != list(range(d.n)):
             raise ValueError(f"label {lab} map is not a permutation")
-        seen = bytearray(d.n)
-        orbits = []
-        for v in range(d.n):
-            if seen[v]:
-                continue
-            orb = [v]
-            seen[v] = 1
-            w = perm[v]
-            while w != v:
-                seen[w] = 1
-                orb.append(w)
-                w = perm[w]
-            orbits.append(canonical_cycle(tuple(orb)) if len(orb) == 4 else tuple(orb))
-        result[lab] = tuple(sorted(orbits))
+        result[lab] = tuple(orbits(range(d.n), [perm], getitem))
     return result
 
 

@@ -140,15 +140,25 @@ def _check_digraph_golden(a: Artifacts):
 
 
 def _check_digraph_connected(a: Artifacts):
-    return digraph.strongly_connected(a.d), "forward and reverse search reach all"
+    ok, (fwd, bwd) = digraph.strongly_connected(a.d)
+    if ok:
+        return True, "forward and reverse search reach all"
+    return False, f"from vertex 0, {fwd} of {a.d.n} reached forward, {bwd} backward"
 
 
 def _check_digraph_short(a: Artifacts):
-    return digraph.check_no_short_circuits(a.d), "no 1-, 2- or 3-circuits"
+    ok, circuit = digraph.check_no_short_circuits(a.d)
+    if ok:
+        return True, "no 1-, 2- or 3-circuits"
+    shown = " -> ".join(map(str, circuit + circuit[:1]))
+    return False, f"{len(circuit)}-circuit {shown}"
 
 
 def _check_digraph_trace(a: Artifacts):
-    return digraph.short_circuit_matrix_check(a.d), "tr A = tr A^2 = tr A^3 = 0"
+    ok, (t1, t2, t3) = digraph.short_circuit_matrix_check(a.d)
+    if ok:
+        return True, "tr A = tr A^2 = tr A^3 = 0"
+    return False, f"tr A = {t1}, tr A^2 = {t2}, tr A^3 = {t3}"
 
 
 def _check_digraph_grid(a: Artifacts):

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import getitem
 
 from .autos import Perm, is_automorphism, lift_vertex_map
-from .digraph import Digraph, canonical_cycle
+from .digraph import Digraph, canonical_cycle, orbits
 from .pencils import compact, enumerate_vertices, translate
 
 
@@ -46,35 +47,22 @@ def validate_action(d: Digraph, action: GroupAction):
         raise InvalidAction("generator acts on the wrong vertex set")
     if not is_automorphism(d, gen):
         raise InvalidAction("generator is not an automorphism")
-    p = tuple(range(d.n))
-    for k in range(1, action.order):
-        p = tuple(gen[x] for x in p)
-        if any(p[v] == v for v in range(d.n)):
-            raise InvalidAction(f"power {k} has a fixed point; action is not free")
-    p = tuple(gen[x] for x in p)
-    if p != tuple(range(d.n)):
-        raise InvalidAction(f"generator order is not {action.order}")
+    for orbit in orbits(range(d.n), [gen], getitem):
+        if len(orbit) != action.order:
+            raise InvalidAction(
+                f"orbit of {orbit[0]} has {len(orbit)} points, not {action.order}"
+            )
 
 
 def action_orbits(action: GroupAction, n: int):
     """Orbits as (rep, layer) data: rep is the smallest member."""
-    gen = action.generator
-    seen = [False] * n
     reps = []
     layer = [0] * n
     rep_of = [0] * n
-    for v in range(n):
-        if seen[v]:
-            continue
-        orb = [v]
-        x = gen[v]
-        while x != v:
-            orb.append(x)
-            x = gen[x]
+    for orb in orbits(range(n), [action.generator], getitem):
         rep = min(orb)
         k = orb.index(rep)
         for i, y in enumerate(orb):
-            seen[y] = True
             rep_of[y] = rep
             layer[y] = (i - k) % action.order
         reps.append(rep)
@@ -154,13 +142,9 @@ def derive_canonical(d: Digraph, action: GroupAction | None = None) -> Digraph:
         action = z7_action(d)
     vg = quotient(d, action)
     lifted = derive(vg)
-    gen = action.generator
-    ids = []
-    for r in vg.rep_vertices:
-        x = r
-        for _ in range(vg.order):
-            ids.append(x)
-            x = gen[x]
+    ids = [
+        x for orb in orbits(vg.rep_vertices, [action.generator], getitem) for x in orb
+    ]
     rows = [None] * d.n
     for i, row in enumerate(lifted.out):
         rows[ids[i]] = tuple(ids[j] for j in row)
@@ -184,21 +168,12 @@ def projected_voltage_sums(d: Digraph, cycles, action: GroupAction | None = None
 
 def cycle_orbits(cycles, action: GroupAction):
     """Orbits of the 4-cycle set under the action, canonical rotation."""
-    remaining = set(cycles)
-    orbits = []
-    for cyc in cycles:
-        if cyc not in remaining:
-            continue
-        orb = {cyc}
-        cur = cyc
-        while True:
-            cur = canonical_cycle(tuple(action.generator[v] for v in cur))
-            if cur in orb:
-                break
-            orb.add(cur)
-        remaining -= orb
-        orbits.append(tuple(sorted(orb)))
-    return tuple(orbits)
+    def act(g: Perm, cyc):
+        return canonical_cycle(tuple(g[v] for v in cyc))
+
+    return tuple(
+        tuple(sorted(o)) for o in orbits(cycles, [action.generator], act)
+    )
 
 
 def to_json_dict(vg: VoltageGraph) -> dict:

@@ -2,6 +2,9 @@
 exact check, plus a mutation pass showing every suite catches a single
 retargeted arc with a located witness."""
 
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fanopencils import coxeter as cox_mod
 from fanopencils.autos import (
@@ -10,6 +13,8 @@ from fanopencils.autos import (
     verify_c4uh,
 )
 from fanopencils.digraph import (
+    Digraph,
+    build_d,
     check_no_short_circuits,
     cycle_arc_cover,
     golden_sublist_diff,
@@ -48,13 +53,13 @@ def test_criterion_02_golden_table(d):
 
 
 def test_criterion_03_no_short_circuits(d):
-    assert check_no_short_circuits(d)
-    assert short_circuit_matrix_check(d)
+    assert check_no_short_circuits(d) == (True, ())
+    assert short_circuit_matrix_check(d) == (True, (0, 0, 0))
     _ok(3, "no 2- or 3-circuits, direct search and trace oracle")
 
 
 def test_criterion_04_strong_connectivity(d):
-    assert strongly_connected(d)
+    assert strongly_connected(d) == (True, (168, 168))
     _ok(4, "single strong component")
 
 
@@ -166,3 +171,44 @@ def test_criterion_11_fault_injection(d, cox):
     assert failed
     assert not align.passed or any(c.detail for c in failed)
     _ok(11, "every suite fails with a located witness on one retargeted arc")
+
+
+D = build_d()
+
+
+def _retargeted(retargets):
+    broken = D
+    for u, slot, target in retargets:
+        broken = with_retargeted_arc(broken, u, slot, target)
+    return broken
+
+
+# one or two out-list entries of D pointed at arbitrary vertices
+retargeted_graphs = st.lists(
+    st.tuples(st.integers(0, 167), st.integers(0, 2), st.integers(0, 167)),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda r: r[:2],
+).map(_retargeted)
+
+
+@pytest.fixture(scope="module")
+def details_on_d(d):
+    return {c.name: c.detail for c in run_verification("all", sample=4, d=d).checks}
+
+
+@settings(max_examples=30)
+# the two-arc swap (167, 77, 146, 82), which leaves two 2-circuits
+@example(_retargeted([(167, 1, 82), (146, 1, 77)]))
+# two disjoint copies of D: not strongly connected
+@example(Digraph(D.out + tuple(tuple(w + D.n for w in row) for row in D.out)))
+@given(retargeted_graphs)
+def test_criterion_11_random_faults(details_on_d, broken):
+    assume(sorted(broken.arcs()) != sorted(D.arcs()))
+    rep = run_verification("all", sample=4, d=broken)
+    assert not rep.passed
+    act = next(c for c in rep.checks if c.name == "voltage.action")
+    assert not act.passed
+    for c in rep.checks:
+        if not c.passed:
+            assert c.detail != details_on_d[c.name], c.name

@@ -1,4 +1,5 @@
 import json
+from operator import getitem
 
 import numpy as np
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from fanopencils.digraph import (
     LABELS,
+    Digraph,
     adjacency_matrix,
     arc_label,
     build_d,
@@ -16,6 +18,7 @@ from fanopencils.digraph import (
     golden_sublist_check,
     golden_sublist_diff,
     label_permutations,
+    orbits,
     reverse,
     short_circuit_matrix_check,
     step,
@@ -96,21 +99,23 @@ def test_row_symbols_cover_all_base_zero_vertices():
 
 
 def test_strong_connectivity(d):
-    assert strongly_connected(d)
-    assert strongly_connected(reverse(d))
+    assert strongly_connected(d) == (True, (168, 168))
+    assert strongly_connected(reverse(d)) == (True, (168, 168))
+    two = Digraph(d.out + tuple(tuple(w + d.n for w in row) for row in d.out))
+    assert strongly_connected(two) == (False, (168, 168))
 
 
 def test_no_short_circuits_two_ways(d):
-    assert check_no_short_circuits(d)
-    assert short_circuit_matrix_check(d)
+    assert check_no_short_circuits(d) == (True, ())
+    assert short_circuit_matrix_check(d) == (True, (0, 0, 0))
 
 
 def test_trace_oracle_catches_injected_two_circuit(d):
     # retarget one arc to point straight back at an in-neighbour
     u = d.inn[0][0]
     broken = with_retargeted_arc(d, 0, 0, u)
-    assert not short_circuit_matrix_check(broken)
-    assert not check_no_short_circuits(broken)
+    assert short_circuit_matrix_check(broken) == (False, (0, 2, 0))
+    assert check_no_short_circuits(broken) == (False, (0, u))
 
 
 def test_cycle_census_is_126(d, cycles):
@@ -136,6 +141,25 @@ def test_step_orbits_agree_with_census(d, cycles):
         assert all(len(c) == 4 for c in orbs)
     union = sorted(c for orbs in per_label.values() for c in orbs)
     assert union == sorted(cycles)
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)
+    )
+)
+def test_orbits_partition_and_close(gens):
+    n = len(gens[0])
+    orbs = orbits(range(n), gens, getitem)
+    assert sorted(x for o in orbs for x in o) == list(range(n))
+    assert [o[0] for o in orbs] == sorted(min(o) for o in orbs)
+    for o in orbs:
+        for g in gens:
+            assert {g[x] for x in o} == set(o)
+    if len(gens) == 1:
+        (g,) = gens
+        for o in orbs:
+            assert [g[x] for x in o] == list(o[1:] + o[:1])
 
 
 def test_label_maps_are_permutations(d):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fanopencils import verify
+from fanopencils.autos import lift_vertex_map, rotate_slots
 from fanopencils.digraph import build_d, with_retargeted_arc
 from fanopencils.pencils import enumerate_vertices, compact, parse_compact, translate, vertex_index
 from fanopencils.voltage import (
@@ -41,6 +42,13 @@ def test_action_matches_translation(d, action):
 def test_identity_action_rejected(d):
     with pytest.raises(InvalidAction):
         validate_action(d, GroupAction(tuple(range(d.n)), 7))
+
+
+def test_order_three_automorphism_rejected(d):
+    # the slot rotation passes the automorphism check but has order 3
+    rotation = GroupAction(lift_vertex_map(rotate_slots), 7)
+    with pytest.raises(InvalidAction, match="orbit of 0 has 3 points, not 7"):
+        validate_action(d, rotation)
 
 
 def test_non_automorphism_rejected(d):
