@@ -330,12 +330,6 @@ def arc_orbits(d: Digraph, group: AutGroup) -> tuple[tuple, ...]:
     return tuple(tuple(sorted(o)) for o in orbits(d.arcs(), group.generators, act))
 
 
-def stabilizer_order(group: AutGroup, v: int) -> int:
-    """Order of the stabilizer of v, by orbit-stabilizer."""
-    orbit = next(o for o in vertex_orbits(group, group.degree) if v in o)
-    return group.order // len(orbit)
-
-
 # ---------------------------------------------------------------------------
 # partial-map extension
 
@@ -343,128 +337,130 @@ def stabilizer_order(group: AutGroup, v: int) -> int:
 def extend_isomorphism(d: Digraph, pins: dict) -> Perm | None:
     """Grow a partial vertex map of d into itself to an automorphism.
 
-    Constraint propagation: once u -> w is pinned, the out- and
-    in-neighbourhoods of u and w must correspond bijectively, so
-    singleton leftovers force further assignments.  The rest is a
-    depth-first search over the mapped frontier: the unmapped vertices
-    with a mapped in- or out-neighbour, whose free images are the
-    matching free neighbours of those neighbours' images.  It picks the
-    frontier vertex with the fewest images (lowest index on ties) and
-    assigns it without branching when one image is left.  Only when the
-    frontier is empty (the map has covered whole weak components) does
-    the first unmapped vertex range over every free image.  Every
-    result is checked by is_automorphism; returns None when no
-    extension exists.
+    Forward checking (as in VF2, Cordella et al. 2004, and the Glasgow
+    Subgraph Solver, McCreesh, Prosser & Trimble 2020): every unmapped
+    vertex with a mapped neighbour keeps a domain, the free images its
+    mapped neighbours allow.  Assigning u -> w checks that the out- and
+    in-neighbourhoods of u and w correspond bijectively on what is
+    mapped, narrows each free out-neighbour of u to the free
+    out-neighbours of w (in-neighbours likewise), and drops w from the
+    domains of the neighbours of the preimages of w's neighbours, the
+    only domains that can hold it.  A domain of one image is assigned at
+    once, and an empty one is a dead end, so the search branches only
+    at the fixpoint of that propagation: on the vertex with the fewest
+    images (lowest index on ties), trying its images in sorted order.
+    Only when no unmapped vertex has a mapped neighbour (the map has
+    covered whole weak components) does the first unmapped vertex range
+    over every free image.  Mappings and domain changes share one
+    trail, so backtracking restores both.  Every result is checked by
+    is_automorphism; returns None when no extension exists.
     """
     n = d.n
+    out, inn = d.out, d.inn
     tgt = [-1] * n
     src = [-1] * n
+    dom: list[set | None] = [None] * n
+    # mapped vertices (ints) and (vertex, previous domain) pairs
+    trail: list = []
 
-    def assign(u: int, w: int, trail: list) -> bool:
-        if tgt[u] >= 0:
-            return tgt[u] == w
-        if src[w] >= 0:
-            return False
-        tgt[u] = w
-        src[w] = u
-        trail.append(u)
-        queue = [(u, w)]
-        while queue:
-            x, y = queue.pop()
-            for (xs, ys) in ((d.out[x], d.out[y]), (d.inn[x], d.inn[y])):
-                free_x = []
-                free_y = set()
-                for q in xs:
-                    if tgt[q] < 0:
-                        free_x.append(q)
-                    elif tgt[q] not in ys:
-                        return False
-                for q in ys:
-                    if src[q] < 0:
-                        free_y.add(q)
-                    elif src[q] not in xs:
-                        return False
-                if len(free_x) != len(free_y):
+    def narrow(v: int, allowed: set, forced: list) -> bool:
+        old = dom[v]
+        new = allowed if old is None else old & allowed
+        if old is not None and len(new) == len(old):
+            return True
+        trail.append((v, old))
+        dom[v] = new
+        if len(new) == 1:
+            forced.append((v, next(iter(new))))
+        return bool(new)
+
+    def assign(u: int, w: int) -> bool:
+        forced = [(u, w)]
+        while forced:
+            u, w = forced.pop()
+            if tgt[u] >= 0:
+                if tgt[u] != w:
                     return False
-                if len(free_x) == 1:
-                    q = free_x[0]
-                    r = free_y.pop()
-                    if src[r] >= 0 or tgt[q] >= 0:
-                        if tgt[q] != r:
+                continue
+            if src[w] >= 0:
+                return False
+            tgt[u] = w
+            src[w] = u
+            trail.append(u)
+            for xs, ys in ((out[u], out[w]), (inn[u], inn[w])):
+                if len(xs) != len(ys):
+                    return False
+                free = set()
+                for r in ys:
+                    p = src[r]
+                    if p < 0:
+                        free.add(r)
+                    elif p not in xs:
+                        return False
+                for q in xs:
+                    t = tgt[q]
+                    if t >= 0:
+                        if t not in ys:
                             return False
+                    elif not narrow(q, free, forced):
+                        return False
+            # w is taken: only the neighbours of the preimages of w's
+            # neighbours can hold it
+            for ys, nbrs in ((inn[w], out), (out[w], inn)):
+                for y in ys:
+                    p = src[y]
+                    if p < 0:
                         continue
-                    tgt[q] = r
-                    src[r] = q
-                    trail.append(q)
-                    queue.append((q, r))
+                    for v in nbrs[p]:
+                        s = dom[v]
+                        if s is not None and w in s and tgt[v] < 0:
+                            if not narrow(v, s - {w}, forced):
+                                return False
         return True
 
-    def undo(trail: list, mark: int):
+    def undo(mark: int):
         while len(trail) > mark:
-            u = trail.pop()
-            src[tgt[u]] = -1
-            tgt[u] = -1
+            e = trail.pop()
+            if type(e) is int:
+                src[tgt[e]] = -1
+                tgt[e] = -1
+            else:
+                dom[e[0]] = e[1]
 
-    trail: list[int] = []
-    for u, w in pins.items():
-        if not assign(u, w, trail):
-            return None
-
-    def images(u: int):
-        """Free images of u allowed by its mapped neighbours, or None when
-        u has no mapped neighbour."""
-        opts = None
-        for q in d.inn[u]:
-            if tgt[q] >= 0:
-                s = {x for x in d.out[tgt[q]] if src[x] < 0}
-                opts = s if opts is None else opts & s
-        for q in d.out[u]:
-            if tgt[q] >= 0:
-                s = {x for x in d.inn[tgt[q]] if src[x] < 0}
-                opts = s if opts is None else opts & s
-        return opts
-
-    def pick():
-        """The next vertex to map and its sorted images, or (None, None)
+    def branch():
+        """The vertex to branch on and its sorted images, or (None, None)
         once every vertex is mapped."""
-        best = best_opts = None
-        first_free = None
-        for u in range(n):
-            if tgt[u] >= 0:
-                continue
-            if first_free is None:
-                first_free = u
-            opts = images(u)
-            if opts is None:
-                continue
-            if best_opts is None or len(opts) < len(best_opts):
-                best, best_opts = u, opts
-                if len(opts) <= 1:
-                    break
+        best = min(
+            (v for v in range(n) if tgt[v] < 0 and dom[v] is not None),
+            key=lambda v: len(dom[v]),
+            default=None,
+        )
         if best is not None:
-            return best, sorted(best_opts)
-        if first_free is not None:
-            return first_free, [x for x in range(n) if src[x] < 0]
-        return None, None
+            return best, sorted(dom[best])
+        u = next((v for v in range(n) if tgt[v] < 0), None)
+        if u is None:
+            return None, None
+        return u, [x for x in range(n) if src[x] < 0]
 
-    def dfs() -> bool:
-        while True:
-            u, opts = pick()
-            if u is None:
-                return True
-            if len(opts) != 1:
-                break
-            if not assign(u, opts[0], trail):
-                return False
-        for w in opts:
-            mark = len(trail)
-            if assign(u, w, trail) and dfs():
-                return True
-            undo(trail, mark)
-        return False
-
-    if not dfs():
+    if not all(assign(u, w) for u, w in pins.items()):
         return None
+    # (vertex, its untried images, trail length before its assignment)
+    stack = []
+    while True:
+        u, opts = branch()
+        if u is None:
+            break
+        stack.append((u, iter(opts), len(trail)))
+        while True:
+            if not stack:
+                return None
+            u, rest, mark = stack[-1]
+            undo(mark)
+            w = next(rest, None)
+            if w is None:
+                stack.pop()
+            elif assign(u, w):
+                break
     perm = tuple(tgt)
     return perm if is_automorphism(d, perm) else None
 

@@ -149,10 +149,21 @@ def check_no_short_circuits(d: Digraph) -> tuple[bool, tuple[int, ...]]:
 
 def short_circuit_matrix_check(d: Digraph) -> tuple[bool, tuple[int, int, int]]:
     """Independent oracle: (ok, (tr A, tr A^2, tr A^3)), ok iff the
-    traces of the first three adjacency powers vanish."""
-    a = adjacency_matrix(d).astype(np.int64)
-    a2 = a @ a
-    traces = (int(np.trace(a)), int(np.trace(a2)), int(np.trace(a2 @ a)))
+    traces of the first three adjacency powers vanish.
+
+    tr A^2 sums A[i, j] A[j, i], and tr A^3 sums (A^2)[w, u] =
+    A[w] . A[:, u] over the arcs u -> w of the matrix, each as an int64
+    einsum over the 0/1 int8 matrix.  So the traces are exact and no
+    n x n product is formed: numpy has no BLAS path for integer matmul,
+    and a float64 BLAS product raised peak memory by about 1.3 MiB.
+    """
+    a = adjacency_matrix(d)
+    src, dst = np.nonzero(a)
+    traces = (
+        int(np.trace(a)),
+        int(np.einsum("ij,ji->", a, a, dtype=np.int64)),
+        int(np.einsum("ij,ij->", a[dst], a.T[src], dtype=np.int64)),
+    )
     return traces == (0, 0, 0), traces
 
 

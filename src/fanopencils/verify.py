@@ -260,7 +260,7 @@ def _make_uh_extension_check(report_slot: dict, sample: int, seed: int):
 def _check_uh_flags(a: Artifacts):
     orbits = autos.arc_orbits(a.d, a.group)
     ok = len(orbits) == 1 and len(orbits[0]) == a.d.arc_count()
-    return ok, f"{len(orbits)} arc orbits (flag-regular iff 1 of size 504)"
+    return ok, f"{len(orbits)} arc orbits (arc-transitive iff 1 of size 504)"
 
 
 def _check_voltage_action(a: Artifacts):

@@ -1,9 +1,11 @@
 
+import gc
+import hashlib
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanopencils.autos import (
@@ -19,7 +21,6 @@ from fanopencils.autos import (
     is_automorphism,
     lift_vertex_map,
     rotate_slots,
-    stabilizer_order,
     swap_slots,
     verify_c4uh,
     vertex_orbits,
@@ -27,7 +28,9 @@ from fanopencils.autos import (
 from fanopencils.digraph import (
     Digraph,
     adjacency_matrix,
+    build_d,
     canonical_cycle,
+    enumerate_4cycles,
     with_retargeted_arc,
 )
 from fanopencils.fano import NotALine, collineations
@@ -241,8 +244,11 @@ def test_vertex_and_arc_transitivity(d, group):
 
 
 def test_vertex_stabilizer_order(d, group):
+    # orbit-stabilizer: |G_v| = |G| / |orbit of v|
+    orbits = vertex_orbits(group, d.n)
     for v in (0, 31, 100):
-        assert stabilizer_order(group, v) == group.order // d.n
+        orbit = next(o for o in orbits if v in o)
+        assert group.order // len(orbit) == group.order // d.n == 6
 
 
 def test_extend_identity_pins(d):
@@ -288,6 +294,104 @@ def test_extend_across_components(d, cycles):
         assert perm is not None
         assert all(perm[u] == w for u, w in pins.items())
         assert is_automorphism(twice, perm)
+
+
+def test_extend_backtracks_from_dead_branch(d, cycles, group):
+    # the third pin verify_c4uh(sample=100, seed=1) draws: the first image
+    # tried at one branch point is a dead end, so the search backtracks
+    # and must restore the domains it narrowed there
+    pins = _pin_map(cycles, 83, 48, 1)
+    perm = extend_isomorphism(d, pins)
+    assert perm is not None
+    assert all(perm[u] == w for u, w in pins.items())
+    assert perm in group
+
+
+# sha256 of the repr of the list of the 100 permutations that
+# verify_c4uh(d, sample=100, seed=1) extends its pins to
+SEED1_EXTENSIONS_SHA256 = (
+    "decb24906f561da088cb084489897cf68248e3383c9d32657bd0e16fd38c3690"
+)
+
+
+def test_extension_search_order_is_pinned(d, cycles):
+    # which automorphism a pin extends to depends on the branching order
+    # (fewest images first, lowest vertex on ties, images in sorted
+    # order), and so does the exhaustive harvest's count of 954 runs
+    rng = random.Random(1)
+    m = len(cycles)
+    perms = []
+    for _ in range(100):
+        i, j, r = rng.randrange(m), rng.randrange(m), rng.randrange(4)
+        perms.append(extend_isomorphism(d, _pin_map(cycles, i, j, r)))
+    digest = hashlib.sha256(repr(perms).encode()).hexdigest()
+    assert digest == SEED1_EXTENSIONS_SHA256
+
+
+def test_extension_frees_its_state_on_return(d, cycles):
+    # the search keeps no reference cycle, so its domains and trail go
+    # when the call returns, not at the next cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        for i, j, r in ((83, 48, 1), (0, 5, 2)):
+            extend_isomorphism(d, _pin_map(cycles, i, j, r))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+D = build_d()
+
+
+def _retargeted(retargets) -> Digraph:
+    g = D
+    for u, slot, target in retargets:
+        g = with_retargeted_arc(g, u, slot, target)
+    return g
+
+
+# one or two out-list entries of D pointed at arbitrary vertices
+retarget_lists = st.lists(
+    st.tuples(st.integers(0, 167), st.integers(0, 2), st.integers(0, 167)),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda r: r[:2],
+)
+
+
+@settings(max_examples=25)
+# a two-arc swap of D that an involution of D keeps: its group has order 4
+@example(retargets=[(0, 0, 78), (1, 0, 79)], i=0, j=1, r=0)
+@example(retargets=[(0, 0, 78), (1, 0, 79)], i=0, j=1, r=1)
+@given(
+    retargets=retarget_lists,
+    i=st.integers(0, 125),
+    j=st.none() | st.integers(0, 125),
+    r=st.integers(0, 3),
+)
+def test_extension_agrees_with_group_on_damaged_graphs(retargets, i, j, r):
+    # None exactly when no group element respects the pins; j=None pins
+    # cycle i onto itself
+    g = _retargeted(retargets)
+    grp = automorphism_group(g)
+    assume(grp.order <= 64)
+    cyc = enumerate_4cycles(g)
+    i %= len(cyc)
+    j = i if j is None else j % len(cyc)
+    pins = _pin_map(cyc, i, j, r)
+    respecting = [
+        h
+        for h in _closure(list(grp.generators), g.n)
+        if all(h[u] == w for u, w in pins.items())
+    ]
+    perm = extend_isomorphism(g, pins)
+    if not respecting:
+        assert perm is None
+    else:
+        assert perm is not None
+        assert all(perm[u] == w for u, w in pins.items())
+        assert perm in grp
 
 
 def test_extend_fails_on_arc_to_non_arc(d):

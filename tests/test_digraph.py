@@ -2,7 +2,7 @@ import json
 from operator import getitem
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanopencils.digraph import (
@@ -116,6 +116,53 @@ def test_trace_oracle_catches_injected_two_circuit(d):
     broken = with_retargeted_arc(d, 0, 0, u)
     assert short_circuit_matrix_check(broken) == (False, (0, 2, 0))
     assert check_no_short_circuits(broken) == (False, (0, u))
+
+
+def _integer_power_traces(g: Digraph) -> tuple[int, int, int]:
+    a = adjacency_matrix(g).astype(np.int64)
+    return tuple(int(np.trace(np.linalg.matrix_power(a, k))) for k in (1, 2, 3))
+
+
+def test_trace_oracle_counts_three_circuits(d):
+    # close the path 0 -> v -> w into a 3-circuit
+    v = d.out[0][0]
+    w = d.out[v][0]
+    broken = with_retargeted_arc(d, w, 0, 0)
+    ok, traces = short_circuit_matrix_check(broken)
+    assert not ok and traces[2] > 0
+    assert traces == _integer_power_traces(broken)
+
+
+def test_trace_oracle_counts_past_int8():
+    # the complete digraph on 40 vertices: n(n-1) closed 2-walks and
+    # n(n-1)(n-2) closed 3-walks, far past what the int8 matrix can hold
+    n = 40
+    complete = Digraph([[w for w in range(n) if w != u] for u in range(n)])
+    assert short_circuit_matrix_check(complete) == (
+        False,
+        (0, n * (n - 1), n * (n - 1) * (n - 2)),
+    )
+
+
+# one or two out-list entries of D pointed at arbitrary vertices, which may
+# add loops, parallel arcs and short circuits
+retargets = st.lists(
+    st.tuples(st.integers(0, 167), st.integers(0, 2), st.integers(0, 167)),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda r: r[:2],
+)
+
+
+@settings(max_examples=20)
+@given(retargets)
+def test_trace_oracle_matches_integer_powers(d, retargets):
+    # the float64 traces against exact int64 matrix powers
+    g = d
+    for u, slot, target in retargets:
+        g = with_retargeted_arc(g, u, slot, target)
+    want = _integer_power_traces(g)
+    assert short_circuit_matrix_check(g) == (want == (0, 0, 0), want)
 
 
 def test_cycle_census_is_126(d, cycles):
