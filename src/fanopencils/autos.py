@@ -9,6 +9,7 @@ kept as generators and a stabilizer chain, never as a list of elements.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ import numpy as np
 from .digraph import (
     Digraph,
     adjacency_matrix,
+    canonical_cycle,
     cycle_arc_cover,
     enumerate_4cycles,
     orbits,
@@ -475,7 +477,6 @@ class UHReport:
     aut_order: int
     failures: tuple[tuple[int, int, int], ...]
     direct_checked: int
-    flag_transitive: bool
     detail: str = ""
 
     def to_json_dict(self) -> dict:
@@ -487,21 +488,6 @@ class UHReport:
                 for (c, c2, r) in self.failures
             ],
         }
-
-
-def _cycle_triple_map(cycles, perm):
-    """Where each cycle index goes under perm, with the rotation that
-    aligns position 0."""
-    index = {cyc: i for i, cyc in enumerate(cycles)}
-    out = []
-    for i, cyc in enumerate(cycles):
-        img = tuple(perm[v] for v in cyc)
-        m = img.index(min(img))
-        canon = img[m:] + img[:m]
-        j = index[canon]
-        r = canon.index(img[0])
-        out.append((i, j, r))
-    return out
 
 
 def _pin_map(cycles, i: int, j: int, r: int) -> dict:
@@ -528,7 +514,7 @@ def verify_c4uh(
     top of it, `sample` random pairs are extended directly (seeded), or
     with sample=0 every pair is covered: each extension found settles
     one aligned image per source cycle, so uncovered triples trigger at
-    most one search each.
+    most one search each.  The harvest stops at FAILURE_CAP failures.
     """
     if sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
@@ -537,69 +523,57 @@ def verify_c4uh(
     if group is None:
         group = automorphism_group(d)
     notes = []
-    ok_structure = True
     if len(cycles) != 126:
-        ok_structure = False
         notes.append(f"{len(cycles)} oriented 4-cycles, expected 126")
     cover_ok, bad = cycle_arc_cover(d, cycles)
     if not cover_ok:
-        ok_structure = False
         notes.append(f"cycles do not partition the arcs ({len(bad)} witnesses)")
+    structure_ok = not notes
     orbits = arc_orbits(d, group)
-    flag_transitive = len(orbits) == 1 and len(orbits[0]) == d.arc_count()
-    if not flag_transitive:
+    arc_transitive = len(orbits) == 1 and len(orbits[0]) == d.arc_count()
+    if not arc_transitive:
         notes.append(f"{len(orbits)} arc orbits")
+    if not structure_ok:
+        return UHReport(False, group.order, (), 0, "; ".join(notes))
 
-    failures: list[tuple[int, int, int]] = []
-    checked = 0
     m = len(cycles)
-    if not ok_structure:
-        return UHReport(
-            False, group.order, (), 0, flag_transitive, "; ".join(notes)
-        )
-
     if sample > 0:
         rng = random.Random(seed)
-        for _ in range(sample):
-            i = rng.randrange(m)
-            j = rng.randrange(m)
-            r = rng.randrange(4)
-            checked += 1
-            if extend_isomorphism(d, _pin_map(cycles, i, j, r)) is None:
-                failures.append((i, j, r))
-                if len(failures) >= FAILURE_CAP:
-                    break
+        triples = (
+            (rng.randrange(m), rng.randrange(m), rng.randrange(4))
+            for _ in range(sample)
+        )
+        covered = None
     else:
-        covered = [[False] * 4 for _ in range(m * m)]
-        for i in range(m):
-            for j in range(m):
-                row = covered[i * m + j]
-                for r in range(4):
-                    if row[r]:
-                        continue
-                    checked += 1
-                    perm = extend_isomorphism(d, _pin_map(cycles, i, j, r))
-                    if perm is None:
-                        failures.append((i, j, r))
-                        if len(failures) >= FAILURE_CAP:
-                            break
-                        continue
-                    for (a, b, rr) in _cycle_triple_map(cycles, perm):
-                        covered[a * m + b][rr] = True
-                if failures and len(failures) >= FAILURE_CAP:
-                    break
-            if failures and len(failures) >= FAILURE_CAP:
+        triples = itertools.product(range(m), range(m), range(4))
+        # (i*m + j)*4 + r is set once an extension has covered (i, j, r)
+        covered = bytearray(m * m * 4)
+        index = {cyc: i for i, cyc in enumerate(cycles)}
+    failures: list[tuple[int, int, int]] = []
+    checked = 0
+    for i, j, r in triples:
+        if covered is not None and covered[(i * m + j) * 4 + r]:
+            continue
+        checked += 1
+        perm = extend_isomorphism(d, _pin_map(cycles, i, j, r))
+        if perm is None:
+            failures.append((i, j, r))
+            if len(failures) == FAILURE_CAP:
                 break
+        elif covered is not None:
+            # perm takes cycle a onto cycle index[img], position 0 to position rr
+            for a, cyc in enumerate(cycles):
+                img = canonical_cycle(tuple(perm[v] for v in cyc))
+                rr = img.index(perm[cyc[0]])
+                covered[(a * m + index[img]) * 4 + rr] = 1
 
-    passed = ok_structure and flag_transitive and not failures
     if not notes and not failures:
         mode = "exhaustive" if sample == 0 else f"sampled {checked}"
         notes.append(f"arc-transitive; {mode} direct extensions all succeeded")
     return UHReport(
-        passed,
+        arc_transitive and not failures,
         group.order,
         tuple(failures),
         checked,
-        flag_transitive,
         "; ".join(notes),
     )

@@ -66,7 +66,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         if args.selector == "uh":
             uh = report.uh_report or UHReport(
-                False, 0, (), 0, False, "extension check did not run"
+                False, 0, (), 0, "extension check did not run"
             )
             payload = uh.to_json_dict()
         else:

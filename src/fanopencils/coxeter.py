@@ -86,10 +86,6 @@ def cox_neighbors(v: CoxVertex) -> tuple[CoxVertex, ...]:
     return tuple(nbr)
 
 
-def cox_translate(v: CoxVertex, t: int) -> CoxVertex:
-    return CoxVertex((v.base + t) % 7, tuple(sorted((q + t) % 7 for q in v.line)))
-
-
 class Graph:
     """Small immutable undirected graph with a fixed vertex order."""
 

@@ -14,7 +14,7 @@ from operator import getitem
 
 import numpy as np
 
-from .golden import ADJACENCY_ROWS, ROW_ORDER
+from .golden import ADJACENCY_ROWS
 from .pencils import DVertex, compact, enumerate_vertices, vertex_index
 
 LABELS = (1, 2, 0)
@@ -99,10 +99,6 @@ def with_retargeted_arc(d: Digraph, u: int, slot: int, target: int) -> Digraph:
     rows = [list(row) for row in d.out]
     rows[u][slot] = target
     return Digraph(rows)
-
-
-def reverse(d: Digraph) -> Digraph:
-    return Digraph(d.inn)
 
 
 def _reachable(out_lists, start: int) -> int:
@@ -297,11 +293,6 @@ def golden_sublist_diff(d: Digraph | None = None):
             if e != g:
                 diffs.append((sym, pos, e, g))
     return diffs
-
-
-def golden_sublist_check(d: Digraph | None = None) -> bool:
-    assert tuple(sym for sym, _ in generated_rows()) == ROW_ORDER
-    return not golden_sublist_diff(d)
 
 
 def format_table(d: Digraph | None = None) -> str:

@@ -36,10 +36,6 @@ for _l in LINES:
         _THIRD[(_p, _q)] = sum(_l) - _p - _q
 
 
-def is_line(points) -> bool:
-    return tuple(sorted(points)) in _LINE_INDEX
-
-
 def line_index(points) -> int:
     """Index j of the given line; raises NotALine otherwise."""
     try:
@@ -53,10 +49,6 @@ def third_point(p: int, q: int) -> int:
     if p == q:
         raise DegeneratePair(f"points coincide: {p}")
     return _THIRD[(p, q)]
-
-
-def lines_through(p: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(l for l in LINES if p in l)
 
 
 def lines_avoiding(p: int) -> tuple[tuple[int, int, int], ...]:

@@ -73,10 +73,6 @@ def vertex_index(v: DVertex) -> int:
     return vertex_table()[(v.base, *v.line)]
 
 
-def vertex_at(i: int) -> DVertex:
-    return enumerate_vertices()[i]
-
-
 def _normalize_pair(pair) -> tuple[int, int]:
     if isinstance(pair, str):
         if len(pair) != 2 or not pair.isdigit():

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from . import autos, coxeter, digraph, golden, voltage
 from .pencils import compact, format_long, parse_compact, symbol_grid, vertex_index
 
-SELECTORS = ("all", "digraph", "cycles", "uh", "voltage", "coxeter")
-SUITE_ORDER = ("digraph", "cycles", "uh", "voltage", "coxeter")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -80,15 +76,22 @@ class _built_once:
 
 
 class Artifacts:
-    """Lazily built shared objects, one instance per verification run."""
+    """Lazily built shared objects, one instance per verification run.
+
+    `sample` and `seed` set the homogeneity extension report `uh`.
+    """
 
     def __init__(
         self,
         d: digraph.Digraph | None = None,
         cox: coxeter.Graph | None = None,
+        sample: int = 100,
+        seed: int = 0,
     ):
         self._d = d
         self._cox = cox
+        self.sample = sample
+        self.seed = seed
         self._built: dict[str, tuple[bool, object]] = {}
 
     @_built_once
@@ -102,6 +105,12 @@ class Artifacts:
     @_built_once
     def group(self) -> autos.AutGroup:
         return autos.automorphism_group(self.d)
+
+    @_built_once
+    def uh(self) -> autos.UHReport:
+        return autos.verify_c4uh(
+            self.d, self.sample, self.seed, self.group, self.cycles
+        )
 
     @_built_once
     def action(self) -> voltage.GroupAction:
@@ -128,7 +137,18 @@ def _check_digraph_degrees(a: Artifacts):
         or len(d.inn[v]) != 3
         or len(set(d.inn[v])) != 3
     ]
-    return not bad, f"{len(bad)} vertices off degree 3" if bad else "in = out = 3"
+    if not bad:
+        return True, "in = out = 3"
+
+    def degree(row) -> str:
+        repeat = "" if len(set(row)) == len(row) else " with a repeat"
+        return f"{len(row)}{repeat}"
+
+    v = bad[0]
+    return False, (
+        f"{len(bad)} vertices off degree 3; first: vertex {v}, "
+        f"out-degree {degree(d.out[v])}, in-degree {degree(d.inn[v])}"
+    )
 
 
 def _check_digraph_golden(a: Artifacts):
@@ -239,22 +259,15 @@ def _check_uh_vertex_transitive(a: Artifacts):
     return len(orbits) == 1, f"{len(orbits)} vertex orbits"
 
 
-def _make_uh_extension_check(report_slot: dict, sample: int, seed: int):
-    def run(a: Artifacts):
-        rep = autos.verify_c4uh(
-            a.d, sample=sample, seed=seed, group=a.group, cycles=a.cycles
-        )
-        report_slot["report"] = rep
-        ok = rep.passed and not rep.failures
-        which = "exhaustive" if sample == 0 else f"{rep.direct_checked} sampled"
-        detail = f"{which} cycle-to-cycle extensions, {len(rep.failures)} failures"
-        if rep.failures:
-            detail += f"; first: {rep.failures[0]}"
-        if not rep.passed and rep.detail:
-            detail += f"; {rep.detail}"
-        return ok, detail
-
-    return run
+def _check_uh_extensions(a: Artifacts):
+    rep = a.uh
+    which = "exhaustive" if a.sample == 0 else f"{rep.direct_checked} sampled"
+    detail = f"{which} cycle-to-cycle extensions, {len(rep.failures)} failures"
+    if rep.failures:
+        detail += f"; first: {rep.failures[0]}"
+    if not rep.passed and rep.detail:
+        detail += f"; {rep.detail}"
+    return rep.passed, detail
 
 
 def _check_uh_flags(a: Artifacts):
@@ -327,9 +340,12 @@ def _check_cox_counts(a: Artifacts):
 
 def _check_cox_cubic_connected(a: Artifacts):
     g = a.cox
-    cubic = all(len(r) == 3 for r in g.nbrs)
+    bad = next((v for v, r in enumerate(g.nbrs) if len(r) != 3), None)
     conn = coxeter.connected(g)
-    return cubic and conn, f"cubic {cubic}, connected {conn}"
+    cubic = (
+        "True" if bad is None else f"False (vertex {bad} has degree {len(g.nbrs[bad])})"
+    )
+    return bad is None and conn, f"cubic {cubic}, connected {conn}"
 
 
 def _check_cox_girth(a: Artifacts):
@@ -363,47 +379,48 @@ def _check_cox_consistency(a: Artifacts):
     )
 
 
-def _suites(sample: int, seed: int, uh_slot: dict):
-    return {
-        "digraph": [
-            ("digraph.counts", _check_digraph_counts),
-            ("digraph.degrees", _check_digraph_degrees),
-            ("digraph.golden_rows", _check_digraph_golden),
-            ("digraph.strongly_connected", _check_digraph_connected),
-            ("digraph.no_short_circuits", _check_digraph_short),
-            ("digraph.trace_oracle", _check_digraph_trace),
-            ("digraph.symbol_grid", _check_digraph_grid),
-        ],
-        "cycles": [
-            ("cycles.count", _check_cycles_count),
-            ("cycles.arc_partition", _check_cycles_partition),
-            ("cycles.label_orbits", _check_cycles_orbits),
-            ("cycles.known_example", _check_cycles_example),
-            ("cycles.vertex_incidence", _check_cycles_incidence),
-        ],
-        "uh": [
-            ("uh.aut_order", _check_uh_order),
-            ("uh.known_subgroups", _check_uh_lifts),
-            ("uh.vertex_transitive", _check_uh_vertex_transitive),
-            ("uh.flag_regular", _check_uh_flags),
-            ("uh.extensions", _make_uh_extension_check(uh_slot, sample, seed)),
-        ],
-        "voltage": [
-            ("voltage.action", _check_voltage_action),
-            ("voltage.quotient_shape", _check_voltage_shape),
-            ("voltage.round_trip", _check_voltage_round_trip),
-            ("voltage.closure", _check_voltage_sums),
-            ("voltage.cycle_orbits", _check_voltage_orbits),
-        ],
-        "coxeter": [
-            ("coxeter.counts", _check_cox_counts),
-            ("coxeter.cubic_connected", _check_cox_cubic_connected),
-            ("coxeter.girth", _check_cox_girth),
-            ("coxeter.distance_regular", _check_cox_dr),
-            ("coxeter.automorphisms", _check_cox_aut),
-            ("coxeter.alignment_consistency", _check_cox_consistency),
-        ],
-    }
+SUITES = {
+    "digraph": [
+        ("digraph.counts", _check_digraph_counts),
+        ("digraph.degrees", _check_digraph_degrees),
+        ("digraph.golden_rows", _check_digraph_golden),
+        ("digraph.strongly_connected", _check_digraph_connected),
+        ("digraph.no_short_circuits", _check_digraph_short),
+        ("digraph.trace_oracle", _check_digraph_trace),
+        ("digraph.symbol_grid", _check_digraph_grid),
+    ],
+    "cycles": [
+        ("cycles.count", _check_cycles_count),
+        ("cycles.arc_partition", _check_cycles_partition),
+        ("cycles.label_orbits", _check_cycles_orbits),
+        ("cycles.known_example", _check_cycles_example),
+        ("cycles.vertex_incidence", _check_cycles_incidence),
+    ],
+    "uh": [
+        ("uh.aut_order", _check_uh_order),
+        ("uh.known_subgroups", _check_uh_lifts),
+        ("uh.vertex_transitive", _check_uh_vertex_transitive),
+        ("uh.flag_regular", _check_uh_flags),
+        ("uh.extensions", _check_uh_extensions),
+    ],
+    "voltage": [
+        ("voltage.action", _check_voltage_action),
+        ("voltage.quotient_shape", _check_voltage_shape),
+        ("voltage.round_trip", _check_voltage_round_trip),
+        ("voltage.closure", _check_voltage_sums),
+        ("voltage.cycle_orbits", _check_voltage_orbits),
+    ],
+    "coxeter": [
+        ("coxeter.counts", _check_cox_counts),
+        ("coxeter.cubic_connected", _check_cox_cubic_connected),
+        ("coxeter.girth", _check_cox_girth),
+        ("coxeter.distance_regular", _check_cox_dr),
+        ("coxeter.automorphisms", _check_cox_aut),
+        ("coxeter.alignment_consistency", _check_cox_consistency),
+    ],
+}
+
+SELECTORS = ("all", *SUITES)
 
 
 def run_verification(
@@ -423,13 +440,11 @@ def run_verification(
         raise ValueError(f"unknown selector {selector!r}")
     if sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
-    uh_slot: dict = {}
-    suites = _suites(sample, seed, uh_slot)
-    names = SUITE_ORDER if selector == "all" else (selector,)
-    arts = Artifacts(d, cox)
+    names = SUITES if selector == "all" else (selector,)
+    arts = Artifacts(d, cox, sample, seed)
     results = []
     for suite in names:
-        for name, fn in suites[suite]:
+        for name, fn in SUITES[suite]:
             t0 = time.perf_counter()
             try:
                 ok, detail = fn(arts)
@@ -437,4 +452,6 @@ def run_verification(
                 ok, detail = False, f"raised {type(e).__name__}: {e}"
             ms = int(round((time.perf_counter() - t0) * 1000))
             results.append(CheckResult(name, bool(ok), detail, ms))
-    return VerificationReport(selector, tuple(results), uh_slot.get("report"))
+    # the extension report, when the uh suite built it without raising
+    built, uh = arts._built.get("uh", (False, None))
+    return VerificationReport(selector, tuple(results), uh if built else None)

@@ -18,16 +18,19 @@ from .digraph import Digraph, canonical_cycle, orbits
 from .pencils import compact, enumerate_vertices, translate
 
 
+# the order of every cyclic action here: translation generates Z7
+ORDER = 7
+
+
 class InvalidAction(Exception):
     """The supplied permutation is not a free order-7 automorphism."""
 
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A cyclic group acting on vertices via one generator."""
+    """A cyclic group of order ORDER acting on vertices via one generator."""
 
     generator: Perm
-    order: int = 7
 
 
 def z7_action(d: Digraph | None = None) -> GroupAction:
@@ -36,7 +39,7 @@ def z7_action(d: Digraph | None = None) -> GroupAction:
         from .digraph import build_d
 
         d = build_d()
-    action = GroupAction(lift_vertex_map(lambda v: translate(v, 1)), 7)
+    action = GroupAction(lift_vertex_map(lambda v: translate(v, 1)))
     validate_action(d, action)
     return action
 
@@ -48,9 +51,9 @@ def validate_action(d: Digraph, action: GroupAction):
     if not is_automorphism(d, gen):
         raise InvalidAction("generator is not an automorphism")
     for orbit in orbits(range(d.n), [gen], getitem):
-        if len(orbit) != action.order:
+        if len(orbit) != ORDER:
             raise InvalidAction(
-                f"orbit of {orbit[0]} has {len(orbit)} points, not {action.order}"
+                f"orbit of {orbit[0]} has {len(orbit)} points, not {ORDER}"
             )
 
 
@@ -64,7 +67,7 @@ def action_orbits(action: GroupAction, n: int):
         k = orb.index(rep)
         for i, y in enumerate(orb):
             rep_of[y] = rep
-            layer[y] = (i - k) % action.order
+            layer[y] = (i - k) % ORDER
         reps.append(rep)
     return sorted(reps), rep_of, layer
 
@@ -79,7 +82,6 @@ class VoltageGraph:
 
     reps: tuple[str, ...]
     arcs: tuple[tuple[int, int, int], ...]
-    order: int = 7
     rep_vertices: tuple[int, ...] | None = None
 
     def out_degree(self, i: int) -> int:
@@ -113,7 +115,7 @@ def quotient(d: Digraph, action: GroupAction | None = None) -> VoltageGraph:
         for r in reps
         for w in d.out[r]
     )
-    return VoltageGraph(names, arcs, action.order, tuple(reps))
+    return VoltageGraph(names, arcs, tuple(reps))
 
 
 def derive(vg: VoltageGraph) -> Digraph:
@@ -123,10 +125,10 @@ def derive(vg: VoltageGraph) -> Digraph:
     (r, m) -> (r', m + v) for every layer m.
     """
     n = len(vg.reps)
-    rows: list[list[int]] = [[] for _ in range(n * vg.order)]
+    rows: list[list[int]] = [[] for _ in range(n * ORDER)]
     for (r, r2, v) in vg.arcs:
-        for m in range(vg.order):
-            rows[r * vg.order + m].append(r2 * vg.order + (m + v) % vg.order)
+        for m in range(ORDER):
+            rows[r * ORDER + m].append(r2 * ORDER + (m + v) % ORDER)
     return Digraph(rows)
 
 
@@ -161,8 +163,8 @@ def projected_voltage_sums(d: Digraph, cycles, action: GroupAction | None = None
         s = 0
         for k in range(len(cyc)):
             u, w = cyc[k], cyc[(k + 1) % len(cyc)]
-            s += (layer[w] - layer[u]) % action.order
-        sums.append(s % action.order)
+            s += (layer[w] - layer[u]) % ORDER
+        sums.append(s % ORDER)
     return tuple(sums)
 
 

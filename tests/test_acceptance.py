@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fanopencils import coxeter as cox_mod
 from fanopencils.autos import (
+    arc_orbits,
     induced_automorphism,
     lift_vertex_map,
     verify_c4uh,
@@ -89,7 +90,7 @@ def test_criterion_06_step_permutation_law(d):
 def test_criterion_07_ultrahomogeneity(d, cycles, group):
     sampled = verify_c4uh(d, sample=120, seed=0, group=group, cycles=cycles)
     assert sampled.passed
-    assert sampled.flag_transitive
+    assert len(arc_orbits(d, group)) == 1
     assert sampled.failures == ()
     assert sampled.direct_checked >= 100
     exhaustive = verify_c4uh(d, sample=0, group=group, cycles=cycles)
@@ -143,6 +144,12 @@ def test_criterion_11_fault_injection(d, cox):
     assert not rep.passed
     golden = next(c for c in rep.checks if c.name == "digraph.golden_rows")
     assert not golden.passed and row_sym in golden.detail
+    # vertex 0 gains the retargeted arc, its old target loses it
+    degrees = next(c for c in rep.checks if c.name == "digraph.degrees")
+    assert not degrees.passed
+    assert degrees.detail == (
+        "2 vertices off degree 3; first: vertex 0, out-degree 3, in-degree 4"
+    )
 
     rep = run_verification("cycles", d=broken)
     assert not rep.passed
@@ -170,6 +177,13 @@ def test_criterion_11_fault_injection(d, cox):
     failed = [c for c in rep.checks if not c.passed]
     assert failed
     assert not align.passed or any(c.detail for c in failed)
+
+    rows = [list(r) for r in cox.nbrs]
+    del rows[3][1]
+    rep = run_verification("coxeter", cox=cox_mod.Graph(cox.vertices, rows))
+    cubic = next(c for c in rep.checks if c.name == "coxeter.cubic_connected")
+    assert not cubic.passed
+    assert cubic.detail == "cubic False (vertex 3 has degree 2), connected True"
     _ok(11, "every suite fails with a located witness on one retargeted arc")
 
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fanopencils import autos
 from fanopencils.autos import (
+    FAILURE_CAP,
     _closed_walk_colours,
     _neighbour_index,
     _pin_map,
@@ -407,7 +409,7 @@ def test_extend_fails_on_collapsing_pins(d):
 def test_uh_report_sampled(d, cycles, group):
     rep = verify_c4uh(d, sample=120, seed=7, group=group, cycles=cycles)
     assert rep.passed
-    assert rep.flag_transitive
+    assert len(arc_orbits(d, group)) == 1
     assert rep.failures == ()
     assert rep.direct_checked == 120
     assert rep.aut_order == group.order
@@ -429,7 +431,24 @@ def test_uh_detects_retargeted_arc(d):
     broken = with_retargeted_arc(d, 9, 2, target)
     rep = verify_c4uh(broken, sample=4, seed=1)
     assert not rep.passed
-    assert "126" in rep.detail or not rep.flag_transitive
+    assert "126" in rep.detail or "arc orbits" in rep.detail
+
+
+@pytest.mark.parametrize(
+    "sample, first",
+    [
+        (50, [(108, 49, 3), (5, 33, 3), (51, 117, 2)]),
+        (0, [(0, 0, 0), (0, 0, 1), (0, 0, 2)]),
+    ],
+)
+def test_uh_harvest_stops_at_failure_cap(monkeypatch, d, cycles, group, sample, first):
+    # with every extension failing, both harvest modes stop at the cap
+    monkeypatch.setattr(autos, "extend_isomorphism", lambda d, pins: None)
+    rep = verify_c4uh(d, sample=sample, seed=0, group=group, cycles=cycles)
+    assert not rep.passed
+    assert len(rep.failures) == FAILURE_CAP
+    assert list(rep.failures[:3]) == first
+    assert rep.direct_checked == FAILURE_CAP
 
 
 def test_pin_map_shape(cycles):

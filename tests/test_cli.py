@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -123,6 +124,14 @@ def test_module_entry_point_subprocess():
     assert "124_0 : 165_3, 325_6, 364_5" in proc.stdout
 
 
+# sha256 of the seed-0 `verify all --format json` payload with every
+# check's "ms" dropped, serialized by json.dumps(..., sort_keys=True);
+# pins the report's content against refactors
+VERIFY_ALL_SEED0_SHA256 = (
+    "2c8fe41fe200121becd881cd62a350356111b592d6a67973ec250fbb3bbd37f8"
+)
+
+
 def test_verify_report_deterministic_apart_from_timings():
     def payload():
         proc = subprocess.run(
@@ -138,4 +147,7 @@ def test_verify_report_deterministic_apart_from_timings():
             del check["ms"]
         return report
 
-    assert payload() == payload()
+    first = payload()
+    assert first == payload()
+    digest = hashlib.sha256(json.dumps(first, sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_ALL_SEED0_SHA256

@@ -11,7 +11,6 @@ from fanopencils.coxeter import (
     connected,
     cox_adjacent,
     cox_neighbors,
-    cox_translate,
     cox_vertices,
     distance_matrix,
     distance_regular_array,
@@ -97,7 +96,10 @@ def test_adjacency_is_irreflexive_and_symmetric(cox):
 def test_translation_is_a_graph_automorphism(cox):
     verts = cox.vertices
     index = {v: i for i, v in enumerate(verts)}
-    perm = [index[cox_translate(v, 1)] for v in verts]
+    perm = [
+        index[CoxVertex((v.base + 1) % 7, tuple(sorted((q + 1) % 7 for q in v.line)))]
+        for v in verts
+    ]
     for u in range(cox.n):
         assert sorted(perm[w] for w in cox.nbrs[u]) == list(cox.nbrs[perm[u]])
 

@@ -15,11 +15,10 @@ from fanopencils.digraph import (
     check_no_short_circuits,
     cycle_arc_cover,
     format_table,
-    golden_sublist_check,
+    generated_rows,
     golden_sublist_diff,
     label_permutations,
     orbits,
-    reverse,
     short_circuit_matrix_check,
     step,
     step_orbit_cycles,
@@ -83,7 +82,7 @@ def test_out_lists_follow_label_order(d):
 def test_golden_rows_match_exactly(d):
     assert golden_sublist_diff() == []
     assert golden_sublist_diff(d) == []
-    assert golden_sublist_check(d)
+    assert tuple(sym for sym, _ in generated_rows()) == ROW_ORDER
 
 
 def test_table_contains_published_rows(d):
@@ -100,7 +99,7 @@ def test_row_symbols_cover_all_base_zero_vertices():
 
 def test_strong_connectivity(d):
     assert strongly_connected(d) == (True, (168, 168))
-    assert strongly_connected(reverse(d)) == (True, (168, 168))
+    assert strongly_connected(Digraph(d.inn)) == (True, (168, 168))
     two = Digraph(d.out + tuple(tuple(w + d.n for w in row) for row in d.out))
     assert strongly_connected(two) == (False, (168, 168))
 
@@ -261,9 +260,3 @@ def test_digraph_equality_semantics(d):
     assert d == build_d()
     assert d != with_retargeted_arc(d, 0, 0, d.out[1][0])
     assert hash(d) == hash(build_d())
-
-
-def test_reverse_swaps_neighbourhoods(d):
-    r = reverse(d)
-    assert sorted(r.out[0]) == list(d.inn[0])
-    assert sorted(r.inn[0]) == sorted(d.out[0])

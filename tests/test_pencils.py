@@ -18,7 +18,6 @@ from fanopencils.pencils import (
     rowcol,
     symbol_grid,
     translate,
-    vertex_at,
     vertex_index,
 )
 
@@ -38,7 +37,6 @@ def test_vertex_count_and_canonical_order():
 def test_index_round_trip():
     for i, v in enumerate(VERTS):
         assert vertex_index(v) == i
-        assert vertex_at(i) == v
 
 
 def test_vertex_validation():

@@ -7,6 +7,7 @@ from fanopencils.autos import lift_vertex_map, rotate_slots
 from fanopencils.digraph import build_d, with_retargeted_arc
 from fanopencils.pencils import enumerate_vertices, compact, parse_compact, translate, vertex_index
 from fanopencils.voltage import (
+    ORDER,
     GroupAction,
     InvalidAction,
     VoltageGraph,
@@ -27,7 +28,7 @@ VERTS = enumerate_vertices()
 
 def test_action_is_valid(d, action):
     validate_action(d, action)  # must not raise
-    assert action.order == 7
+    assert ORDER == 7
     p = tuple(range(d.n))
     for _ in range(7):
         p = tuple(action.generator[x] for x in p)
@@ -41,12 +42,12 @@ def test_action_matches_translation(d, action):
 
 def test_identity_action_rejected(d):
     with pytest.raises(InvalidAction):
-        validate_action(d, GroupAction(tuple(range(d.n)), 7))
+        validate_action(d, GroupAction(tuple(range(d.n))))
 
 
 def test_order_three_automorphism_rejected(d):
     # the slot rotation passes the automorphism check but has order 3
-    rotation = GroupAction(lift_vertex_map(rotate_slots), 7)
+    rotation = GroupAction(lift_vertex_map(rotate_slots))
     with pytest.raises(InvalidAction, match="orbit of 0 has 3 points, not 7"):
         validate_action(d, rotation)
 
@@ -55,12 +56,12 @@ def test_non_automorphism_rejected(d):
     perm = list(range(d.n))
     perm[0], perm[1] = 1, 0
     with pytest.raises(InvalidAction):
-        validate_action(d, GroupAction(tuple(perm), 7))
+        validate_action(d, GroupAction(tuple(perm)))
 
 
 def test_wrong_size_rejected(d):
     with pytest.raises(InvalidAction):
-        validate_action(d, GroupAction(tuple(range(10)), 7))
+        validate_action(d, GroupAction(tuple(range(10))))
 
 
 def test_retargeted_graph_rejects_translation(d):
