@@ -79,8 +79,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    diffs = digraph.golden_sublist_diff()
-    lines = [digraph.format_table(), ""]
+    d = digraph.build_d()
+    diffs = digraph.golden_sublist_diff(d)
+    lines = [digraph.format_table(d), ""]
     if diffs:
         lines.append(f"diff against golden table ({len(diffs)} entries):")
         lines.extend(
@@ -100,7 +101,8 @@ def _cmd_export(args) -> int:
         g = coxeter.build_coxeter()
         text = coxeter.to_dot(g) if args.format == "dot" else coxeter.to_json(g)
     else:
-        vg = voltage.quotient(digraph.build_d())
+        d = digraph.build_d()
+        vg = voltage.quotient(d, voltage.z7_action(d))
         text = voltage.to_dot(vg) if args.format == "dot" else voltage.to_json(vg)
     return _emit(text, args.output)
 

@@ -86,37 +86,23 @@ def cox_neighbors(v: CoxVertex) -> tuple[CoxVertex, ...]:
     return tuple(nbr)
 
 
-class Graph:
-    """Small immutable undirected graph with a fixed vertex order."""
-
-    __slots__ = ("vertices", "nbrs", "n")
-
-    def __init__(self, vertices, nbrs):
-        self.vertices = tuple(vertices)
-        self.n = len(self.vertices)
-        self.nbrs = tuple(tuple(sorted(r)) for r in nbrs)
-
-    def edges(self):
-        return sorted(
-            (u, w) for u, row in enumerate(self.nbrs) for w in row if u < w
-        )
-
-    def to_digraph(self) -> Digraph:
-        return Digraph(self.nbrs)
-
-
-def build_coxeter() -> Graph:
+def build_coxeter() -> Digraph:
+    """The graph as a symmetric digraph: row i lists the neighbours of
+    cox_vertices()[i], ascending."""
     verts = cox_vertices()
     index = {v: i for i, v in enumerate(verts)}
-    nbrs = [[index[w] for w in cox_neighbors(v)] for v in verts]
-    for u, row in enumerate(nbrs):
-        for w in row:
-            if u not in nbrs[w]:
-                raise AssertionError("adjacency is not symmetric")
-    return Graph(verts, nbrs)
+    g = Digraph(sorted(index[w] for w in cox_neighbors(v)) for v in verts)
+    if g.out != g.inn:
+        raise AssertionError("adjacency is not symmetric")
+    return g
 
 
-def _bfs(g: Graph, start: int, skip_edge=None):
+def edges(g: Digraph) -> list[tuple[int, int]]:
+    """The edges u -- w, as the arcs u -> w with u < w."""
+    return sorted((u, w) for u, w in g.arcs() if u < w)
+
+
+def _bfs(g: Digraph, start: int, skip_edge=None):
     dist = [-1] * g.n
     parent = [-1] * g.n
     dist[start] = 0
@@ -124,7 +110,7 @@ def _bfs(g: Graph, start: int, skip_edge=None):
     while frontier:
         nxt = []
         for u in frontier:
-            for w in g.nbrs[u]:
+            for w in g.out[u]:
                 if skip_edge and (u, w) in (skip_edge, skip_edge[::-1]):
                     continue
                 if dist[w] < 0:
@@ -135,15 +121,11 @@ def _bfs(g: Graph, start: int, skip_edge=None):
     return dist, parent
 
 
-def _bfs_dist(g: Graph, start: int, skip_edge=None) -> list[int]:
+def _bfs_dist(g: Digraph, start: int, skip_edge=None) -> list[int]:
     return _bfs(g, start, skip_edge)[0]
 
 
-def connected(g: Graph) -> bool:
-    return g.n > 0 and all(x >= 0 for x in _bfs_dist(g, 0))
-
-
-def girth_with_witness(g: Graph):
+def girth_with_witness(g: Digraph):
     """Shortest cycle length and one witness cycle.
 
     For every edge, the distance between its endpoints without that edge
@@ -151,7 +133,7 @@ def girth_with_witness(g: Graph):
     """
     best = None
     witness = ()
-    for u, w in g.edges():
+    for u, w in edges(g):
         dist, parent = _bfs(g, u, skip_edge=(u, w))
         if dist[w] < 0:
             continue
@@ -166,11 +148,11 @@ def girth_with_witness(g: Graph):
     return best, witness
 
 
-def distance_matrix(g: Graph) -> list[list[int]]:
+def distance_matrix(g: Digraph) -> list[list[int]]:
     return [_bfs_dist(g, v) for v in range(g.n)]
 
 
-def distance_regular_array(g: Graph):
+def distance_regular_array(g: Digraph):
     """Intersection numbers (b_0..b_{d-1}; c_1..c_d), or None.
 
     None when some pair of vertices at equal distance disagrees on the
@@ -185,8 +167,8 @@ def distance_regular_array(g: Graph):
             i = dist[v][u]
             if i == 0 and u != v:
                 continue
-            down = sum(1 for w in g.nbrs[u] if dist[v][w] == i - 1)
-            up = sum(1 for w in g.nbrs[u] if dist[v][w] == i + 1)
+            down = sum(1 for w in g.out[u] if dist[v][w] == i - 1)
+            up = sum(1 for w in g.out[u] if dist[v][w] == i + 1)
             if i < diam:
                 if b[i] is None:
                     b[i] = up
@@ -205,22 +187,22 @@ def distance_regular_array(g: Graph):
 EXPECTED_ARRAY = ((3, 2, 2, 1), (1, 1, 1, 2))
 
 
-def to_json_dict(g: Graph) -> dict:
+def to_json_dict(g: Digraph) -> dict:
     return {
-        "vertices": [v.label() for v in g.vertices],
-        "edges": [[u, w] for u, w in g.edges()],
+        "vertices": [v.label() for v in cox_vertices()],
+        "edges": [[u, w] for u, w in edges(g)],
     }
 
 
-def to_json(g: Graph) -> str:
+def to_json(g: Digraph) -> str:
     return json.dumps(to_json_dict(g), indent=2) + "\n"
 
 
-def to_dot(g: Graph) -> str:
+def to_dot(g: Digraph) -> str:
     lines = ["graph coxeter {"]
-    for i, v in enumerate(g.vertices):
+    for i, v in enumerate(cox_vertices()):
         lines.append(f'  {i} [label="{v.label()}"];')
-    for u, w in g.edges():
+    for u, w in edges(g):
         lines.append(f"  {u} -- {w};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -259,19 +259,7 @@ def cycle_arc_cover(d: Digraph, cycles):
     return (not bad), sorted(set(bad))
 
 
-def generated_rows() -> list[tuple[str, tuple[str, str, str]]]:
-    """The base-0 adjacency rows computed from the arc rule."""
-    rows = []
-    for v in enumerate_vertices()[:24]:
-        rows.append(
-            (compact(v), tuple(compact(step(v, lab)) for lab in LABELS))
-        )
-    return rows
-
-
-def _base_rows(d: Digraph | None):
-    if d is None:
-        return generated_rows()
+def _base_rows(d: Digraph):
     verts = enumerate_vertices()
     return [
         (compact(verts[i]), tuple(compact(verts[w]) for w in d.out[i]))
@@ -279,12 +267,11 @@ def _base_rows(d: Digraph | None):
     ]
 
 
-def golden_sublist_diff(d: Digraph | None = None):
-    """Differences between the generated base-0 rows and the golden table.
+def golden_sublist_diff(d: Digraph):
+    """Differences between the base-0 out-lists of d and the golden table.
 
-    Each entry is (row symbol, position, expected, got).  When a digraph
-    is supplied its out-lists are diffed instead of the raw arc rule, so
-    injected faults are located.
+    Each entry is (row symbol, position, expected, got), so injected
+    faults are located.
     """
     diffs = []
     for sym, entries in _base_rows(d):
@@ -295,7 +282,7 @@ def golden_sublist_diff(d: Digraph | None = None):
     return diffs
 
 
-def format_table(d: Digraph | None = None) -> str:
+def format_table(d: Digraph) -> str:
     """The base-0 adjacency rows rendered one per line."""
     lines = [
         f"{sym} : {', '.join(entries)}"

@@ -73,15 +73,6 @@ def vertex_index(v: DVertex) -> int:
     return vertex_table()[(v.base, *v.line)]
 
 
-def _normalize_pair(pair) -> tuple[int, int]:
-    if isinstance(pair, str):
-        if len(pair) != 2 or not pair.isdigit():
-            raise ValueError(f"bad pencil entry: {pair!r}")
-        return int(pair[0]), int(pair[1])
-    b, c = pair
-    return int(b), int(c)
-
-
 def decode_long(base: int, *pairs) -> DVertex:
     """Build a vertex from its long form: base plus three (entry, companion) pairs.
 
@@ -90,9 +81,8 @@ def decode_long(base: int, *pairs) -> DVertex:
     """
     if len(pairs) != 3:
         raise ValueError("expected exactly three entry pairs")
-    entries = tuple(_normalize_pair(p) for p in pairs)
-    v = DVertex(base, tuple(b for b, _ in entries))
-    for (b, c), expected in zip(entries, v.thirds):
+    v = DVertex(base, tuple(b for b, _ in pairs))
+    for (b, c), expected in zip(pairs, v.thirds):
         if c != expected:
             raise InconsistentPencil(
                 f"({base},{b},{c}) is not a line: companion of {b} is {expected}"

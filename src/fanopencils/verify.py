@@ -7,6 +7,7 @@ digraph, the cycle census, the automorphism group).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -84,7 +85,7 @@ class Artifacts:
     def __init__(
         self,
         d: digraph.Digraph | None = None,
-        cox: coxeter.Graph | None = None,
+        cox: digraph.Digraph | None = None,
         sample: int = 100,
         seed: int = 0,
     ):
@@ -113,11 +114,11 @@ class Artifacts:
         )
 
     @_built_once
-    def action(self) -> voltage.GroupAction:
+    def action(self) -> autos.Perm:
         return voltage.z7_action(self.d)
 
     @_built_once
-    def cox(self) -> coxeter.Graph:
+    def cox(self) -> digraph.Digraph:
         return self._cox if self._cox is not None else coxeter.build_coxeter()
 
 
@@ -318,10 +319,12 @@ def _check_voltage_round_trip(a: Artifacts):
 def _check_voltage_sums(a: Artifacts):
     sums = voltage.projected_voltage_sums(a.d, a.cycles, a.action)
     bad = [i for i, s in enumerate(sums) if s != 0]
-    return not bad, (
-        "all 126 projected cycles close at voltage 0"
-        if not bad
-        else f"{len(bad)} cycles with nonzero sum"
+    if not bad:
+        return True, "all 126 projected cycles close at voltage 0"
+    first = bad[0]
+    return False, (
+        f"{len(bad)} cycles with nonzero sum; first: cycle {a.cycles[first]} "
+        f"sums to {sums[first]}"
     )
 
 
@@ -334,16 +337,20 @@ def _check_voltage_orbits(a: Artifacts):
 
 def _check_cox_counts(a: Artifacts):
     g = a.cox
-    edges = len(g.edges())
-    return g.n == 28 and edges == 42, f"{g.n} vertices, {edges} edges"
+    edges = len(coxeter.edges(g))
+    detail = f"{g.n} vertices, {edges} edges"
+    one_sided = next(((u, w) for u, w in g.arcs() if w not in g.inn[u]), None)
+    if one_sided is not None:
+        detail += f"; first one-sided pair: {one_sided[0]} -> {one_sided[1]}"
+    return g.n == 28 and edges == 42 and one_sided is None, detail
 
 
 def _check_cox_cubic_connected(a: Artifacts):
     g = a.cox
-    bad = next((v for v, r in enumerate(g.nbrs) if len(r) != 3), None)
-    conn = coxeter.connected(g)
+    bad = next((v for v, r in enumerate(g.out) if len(r) != 3), None)
+    conn = digraph.strongly_connected(g)[0]
     cubic = (
-        "True" if bad is None else f"False (vertex {bad} has degree {len(g.nbrs[bad])})"
+        "True" if bad is None else f"False (vertex {bad} has degree {len(g.out[bad])})"
     )
     return bad is None and conn, f"cubic {cubic}, connected {conn}"
 
@@ -359,7 +366,7 @@ def _check_cox_dr(a: Artifacts):
 
 
 def _check_cox_aut(a: Artifacts):
-    group = autos.automorphism_group(a.cox.to_digraph())
+    group = autos.automorphism_group(a.cox)
     orbits = autos.vertex_orbits(group, a.cox.n)
     ok = group.order == 336 and len(orbits) == 1
     return ok, f"order {group.order}, {len(orbits)} vertex orbits"
@@ -367,16 +374,15 @@ def _check_cox_aut(a: Artifacts):
 
 def _check_cox_consistency(a: Artifacts):
     g = a.cox
-    mismatch = 0
-    for i, p in enumerate(g.vertices):
-        for j, q in enumerate(g.vertices):
-            if i < j and coxeter.cox_adjacent(p, q) != (j in g.nbrs[i]):
-                mismatch += 1
-    return mismatch == 0, (
-        "alignment adjacency equals closed form on all 378 pairs"
-        if mismatch == 0
-        else f"{mismatch} disagreeing pairs"
-    )
+    verts = coxeter.cox_vertices()
+    mismatch = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(verts)), 2)
+        if coxeter.cox_adjacent(verts[i], verts[j]) != (j in g.out[i])
+    ]
+    if not mismatch:
+        return True, "alignment adjacency equals closed form on all 378 pairs"
+    return False, f"{len(mismatch)} disagreeing pairs; first: {mismatch[0]}"
 
 
 SUITES = {
@@ -428,7 +434,7 @@ def run_verification(
     sample: int = 100,
     seed: int = 0,
     d: digraph.Digraph | None = None,
-    cox: coxeter.Graph | None = None,
+    cox: digraph.Digraph | None = None,
 ) -> VerificationReport:
     """Run one suite or all of them and collect timed check results.
 

@@ -26,26 +26,15 @@ class InvalidAction(Exception):
     """The supplied permutation is not a free order-7 automorphism."""
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    """A cyclic group of order ORDER acting on vertices via one generator."""
-
-    generator: Perm
-
-
-def z7_action(d: Digraph | None = None) -> GroupAction:
-    """The translation action, validated against the digraph."""
-    if d is None:
-        from .digraph import build_d
-
-        d = build_d()
-    action = GroupAction(lift_vertex_map(lambda v: translate(v, 1)))
-    validate_action(d, action)
-    return action
+def z7_action(d: Digraph) -> Perm:
+    """The translation x -> x+1 as a vertex permutation, the generator
+    of the action, validated against the digraph."""
+    gen = lift_vertex_map(lambda v: translate(v, 1))
+    validate_action(d, gen)
+    return gen
 
 
-def validate_action(d: Digraph, action: GroupAction):
-    gen = action.generator
+def validate_action(d: Digraph, gen: Perm):
     if len(gen) != d.n:
         raise InvalidAction("generator acts on the wrong vertex set")
     if not is_automorphism(d, gen):
@@ -57,12 +46,12 @@ def validate_action(d: Digraph, action: GroupAction):
             )
 
 
-def action_orbits(action: GroupAction, n: int):
+def action_orbits(gen: Perm, n: int):
     """Orbits as (rep, layer) data: rep is the smallest member."""
     reps = []
     layer = [0] * n
     rep_of = [0] * n
-    for orb in orbits(range(n), [action.generator], getitem):
+    for orb in orbits(range(n), [gen], getitem):
         rep = min(orb)
         k = orb.index(rep)
         for i, y in enumerate(orb):
@@ -91,18 +80,15 @@ class VoltageGraph:
         return sum(1 for a in self.arcs if a[1] == i)
 
 
-def quotient(d: Digraph, action: GroupAction | None = None) -> VoltageGraph:
+def quotient(d: Digraph, gen: Perm) -> VoltageGraph:
     """Project d onto orbit representatives.
 
     The voltage of the arc leaving a representative in slot k is the
     layer of the arc's target, i.e. the translation carrying the target
     orbit's representative onto the target.
     """
-    if action is None:
-        action = z7_action(d)
-    else:
-        validate_action(d, action)
-    reps, rep_of, layer = action_orbits(action, d.n)
+    validate_action(d, gen)
+    reps, rep_of, layer = action_orbits(gen, d.n)
     if any(layer[r] != 0 for r in reps):
         raise InvalidAction("representative layers must be zero")
     pos = {r: i for i, r in enumerate(reps)}
@@ -132,7 +118,7 @@ def derive(vg: VoltageGraph) -> Digraph:
     return Digraph(rows)
 
 
-def derive_canonical(d: Digraph, action: GroupAction | None = None) -> Digraph:
+def derive_canonical(d: Digraph, gen: Perm) -> Digraph:
     """Lift the quotient back and relabel layers onto the original ids.
 
     Index (r, m) becomes the vertex reached from representative r by m
@@ -140,12 +126,10 @@ def derive_canonical(d: Digraph, action: GroupAction | None = None) -> Digraph:
     map, so the out-list order survives and the result should equal d
     exactly.
     """
-    if action is None:
-        action = z7_action(d)
-    vg = quotient(d, action)
+    vg = quotient(d, gen)
     lifted = derive(vg)
     ids = [
-        x for orb in orbits(vg.rep_vertices, [action.generator], getitem) for x in orb
+        x for orb in orbits(vg.rep_vertices, [gen], getitem) for x in orb
     ]
     rows = [None] * d.n
     for i, row in enumerate(lifted.out):
@@ -153,28 +137,34 @@ def derive_canonical(d: Digraph, action: GroupAction | None = None) -> Digraph:
     return Digraph(rows)
 
 
-def projected_voltage_sums(d: Digraph, cycles, action: GroupAction | None = None):
-    """Voltage sum mod the group order of each cycle's projected walk."""
-    if action is None:
-        action = z7_action(d)
-    _, _, layer = action_orbits(action, d.n)
+def projected_voltage_sums(d: Digraph, cycles, gen: Perm):
+    """Voltage sum mod ORDER of each cycle's projected walk.
+
+    The arc u -> w projects to the quotient arc that leaves the orbit of
+    u in the slot w holds in d.out[u]; its voltage is the layer of the
+    target of that slot at the orbit's representative.  When the action
+    carries each out-list onto its image slot for slot, as on D, every
+    sum is 0; an out-list reordered within an orbit shows up as a
+    nonzero sum.
+    """
+    _, rep_of, layer = action_orbits(gen, d.n)
     sums = []
     for cyc in cycles:
         s = 0
-        for k in range(len(cyc)):
-            u, w = cyc[k], cyc[(k + 1) % len(cyc)]
-            s += (layer[w] - layer[u]) % ORDER
+        for k, u in enumerate(cyc):
+            w = cyc[(k + 1) % len(cyc)]
+            s += layer[d.out[rep_of[u]][d.out[u].index(w)]]
         sums.append(s % ORDER)
     return tuple(sums)
 
 
-def cycle_orbits(cycles, action: GroupAction):
+def cycle_orbits(cycles, gen: Perm):
     """Orbits of the 4-cycle set under the action, canonical rotation."""
     def act(g: Perm, cyc):
         return canonical_cycle(tuple(g[v] for v in cyc))
 
     return tuple(
-        tuple(sorted(o)) for o in orbits(cycles, [action.generator], act)
+        tuple(sorted(o)) for o in orbits(cycles, [gen], act)
     )
 
 

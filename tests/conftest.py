@@ -42,4 +42,4 @@ def cox():
 
 @pytest.fixture(scope="session")
 def cox_group(cox):
-    return automorphism_group(cox.to_digraph())
+    return automorphism_group(cox)

@@ -48,7 +48,6 @@ def test_criterion_01_vertex_arc_census(d):
 def test_criterion_02_golden_table(d):
     assert len(ADJACENCY_ROWS) == 24
     assert all(len(row) == 3 for row in ADJACENCY_ROWS.values())
-    assert golden_sublist_diff() == []
     assert golden_sublist_diff(d) == []
     _ok(2, "base-0 sub-list matches the published table, order included")
 
@@ -123,9 +122,9 @@ def test_criterion_09_voltage_round_trip(d, cycles, action):
 
 def test_criterion_10_coxeter_validation(cox, cox_group):
     assert cox.n == 28
-    assert len(cox.edges()) == 42
-    assert all(len(r) == 3 for r in cox.nbrs)
-    assert cox_mod.connected(cox)
+    assert len(cox_mod.edges(cox)) == 42
+    assert all(len(r) == 3 for r in cox.out)
+    assert strongly_connected(cox)[0]
     girth, witness = cox_mod.girth_with_witness(cox)
     assert girth == 7 and len(witness) == 7
     assert cox_mod.distance_regular_array(cox) == ((3, 2, 2, 1), (1, 1, 1, 2))
@@ -168,19 +167,26 @@ def test_criterion_11_fault_injection(d, cox):
     act = next(c for c in rep.checks if c.name == "voltage.action")
     assert not act.passed and "automorphism" in act.detail
 
-    rows = [list(r) for r in cox.nbrs]
+    rows = [list(r) for r in cox.out]
     rows[3][1] = 0 if rows[3][1] != 0 else 1
-    broken_cox = cox_mod.Graph(cox.vertices, rows)
+    broken_cox = Digraph(sorted(r) for r in rows)
     rep = run_verification("coxeter", cox=broken_cox)
     assert not rep.passed
     align = next(c for c in rep.checks if c.name == "coxeter.alignment_consistency")
     failed = [c for c in rep.checks if not c.passed]
     assert failed
     assert not align.passed or any(c.detail for c in failed)
+    # row 3 lists 0 in place of 12: 3 -> 0 is one-sided, and the
+    # alignment rule still joins 3 and 12
+    counts = next(c for c in rep.checks if c.name == "coxeter.counts")
+    assert not counts.passed
+    assert counts.detail == "28 vertices, 41 edges; first one-sided pair: 3 -> 0"
+    assert not align.passed
+    assert align.detail == "1 disagreeing pairs; first: (3, 12)"
 
-    rows = [list(r) for r in cox.nbrs]
+    rows = [list(r) for r in cox.out]
     del rows[3][1]
-    rep = run_verification("coxeter", cox=cox_mod.Graph(cox.vertices, rows))
+    rep = run_verification("coxeter", cox=Digraph(sorted(r) for r in rows))
     cubic = next(c for c in rep.checks if c.name == "coxeter.cubic_connected")
     assert not cubic.passed
     assert cubic.detail == "cubic False (vertex 3 has degree 2), connected True"

@@ -177,7 +177,7 @@ def _relabelled_cycle(n: int, seed: int) -> Digraph:
     "name, graph, order",
     [
         ("directed 168-cycle", lambda cox: _relabelled_cycle(168, 3), 168),
-        ("coxeter", lambda cox: cox.to_digraph(), 336),
+        ("coxeter", lambda cox: cox, 336),
         ("edgeless 8", lambda cox: Digraph([[] for _ in range(8)]), 40320),
     ],
 )

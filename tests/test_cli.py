@@ -94,6 +94,26 @@ def test_export_coxeter_dot(capsys):
     assert out.count(" -- ") == 42
 
 
+# sha256 of each export and of `table`, as written by --output; pins
+# every exported byte against refactors
+EXPORT_SHA256 = {
+    ("export", "digraph", "--format", "json"):
+        "9f02297101dc81d197bca14fc7908a59c92a37d450e295c5d67a32ed31ab142f",
+    ("export", "digraph", "--format", "dot"):
+        "107525f3a432c511054454a4ea5c29c63fa9e6eefb87c6b470eefe5bb7879d00",
+    ("export", "coxeter", "--format", "json"):
+        "e599c241cdf2d2cfd28c274dfbe96a4fcf52f718ae04ace0e7bbb7138b560e7e",
+    ("export", "coxeter", "--format", "dot"):
+        "a90f0a69fceb7ac6ecbf505573bc32f1a8fc1f91da164e607c6e32f6aebc9ab4",
+    ("export", "quotient", "--format", "json"):
+        "06c6d9c4db93330fe53ef10595d1079ee0d836bfcc15b0ac2ba7f3faa254c08b",
+    ("export", "quotient", "--format", "dot"):
+        "48b255371973e3643944180d8b6ded92643dd3abcba236f8981d0637ea074ff1",
+    ("table",):
+        "8bbef1be886ed915a3fd4098166cf11364a0584d978bec7d029bd2c58cc10e51",
+}
+
+
 def test_export_deterministic_bytes(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -101,6 +121,9 @@ def test_export_deterministic_bytes(tmp_path, capsys):
     assert main(["export", "digraph", "--output", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+    for argv, digest in EXPORT_SHA256.items():
+        assert main([*argv, "--output", str(a)]) == 0
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == digest, argv
 
 
 def test_export_unwritable_path(capsys):

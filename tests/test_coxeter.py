@@ -6,18 +6,18 @@ import pytest
 from fanopencils.coxeter import (
     EXPECTED_ARRAY,
     CoxVertex,
-    Graph,
     build_coxeter,
-    connected,
     cox_adjacent,
     cox_neighbors,
     cox_vertices,
     distance_matrix,
     distance_regular_array,
+    edges,
     girth_with_witness,
     to_dot,
     to_json,
 )
+from fanopencils.digraph import Digraph, strongly_connected
 from fanopencils.verify import run_verification
 
 
@@ -44,13 +44,13 @@ def test_pencil_and_label():
 
 def test_counts_and_regularity(cox):
     assert cox.n == 28
-    assert len(cox.edges()) == 42
-    assert all(len(r) == 3 for r in cox.nbrs)
-    assert all(len(set(r)) == 3 for r in cox.nbrs)
+    assert len(edges(cox)) == 42
+    assert all(len(r) == 3 for r in cox.out)
+    assert all(len(set(r)) == 3 for r in cox.out)
 
 
 def test_connected_and_diameter(cox):
-    assert connected(cox)
+    assert strongly_connected(cox)[0]
     assert max(max(row) for row in distance_matrix(cox)) == 4
 
 
@@ -59,7 +59,7 @@ def test_girth_seven_with_valid_witness(cox):
     assert girth == 7
     assert len(witness) == 7 and len(set(witness)) == 7
     for k in range(7):
-        assert witness[(k + 1) % 7] in cox.nbrs[witness[k]]
+        assert witness[(k + 1) % 7] in cox.out[witness[k]]
 
 
 def test_distance_regular_array(cox):
@@ -79,29 +79,29 @@ def test_closed_form_neighbors_example():
 def test_alignment_rule_agrees_with_closed_form(cox):
     # the arc-projection semantics and the companion-swap formula must
     # define the same 42 edges
-    verts = cox.vertices
+    verts = cox_vertices()
     for i, j in itertools.combinations(range(cox.n), 2):
-        assert cox_adjacent(verts[i], verts[j]) == (j in cox.nbrs[i])
+        assert cox_adjacent(verts[i], verts[j]) == (j in cox.out[i])
 
 
 def test_adjacency_is_irreflexive_and_symmetric(cox):
-    verts = cox.vertices
+    verts = cox_vertices()
     for v in verts[:6]:
         assert not cox_adjacent(v, v)
     for i in range(0, cox.n, 5):
-        for j in cox.nbrs[i]:
+        for j in cox.out[i]:
             assert cox_adjacent(verts[j], verts[i])
 
 
 def test_translation_is_a_graph_automorphism(cox):
-    verts = cox.vertices
+    verts = cox_vertices()
     index = {v: i for i, v in enumerate(verts)}
     perm = [
         index[CoxVertex((v.base + 1) % 7, tuple(sorted((q + 1) % 7 for q in v.line)))]
         for v in verts
     ]
     for u in range(cox.n):
-        assert sorted(perm[w] for w in cox.nbrs[u]) == list(cox.nbrs[perm[u]])
+        assert sorted(perm[w] for w in cox.out[u]) == list(cox.out[perm[u]])
 
 
 def test_validation_report(cox, cox_group):
@@ -120,10 +120,10 @@ def test_validation_report(cox, cox_group):
 
 
 def test_validation_locates_retargeted_edge(cox):
-    rows = [list(r) for r in cox.nbrs]
+    rows = [list(r) for r in cox.out]
     swap = 0 if rows[3][1] != 0 else 1
     rows[3][1] = swap
-    broken = Graph(cox.vertices, rows)
+    broken = Digraph(sorted(r) for r in rows)
     report = run_verification("coxeter", cox=broken)
     assert not report.passed
     assert [c for c in report.checks if not c.passed]

@@ -4,11 +4,10 @@ import pytest
 
 from fanopencils import verify
 from fanopencils.autos import lift_vertex_map, rotate_slots
-from fanopencils.digraph import build_d, with_retargeted_arc
+from fanopencils.digraph import Digraph, build_d, with_retargeted_arc
 from fanopencils.pencils import enumerate_vertices, compact, parse_compact, translate, vertex_index
 from fanopencils.voltage import (
     ORDER,
-    GroupAction,
     InvalidAction,
     VoltageGraph,
     action_orbits,
@@ -31,23 +30,23 @@ def test_action_is_valid(d, action):
     assert ORDER == 7
     p = tuple(range(d.n))
     for _ in range(7):
-        p = tuple(action.generator[x] for x in p)
+        p = tuple(action[x] for x in p)
     assert p == tuple(range(d.n))
 
 
 def test_action_matches_translation(d, action):
     for i in (0, 23, 95, 167):
-        assert action.generator[i] == vertex_index(translate(VERTS[i], 1))
+        assert action[i] == vertex_index(translate(VERTS[i], 1))
 
 
 def test_identity_action_rejected(d):
     with pytest.raises(InvalidAction):
-        validate_action(d, GroupAction(tuple(range(d.n))))
+        validate_action(d, tuple(range(d.n)))
 
 
 def test_order_three_automorphism_rejected(d):
     # the slot rotation passes the automorphism check but has order 3
-    rotation = GroupAction(lift_vertex_map(rotate_slots))
+    rotation = lift_vertex_map(rotate_slots)
     with pytest.raises(InvalidAction, match="orbit of 0 has 3 points, not 7"):
         validate_action(d, rotation)
 
@@ -56,12 +55,12 @@ def test_non_automorphism_rejected(d):
     perm = list(range(d.n))
     perm[0], perm[1] = 1, 0
     with pytest.raises(InvalidAction):
-        validate_action(d, GroupAction(tuple(perm)))
+        validate_action(d, tuple(perm))
 
 
 def test_wrong_size_rejected(d):
     with pytest.raises(InvalidAction):
-        validate_action(d, GroupAction(tuple(range(10))))
+        validate_action(d, tuple(range(10)))
 
 
 def test_retargeted_graph_rejects_translation(d):
@@ -163,6 +162,22 @@ def test_cycle_voltage_sums_close(d, cycles, action):
     sums = projected_voltage_sums(d, cycles, action)
     assert len(sums) == 126
     assert set(sums) == {0}
+    # vertex 5's out-list rotated by one slot: the arc set and so the
+    # translation survive, but its orbit's slots no longer agree
+    rows = [list(r) for r in d.out]
+    rows[5] = rows[5][1:] + rows[5][:1]
+    rotated = Digraph(rows)
+    validate_action(rotated, action)
+    assert sum(1 for s in projected_voltage_sums(rotated, cycles, action) if s) == 18
+    closure = next(
+        c
+        for c in verify.run_verification("voltage", d=rotated).checks
+        if c.name == "voltage.closure"
+    )
+    assert not closure.passed
+    assert closure.detail == (
+        "18 cycles with nonzero sum; first: cycle (6, 95, 13, 91) sums to 2"
+    )
 
 
 def test_cycle_orbits_18_by_7(cycles, action):
@@ -179,7 +194,8 @@ def test_json_export(d, action):
     assert len(payload["reps"]) == 24
     assert len(payload["arcs"]) == 72
     assert payload["arcs"][0].keys() == {"from", "to", "voltage"}
-    assert to_json(vg) == to_json(quotient(build_d()))
+    fresh = build_d()
+    assert to_json(vg) == to_json(quotient(fresh, z7_action(fresh)))
 
 
 def test_dot_export(d, action):
