@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import getitem
 
 import numpy as np
@@ -27,7 +27,7 @@ from .digraph import (
     orbits,
 )
 from .fano import NotALine
-from .pencils import DVertex, enumerate_vertices, vertex_index, vertex_table
+from .pencils import DVertex, enumerate_vertices, vertex_index
 
 Perm = tuple[int, ...]
 
@@ -59,24 +59,36 @@ def lift_vertex_map(fn) -> Perm:
     return tuple(vertex_index(fn(v)) for v in enumerate_vertices())
 
 
+# (base, *line) read as base-7 digits
+_DIGITS = np.array([343, 49, 7, 1], np.int64)
+
+
+@cache
+def _lift_table() -> tuple[np.ndarray, np.ndarray]:
+    """The 168 vertices as (base, *line) rows, and the vertex index of
+    every 4-digit base-7 key, -1 where the key is not a vertex."""
+    rows = np.array([(v.base, *v.line) for v in enumerate_vertices()], np.int64)
+    index = np.full(7**4, -1, np.int64)
+    index[(rows * _DIGITS).sum(axis=1)] = np.arange(len(rows))
+    return rows, index
+
+
 def induced_automorphism(point_perm) -> Perm:
     """Lift a permutation of the 7 points (a collineation) to vertices.
 
-    Each image is looked up by its (base, *line) key; raises NotALine
-    when point_perm is not a permutation of the 7 points or some image
-    is not a vertex, i.e. point_perm is not a collineation.
+    The images of all 168 (base, *line) rows are looked up at once in
+    one cached table; raises NotALine when point_perm is not a
+    permutation of the 7 points or some image is not a vertex, i.e.
+    point_perm is not a collineation.
     """
     s = tuple(point_perm)
     if sorted(s) != list(range(7)):
         raise NotALine(f"{s} is not a permutation of the 7 points")
-    table = vertex_table()
-    try:
-        return tuple(
-            table[(s[v.base], s[v.line[0]], s[v.line[1]], s[v.line[2]])]
-            for v in enumerate_vertices()
-        )
-    except KeyError:
-        raise NotALine(f"{s} is not a collineation") from None
+    rows, index = _lift_table()
+    image = index[(np.array(s)[rows] * _DIGITS).sum(axis=1)]
+    if (image < 0).any():
+        raise NotALine(f"{s} is not a collineation")
+    return tuple(image.tolist())
 
 
 def rotate_slots(v: DVertex) -> DVertex:
@@ -166,19 +178,21 @@ def _refine(colors: np.ndarray, out_idx: np.ndarray, in_idx: np.ndarray):
 class AutGroup:
     """A permutation group on range(degree), held as a stabilizer chain.
 
-    The pointwise stabilizer of `base` is trivial.  `transversals[i]`
-    maps each point x of the orbit of base[i] under the stabilizer of
-    base[:i] to an element taking base[i] to x, so the order is the
-    product of the orbit lengths and membership is decided by sifting.
-    `nodes` and `leaves` count the search-tree nodes refined and the
-    discrete leaves reached while the group was found.
+    The pointwise stabilizer of `base` is trivial.  `inverses[i]` maps
+    each point x of the orbit of base[i] under the stabilizer of
+    base[:i] to an element taking x back to base[i]: the inverse of a
+    transversal element, stored once when the chain is built.  So the
+    order is the product of the orbit lengths, and membership is decided
+    by sifting with one gather per level.  `nodes` and `leaves` count the
+    search-tree nodes refined and the discrete leaves reached while the
+    group was found.
     """
 
     degree: int
     generators: tuple[Perm, ...]
     order: int
     base: tuple[int, ...]
-    transversals: tuple[dict[int, Perm], ...] = field(repr=False, compare=False)
+    inverses: tuple[dict[int, Perm], ...] = field(repr=False, compare=False)
     nodes: int
     leaves: int
 
@@ -187,27 +201,28 @@ class AutGroup:
         ident = tuple(range(self.degree))
         if sorted(p) != list(ident):
             return False
-        for b, trans in zip(self.base, self.transversals):
-            u = trans.get(p[b])
-            if u is None:
+        for b, inv in zip(self.base, self.inverses):
+            back = inv.get(p[b])
+            if back is None:
                 return False
-            p = compose(inverse(u), p)
+            p = tuple(map(back.__getitem__, p))
         return p == ident
 
 
-def _transversal(b: int, gens: list[Perm], n: int) -> dict[int, Perm]:
+def _inverse_transversal(b: int, gens: list[Perm], n: int) -> dict[int, Perm]:
     """For each point x of the orbit of b under gens, an element of the
-    generated group taking b to x."""
-    trans = {b: tuple(range(n))}
+    generated group taking x to b."""
+    back = {b: tuple(range(n))}
+    pairs = [(g, inverse(g)) for g in gens]
     frontier = [b]
     while frontier:
         x = frontier.pop()
-        for g in gens:
+        for g, g_inv in pairs:
             y = g[x]
-            if y not in trans:
-                trans[y] = compose(g, trans[x])
+            if y not in back:
+                back[y] = compose(back[x], g_inv)
                 frontier.append(y)
-    return trans
+    return back
 
 
 @lru_cache(maxsize=8)
@@ -293,7 +308,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
         return x
 
     gens: list[Perm] = []
-    transversals: list[dict[int, Perm]] = []
+    inverses: list[dict[int, Perm]] = []
     for i in reversed(range(len(base))):
         b = base[i]
         for w in np.flatnonzero(path[i] == target[i]):
@@ -306,14 +321,14 @@ def automorphism_group(d: Digraph) -> AutGroup:
                 gens.append(g)
                 for x in range(n):
                     parent[find(x)] = find(g[x])
-        transversals.insert(0, _transversal(b, gens, n))
+        inverses.insert(0, _inverse_transversal(b, gens, n))
 
     return AutGroup(
         degree=n,
         generators=tuple(gens),
-        order=math.prod(len(t) for t in transversals),
+        order=math.prod(len(t) for t in inverses),
         base=tuple(base),
-        transversals=tuple(transversals),
+        inverses=tuple(inverses),
         nodes=nodes,
         leaves=leaves,
     )

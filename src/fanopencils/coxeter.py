@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .digraph import Digraph, arc_label
+from .digraph import LABELS, Digraph, arc_label, step
 from .fano import line_index, lines_avoiding, third_point
 from .pencils import DVertex
 
@@ -61,19 +61,33 @@ def orderings(v: CoxVertex) -> tuple[DVertex, ...]:
     return tuple(DVertex(v.base, t) for t in itertools.permutations(v.line))
 
 
+@cache
+def _arc_targets(v: CoxVertex) -> frozenset[CoxVertex]:
+    """The pencils that some ordering of v has an arc of the ordered
+    digraph to.
+
+    arc_label's equations fix the target's base and line from the source
+    and the label, and that target is step(u, label); so the 6 * 3 steps
+    are the only candidates, and arc_label confirms each.
+    """
+    out = set()
+    for u in orderings(v):
+        for lab in LABELS:
+            w = step(u, lab)
+            if arc_label(u, w) is not None:
+                out.add(CoxVertex(w.base, tuple(sorted(w.line))))
+    return frozenset(out)
+
+
 def cox_adjacent(p: CoxVertex, q: CoxVertex) -> bool:
-    """Alignment test over all orderings of both pencils.
+    """Alignment test: some orderings of the two pencils form an arc.
 
     Two pencils are adjacent when some alignment of their entries is an
     arc of the ordered digraph in either direction; the aligned entries
     then intersect in one point each and those points form a line (the
     far line of the arc's target).
     """
-    for u in orderings(p):
-        for w in orderings(q):
-            if arc_label(u, w) is not None or arc_label(w, u) is not None:
-                return True
-    return False
+    return q in _arc_targets(p) or p in _arc_targets(q)
 
 
 def cox_neighbors(v: CoxVertex) -> tuple[CoxVertex, ...]:
@@ -152,36 +166,38 @@ def distance_matrix(g: Digraph) -> list[list[int]]:
     return [_bfs_dist(g, v) for v in range(g.n)]
 
 
-def distance_regular_array(g: Digraph):
-    """Intersection numbers (b_0..b_{d-1}; c_1..c_d), or None.
+class NotDistanceRegular(ValueError):
+    """A graph whose intersection numbers depend on the vertex pair."""
 
-    None when some pair of vertices at equal distance disagrees on the
-    counts, i.e. the graph is not distance-regular.
+
+def distance_regular_array(g: Digraph):
+    """Intersection numbers (b_0..b_{d-1}; c_1..c_d).
+
+    Raises NotDistanceRegular naming the first vertex u whose counts, as
+    seen from a base vertex v, disagree with those of an earlier pair at
+    the same distance, or the first vertex v cannot reach.
     """
     dist = distance_matrix(g)
     diam = max(max(row) for row in dist)
-    b = [None] * diam
-    c = [None] * (diam + 1)
+    # b_d = 0 and c_0 = 0 hold in every connected graph
+    b = [None] * diam + [0]
+    c = [0] + [None] * diam
     for v in range(g.n):
         for u in range(g.n):
             i = dist[v][u]
-            if i == 0 and u != v:
-                continue
-            down = sum(1 for w in g.out[u] if dist[v][w] == i - 1)
+            if i < 0:
+                raise NotDistanceRegular(f"from vertex {v}, vertex {u} is unreachable")
             up = sum(1 for w in g.out[u] if dist[v][w] == i + 1)
-            if i < diam:
-                if b[i] is None:
-                    b[i] = up
-                elif b[i] != up:
-                    return None
-            elif up:
-                return None
-            if i > 0:
-                if c[i] is None:
-                    c[i] = down
-                elif c[i] != down:
-                    return None
-    return tuple(b), tuple(c[1:])
+            down = sum(1 for w in g.out[u] if dist[v][w] == i - 1)
+            for name, counts, got in (("b", b, up), ("c", c, down)):
+                if counts[i] is None:
+                    counts[i] = got
+                elif counts[i] != got:
+                    raise NotDistanceRegular(
+                        f"from vertex {v}, vertex {u} at distance {i} has "
+                        f"{name}_{i} = {got}, not {counts[i]}"
+                    )
+    return tuple(b[:diam]), tuple(c[1:])
 
 
 EXPECTED_ARRAY = ((3, 2, 2, 1), (1, 1, 1, 2))

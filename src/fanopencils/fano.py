@@ -60,15 +60,31 @@ def apply_to_line(perm, pts) -> tuple[int, int, int]:
     return tuple(sorted(perm[x] for x in pts))
 
 
+# (x, p, q): point x is the third point of the line through p and q,
+# where p and q are the frame 0, 1, 2 or points placed before x
+_SPAN = ((3, 0, 1), (6, 0, 2), (4, 1, 2), (5, 0, 4))
+
+
 @cache
 def collineations() -> tuple[tuple[int, ...], ...]:
-    """All point permutations preserving the line set, by exhaustive filter.
+    """All point permutations preserving the line set, sorted.
 
     There are 168 of them.  Each is returned in one-line notation: the
-    tuple g with g[p] the image of p.
+    tuple g with g[p] the image of p.  The frame 0, 1, 2 is not
+    collinear, and every other point is the third point of a line
+    through two points placed before it, so a collineation is fixed by
+    the images of the frame: any a, any b != a, and any c off the line
+    through a and b.  Each of those 7 * 6 * 4 candidates is completed
+    through third_point and kept once all seven lines map to lines.
     """
     keep = []
-    for perm in itertools.permutations(POINTS):
-        if all(apply_to_line(perm, l) in _LINE_INDEX for l in LINES):
-            keep.append(perm)
-    return tuple(keep)
+    for a, b in itertools.permutations(POINTS, 2):
+        for c in POINTS:
+            if c in (a, b, third_point(a, b)):
+                continue
+            perm = [a, b, c, 0, 0, 0, 0]
+            for x, p, q in _SPAN:
+                perm[x] = third_point(perm[p], perm[q])
+            if all(apply_to_line(perm, l) in _LINE_INDEX for l in LINES):
+                keep.append(tuple(perm))
+    return tuple(sorted(keep))

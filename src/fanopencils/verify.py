@@ -236,22 +236,22 @@ def _check_uh_order(a: Artifacts):
 
 def _check_uh_lifts(a: Artifacts):
     from .fano import collineations
-    from .pencils import translate
 
     group = a.group
     missing = sum(
         1 for s in collineations() if autos.induced_automorphism(s) not in group
     )
+    # the translation x -> x + t is itself a collineation
     shifts = sum(
         1
         for t in range(7)
-        if autos.lift_vertex_map(lambda v: translate(v, t)) in group
+        if autos.induced_automorphism([(x + t) % 7 for x in range(7)]) in group
     )
-    rot = autos.lift_vertex_map(autos.rotate_slots)
-    ok = missing == 0 and shifts == 7 and rot in group
+    rot_in = autos.lift_vertex_map(autos.rotate_slots) in group
+    ok = missing == 0 and shifts == 7 and rot_in
     return ok, (
         f"{168 - missing} of 168 collineation lifts present, {shifts} of 7 "
-        f"translations, slot rotation {'present' if rot in group else 'absent'}"
+        f"translations, slot rotation {'present' if rot_in else 'absent'}"
     )
 
 
@@ -313,7 +313,11 @@ def _check_voltage_round_trip(a: Artifacts):
     loop = voltage.derive(voltage.VoltageGraph(("o",), ((0, 0, 1),)))
     loop_ok = loop.out == tuple((((m + 1) % 7),) for m in range(7))
     ok = same and loop_ok
-    return ok, f"derived graph equals original {same}, single loop lifts to a 7-cycle {loop_ok}"
+    detail = f"derived graph equals original {same}, single loop lifts to a 7-cycle {loop_ok}"
+    if not same:
+        v = next(v for v in range(a.d.n) if lifted.out[v] != a.d.out[v])
+        detail += f"; first: vertex {v} derives {lifted.out[v]}, original {a.d.out[v]}"
+    return ok, detail
 
 
 def _check_voltage_sums(a: Artifacts):
@@ -361,7 +365,10 @@ def _check_cox_girth(a: Artifacts):
 
 
 def _check_cox_dr(a: Artifacts):
-    arr = coxeter.distance_regular_array(a.cox)
+    try:
+        arr = coxeter.distance_regular_array(a.cox)
+    except coxeter.NotDistanceRegular as e:
+        return False, f"not distance-regular: {e}"
     return arr == coxeter.EXPECTED_ARRAY, f"intersection array {arr}"
 
 

@@ -183,6 +183,11 @@ def test_criterion_11_fault_injection(d, cox):
     assert counts.detail == "28 vertices, 41 edges; first one-sided pair: 3 -> 0"
     assert not align.passed
     assert align.detail == "1 disagreeing pairs; first: (3, 12)"
+    dr = next(c for c in rep.checks if c.name == "coxeter.distance_regular")
+    assert not dr.passed
+    assert dr.detail == (
+        "not distance-regular: from vertex 1, vertex 3 at distance 4 has c_4 = 1, not 2"
+    )
 
     rows = [list(r) for r in cox.out]
     del rows[3][1]

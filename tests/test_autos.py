@@ -37,7 +37,7 @@ from fanopencils.digraph import (
 )
 from fanopencils.fano import NotALine, collineations
 from fanopencils.golden import EXAMPLE_CYCLE
-from fanopencils.pencils import parse_compact, translate, vertex_index
+from fanopencils.pencils import DVertex, parse_compact, translate, vertex_index
 from fanopencils.verify import run_verification
 
 
@@ -78,6 +78,12 @@ def test_compose_inverse():
 def test_collineation_lifts_are_automorphisms(d):
     for s in collineations()[:25]:
         assert is_automorphism(d, induced_automorphism(s))
+    # the table lookup agrees with lifting each vertex one at a time
+    for s in collineations():
+        one_by_one = lift_vertex_map(
+            lambda v: DVertex(s[v.base], tuple(s[q] for q in v.line))
+        )
+        assert induced_automorphism(s) == one_by_one
 
 
 def test_bad_lifts_are_rejected():
@@ -143,16 +149,33 @@ def test_membership_rejects_non_automorphisms(d, group):
     assert tuple(swapped) not in group
     assert ident[:-1] not in group
     assert (0,) * d.n not in group
+    # sifting agrees with the direct arc check on the named automorphisms
+    lifts = [induced_automorphism(s) for s in collineations()]
+    named = lifts + [
+        lift_vertex_map(lambda v, t=t: translate(v, t)) for t in range(7)
+    ]
+    named += [lift_vertex_map(rotate_slots), lift_vertex_map(swap_slots)]
+    for perm in named:
+        assert is_automorphism(d, perm)
+        assert perm in group
+    # and on near misses
+    transposed = list(lifts[5])
+    transposed[3], transposed[40] = transposed[40], transposed[3]
+    shuffled = list(ident)
+    random.Random(9).shuffle(shuffled)
+    for perm in (tuple(transposed), tuple(shuffled), lifts[5] + (d.n,)):
+        assert not is_automorphism(d, perm)
+        assert perm not in group
 
 
 def test_stabilizer_chain_shape(d, group):
-    assert len(group.base) == len(group.transversals)
+    assert len(group.base) == len(group.inverses)
     assert group.order == 1008
-    lengths = [len(t) for t in group.transversals]
+    lengths = [len(t) for t in group.inverses]
     assert lengths[0] == d.n
-    for i, (b, trans) in enumerate(zip(group.base, group.transversals)):
-        for x, u in trans.items():
-            assert u[b] == x
+    for i, (b, back) in enumerate(zip(group.base, group.inverses)):
+        for x, u in back.items():
+            assert u[x] == b
             assert all(u[c] == c for c in group.base[:i])
             assert is_automorphism(d, u)
 

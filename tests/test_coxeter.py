@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from fanopencils import coxeter, verify
 from fanopencils.coxeter import (
     EXPECTED_ARRAY,
     CoxVertex,
@@ -14,10 +15,11 @@ from fanopencils.coxeter import (
     distance_regular_array,
     edges,
     girth_with_witness,
+    orderings,
     to_dot,
     to_json,
 )
-from fanopencils.digraph import Digraph, strongly_connected
+from fanopencils.digraph import Digraph, arc_label, strongly_connected
 from fanopencils.verify import run_verification
 
 
@@ -82,6 +84,37 @@ def test_alignment_rule_agrees_with_closed_form(cox):
     verts = cox_vertices()
     for i, j in itertools.combinations(range(cox.n), 2):
         assert cox_adjacent(verts[i], verts[j]) == (j in cox.out[i])
+
+
+def test_adjacency_equals_alignment_brute_force():
+    # oracle: all 6 x 6 orderings of both pencils, arcs in both directions
+    verts = cox_vertices()
+    for p, q in itertools.product(verts, repeat=2):
+        brute = any(
+            arc_label(u, w) is not None or arc_label(w, u) is not None
+            for u in orderings(p)
+            for w in orderings(q)
+        )
+        assert cox_adjacent(p, q) == brute, (p, q)
+
+
+def test_alignment_check_budget(monkeypatch):
+    # one arc_label call per ordering and label, 28 * 6 * 3 = 504; trying
+    # every ordering pair makes 24326
+    calls = []
+
+    def counted(u, w):
+        calls.append((u, w))
+        return arc_label(u, w)
+
+    monkeypatch.setattr(coxeter, "arc_label", counted)
+    coxeter._arc_targets.cache_clear()
+    try:
+        ok, detail = verify._check_cox_consistency(verify.Artifacts())
+    finally:
+        coxeter._arc_targets.cache_clear()
+    assert ok, detail
+    assert len(calls) <= 504, len(calls)
 
 
 def test_adjacency_is_irreflexive_and_symmetric(cox):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fanopencils import fano
 from fanopencils.fano import (
     LINES,
     POINTS,
@@ -66,6 +67,36 @@ def test_pencil_sizes():
 
 def test_collineation_group_order():
     assert len(collineations()) == 168
+
+
+def test_collineations_equal_exhaustive_filter():
+    # oracle: every one of the 5040 point permutations, kept when each
+    # line maps to a line
+    lines = set(LINES)
+    exhaustive = tuple(
+        perm
+        for perm in itertools.permutations(POINTS)
+        if all(tuple(sorted(perm[x] for x in l)) in lines for l in LINES)
+    )
+    assert collineations() == exhaustive
+
+
+def test_collineations_line_check_budget(monkeypatch):
+    # one 7-line check per candidate frame image, not per permutation:
+    # an exhaustive filter makes 7056 calls
+    calls = []
+
+    def counted(perm, pts):
+        calls.append(pts)
+        return apply_to_line(perm, pts)
+
+    monkeypatch.setattr(fano, "apply_to_line", counted)
+    collineations.cache_clear()
+    try:
+        assert len(collineations()) == 168
+    finally:
+        collineations.cache_clear()
+    assert len(calls) <= 168 * 7, len(calls)
 
 
 def test_collineations_preserve_lines_and_form_a_group():

@@ -136,6 +136,21 @@ def test_round_trip_exact(d, action):
     assert derive_canonical(d, action) == d
 
 
+def test_round_trip_names_first_differing_vertex(d):
+    # vertex 5's out-list rotated by one slot keeps every arc, so the
+    # action stays valid; vertex 5 represents its orbit, and its
+    # rotation is lifted onto the translates, the first of them 33
+    rows = [list(r) for r in d.out]
+    rows[5] = rows[5][1:] + rows[5][:1]
+    rep = verify.run_verification("voltage", d=Digraph(rows))
+    trip = next(c for c in rep.checks if c.name == "voltage.round_trip")
+    assert not trip.passed
+    assert trip.detail == (
+        "derived graph equals original False, single loop lifts to a 7-cycle True; "
+        "first: vertex 33 derives (50, 121, 8), original (8, 50, 121)"
+    )
+
+
 def test_derive_rejects_nothing_but_matches_block_structure(d, action):
     vg = quotient(d, action)
     lifted = derive(vg)
