@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from operator import getitem
 
 import numpy as np
@@ -21,9 +21,7 @@ import numpy as np
 from .digraph import (
     Digraph,
     adjacency_matrix,
-    canonical_cycle,
     cycle_arc_cover,
-    enumerate_4cycles,
     orbits,
 )
 from .fano import NotALine
@@ -225,7 +223,6 @@ def _inverse_transversal(b: int, gens: list[Perm], n: int) -> dict[int, Perm]:
     return back
 
 
-@lru_cache(maxsize=8)
 def automorphism_group(d: Digraph) -> AutGroup:
     """Find the automorphism group by individualization-refinement with
     pruning by automorphisms (McKay & Piperno, Practical graph
@@ -242,8 +239,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
     looks for one leaf that maps the first leaf by an automorphism fixing
     base[:i] and taking base[i] to that member.  Every kept leaf is
     verified against the adjacency matrix.  The orbits reached are the
-    basic orbits of the stabilizer chain.  Cached per digraph: the group
-    is reused by every verification suite in a session.
+    basic orbits of the stabilizer chain.
     """
     n = d.n
     out_idx, in_idx = _neighbour_index(d)
@@ -298,29 +294,20 @@ def automorphism_group(d: Digraph) -> AutGroup:
                 return perm
         return None
 
-    # orbits of the generators found so far, as a union-find forest
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     gens: list[Perm] = []
     inverses: list[dict[int, Perm]] = []
     for i in reversed(range(len(base))):
         b = base[i]
+        # the orbit of b under the generators found so far
+        orbit = set(orbits([b], gens, getitem)[0])
         for w in np.flatnonzero(path[i] == target[i]):
-            if find(w) == find(b):
+            if int(w) in orbit:
                 continue
             want = np.append(base_arr[:i], w)
             perm = leaf_search(individualize(path[i], i, w), i + 1, want)
             if perm is not None:
-                g = tuple(int(x) for x in perm)
-                gens.append(g)
-                for x in range(n):
-                    parent[find(x)] = find(g[x])
+                gens.append(tuple(int(x) for x in perm))
+                orbit = set(orbits([b], gens, getitem)[0])
         inverses.insert(0, _inverse_transversal(b, gens, n))
 
     return AutGroup(
@@ -334,9 +321,10 @@ def automorphism_group(d: Digraph) -> AutGroup:
     )
 
 
-def vertex_orbits(group: AutGroup, n: int) -> tuple[tuple[int, ...], ...]:
+def vertex_orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(
-        tuple(sorted(o)) for o in orbits(range(n), group.generators, getitem)
+        tuple(sorted(o))
+        for o in orbits(range(group.degree), group.generators, getitem)
     )
 
 
@@ -515,28 +503,26 @@ FAILURE_CAP = 20
 
 def verify_c4uh(
     d: Digraph,
+    group: AutGroup,
+    cycles,
     sample: int = 100,
     seed: int = 0,
-    group: AutGroup | None = None,
-    cycles=None,
 ) -> UHReport:
     """Check that every rotation-aligned map between oriented 4-cycles
     extends to an automorphism.
 
-    The cycles partition the arcs, so cycle-with-rotation pairs biject
-    with arcs and the property is equivalent to arc-transitivity of the
-    automorphism group; that equivalence is the fast certificate.  On
-    top of it, `sample` random pairs are extended directly (seeded), or
-    with sample=0 every pair is covered: each extension found settles
-    one aligned image per source cycle, so uncovered triples trigger at
-    most one search each.  The harvest stops at FAILURE_CAP failures.
+    `group` is the automorphism group of d and `cycles` its census of
+    oriented 4-cycles.  The cycles partition the arcs, so
+    cycle-with-rotation pairs biject with arcs and the property is
+    equivalent to arc-transitivity of the automorphism group; that
+    equivalence is the fast certificate.  On top of it, `sample` random
+    pairs are extended directly (seeded), or with sample=0 every pair is
+    covered: each extension found settles one aligned image per source
+    cycle, so uncovered triples trigger at most one search each.  The
+    harvest stops at FAILURE_CAP failures.
     """
     if sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
-    if cycles is None:
-        cycles = enumerate_4cycles(d)
-    if group is None:
-        group = automorphism_group(d)
     notes = []
     if len(cycles) != 126:
         notes.append(f"{len(cycles)} oriented 4-cycles, expected 126")
@@ -563,7 +549,12 @@ def verify_c4uh(
         triples = itertools.product(range(m), range(m), range(4))
         # (i*m + j)*4 + r is set once an extension has covered (i, j, r)
         covered = bytearray(m * m * 4)
-        index = {cyc: i for i, cyc in enumerate(cycles)}
+        # the cycle through each arc, and the arc's position on it
+        where = {
+            (c[k], c[(k + 1) % 4]): (j, k)
+            for j, c in enumerate(cycles)
+            for k in range(4)
+        }
     failures: list[tuple[int, int, int]] = []
     checked = 0
     for i, j, r in triples:
@@ -576,11 +567,12 @@ def verify_c4uh(
             if len(failures) == FAILURE_CAP:
                 break
         elif covered is not None:
-            # perm takes cycle a onto cycle index[img], position 0 to position rr
+            # perm takes cycle a onto the cycle j through the image of its
+            # first arc, position 0 to that arc's position rr; the cycles
+            # partition the arcs, so every image arc is in `where`
             for a, cyc in enumerate(cycles):
-                img = canonical_cycle(tuple(perm[v] for v in cyc))
-                rr = img.index(perm[cyc[0]])
-                covered[(a * m + index[img]) * 4 + rr] = 1
+                j, rr = where[perm[cyc[0]], perm[cyc[1]]]
+                covered[(a * m + j) * 4 + rr] = 1
 
     if not notes and not failures:
         mode = "exhaustive" if sample == 0 else f"sampled {checked}"

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .digraph import LABELS, Digraph, arc_label, step
+from .digraph import LABELS, Digraph, arc_label, bfs, step
 from .fano import line_index, lines_avoiding, third_point
 from .pencils import DVertex
 
@@ -116,29 +116,6 @@ def edges(g: Digraph) -> list[tuple[int, int]]:
     return sorted((u, w) for u, w in g.arcs() if u < w)
 
 
-def _bfs(g: Digraph, start: int, skip_edge=None):
-    dist = [-1] * g.n
-    parent = [-1] * g.n
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.out[u]:
-                if skip_edge and (u, w) in (skip_edge, skip_edge[::-1]):
-                    continue
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    return dist, parent
-
-
-def _bfs_dist(g: Digraph, start: int, skip_edge=None) -> list[int]:
-    return _bfs(g, start, skip_edge)[0]
-
-
 def girth_with_witness(g: Digraph):
     """Shortest cycle length and one witness cycle.
 
@@ -148,7 +125,7 @@ def girth_with_witness(g: Digraph):
     best = None
     witness = ()
     for u, w in edges(g):
-        dist, parent = _bfs(g, u, skip_edge=(u, w))
+        dist, parent = bfs(g.out, u, skip_edge=(u, w))
         if dist[w] < 0:
             continue
         if best is None or dist[w] + 1 < best:
@@ -163,7 +140,7 @@ def girth_with_witness(g: Digraph):
 
 
 def distance_matrix(g: Digraph) -> list[list[int]]:
-    return [_bfs_dist(g, v) for v in range(g.n)]
+    return [bfs(g.out, v)[0] for v in range(g.n)]
 
 
 class NotDistanceRegular(ValueError):

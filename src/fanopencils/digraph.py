@@ -51,7 +51,11 @@ def arc_label(u: DVertex, v: DVertex) -> int | None:
 
 
 class Digraph:
-    """Immutable adjacency structure: ordered out-lists, derived in-lists."""
+    """Immutable adjacency structure: ordered out-lists, derived in-lists.
+
+    Every target must be a vertex 0..n-1; anything else raises
+    ValueError naming the vertex and the entry.
+    """
 
     __slots__ = ("n", "out", "inn")
 
@@ -61,6 +65,10 @@ class Digraph:
         incoming = [[] for _ in range(self.n)]
         for u, row in enumerate(self.out):
             for w in row:
+                if not 0 <= w < self.n:
+                    raise ValueError(
+                        f"vertex {u} has out-neighbour {w}, outside 0..{self.n - 1}"
+                    )
                 incoming[w].append(u)
         self.inn = tuple(tuple(sorted(r)) for r in incoming)
 
@@ -74,9 +82,6 @@ class Digraph:
 
     def __eq__(self, other):
         return isinstance(other, Digraph) and self.out == other.out
-
-    def __hash__(self):
-        return hash(self.out)
 
 
 def build_d() -> Digraph:
@@ -101,21 +106,28 @@ def with_retargeted_arc(d: Digraph, u: int, slot: int, target: int) -> Digraph:
     return Digraph(rows)
 
 
-def _reachable(out_lists, start: int) -> int:
-    seen = bytearray(len(out_lists))
-    seen[start] = 1
+def bfs(rows, start: int, skip_edge=None) -> tuple[list[int], list[int]]:
+    """Breadth-first search along the neighbour lists `rows` (d.out, or
+    d.inn to go against the arcs), never using skip_edge (u, w) in either
+    direction.  Returns (dist, parent): dist[v] is the number of steps
+    from start, -1 if unreached, and parent[v] the vertex v was first
+    reached from, -1 for start and the unreached."""
+    dist = [-1] * len(rows)
+    parent = [-1] * len(rows)
+    dist[start] = 0
     frontier = [start]
-    count = 1
     while frontier:
         nxt = []
         for u in frontier:
-            for w in out_lists[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
+            for w in rows[u]:
+                if skip_edge and (u, w) in (skip_edge, skip_edge[::-1]):
+                    continue
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
                     nxt.append(w)
         frontier = nxt
-    return count
+    return dist, parent
 
 
 def strongly_connected(d: Digraph) -> tuple[bool, tuple[int, int]]:
@@ -124,7 +136,7 @@ def strongly_connected(d: Digraph) -> tuple[bool, tuple[int, int]]:
     vertex 0 along and against the arcs."""
     if d.n == 0:
         return False, (0, 0)
-    reach = (_reachable(d.out, 0), _reachable(d.inn, 0))
+    reach = tuple(sum(x >= 0 for x in bfs(rows, 0)[0]) for rows in (d.out, d.inn))
     return reach == (d.n, d.n), reach
 
 

@@ -84,10 +84,10 @@ class Artifacts:
 
     def __init__(
         self,
-        d: digraph.Digraph | None = None,
-        cox: digraph.Digraph | None = None,
-        sample: int = 100,
-        seed: int = 0,
+        d: digraph.Digraph | None,
+        cox: digraph.Digraph | None,
+        sample: int,
+        seed: int,
     ):
         self._d = d
         self._cox = cox
@@ -110,7 +110,7 @@ class Artifacts:
     @_built_once
     def uh(self) -> autos.UHReport:
         return autos.verify_c4uh(
-            self.d, self.sample, self.seed, self.group, self.cycles
+            self.d, self.group, self.cycles, self.sample, self.seed
         )
 
     @_built_once
@@ -256,7 +256,7 @@ def _check_uh_lifts(a: Artifacts):
 
 
 def _check_uh_vertex_transitive(a: Artifacts):
-    orbits = autos.vertex_orbits(a.group, a.d.n)
+    orbits = autos.vertex_orbits(a.group)
     return len(orbits) == 1, f"{len(orbits)} vertex orbits"
 
 
@@ -291,7 +291,7 @@ def _check_voltage_shape(a: Artifacts):
         vg.out_degree(i) == 3 and vg.in_degree(i) == 3 for i in range(len(vg.reps))
     )
     src = vg.reps.index("124_0")
-    tgt = vg.reps.index(compact(_rep_of_symbol(a, "165_3")))
+    tgt = vg.reps.index(compact(_rep_of_symbol("165_3")))
     example = (src, tgt, 3) in vg.arcs
     ok = len(vg.reps) == 24 and len(vg.arcs) == 72 and degs_ok and example
     return ok, (
@@ -300,7 +300,7 @@ def _check_voltage_shape(a: Artifacts):
     )
 
 
-def _rep_of_symbol(a: Artifacts, sym: str):
+def _rep_of_symbol(sym: str):
     from .pencils import translate
 
     v = parse_compact(sym)
@@ -374,7 +374,7 @@ def _check_cox_dr(a: Artifacts):
 
 def _check_cox_aut(a: Artifacts):
     group = autos.automorphism_group(a.cox)
-    orbits = autos.vertex_orbits(group, a.cox.n)
+    orbits = autos.vertex_orbits(group)
     ok = group.order == 336 and len(orbits) == 1
     return ok, f"order {group.order}, {len(orbits)} vertex orbits"
 

@@ -89,8 +89,6 @@ def quotient(d: Digraph, gen: Perm) -> VoltageGraph:
     """
     validate_action(d, gen)
     reps, rep_of, layer = action_orbits(gen, d.n)
-    if any(layer[r] != 0 for r in reps):
-        raise InvalidAction("representative layers must be zero")
     pos = {r: i for i, r in enumerate(reps)}
     verts = enumerate_vertices()
     names = tuple(compact(verts[r]) for r in reps) if d.n == len(verts) else tuple(

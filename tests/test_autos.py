@@ -262,7 +262,7 @@ def test_near_asymmetric_search_budget(d):
 
 
 def test_vertex_and_arc_transitivity(d, group):
-    assert len(vertex_orbits(group, d.n)) == 1
+    assert len(vertex_orbits(group)) == 1
     orbits = arc_orbits(d, group)
     assert len(orbits) == 1
     assert len(orbits[0]) == 504
@@ -270,7 +270,7 @@ def test_vertex_and_arc_transitivity(d, group):
 
 def test_vertex_stabilizer_order(d, group):
     # orbit-stabilizer: |G_v| = |G| / |orbit of v|
-    orbits = vertex_orbits(group, d.n)
+    orbits = vertex_orbits(group)
     for v in (0, 31, 100):
         orbit = next(o for o in orbits if v in o)
         assert group.order // len(orbit) == group.order // d.n == 6
@@ -452,7 +452,9 @@ def test_uh_rejects_negative_sample(d, cycles, group):
 def test_uh_detects_retargeted_arc(d):
     target = 0 if d.out[9][2] != 0 else 1
     broken = with_retargeted_arc(d, 9, 2, target)
-    rep = verify_c4uh(broken, sample=4, seed=1)
+    rep = verify_c4uh(
+        broken, automorphism_group(broken), enumerate_4cycles(broken), sample=4, seed=1
+    )
     assert not rep.passed
     assert "126" in rep.detail or "arc orbits" in rep.detail
 

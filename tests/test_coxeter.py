@@ -110,7 +110,7 @@ def test_alignment_check_budget(monkeypatch):
     monkeypatch.setattr(coxeter, "arc_label", counted)
     coxeter._arc_targets.cache_clear()
     try:
-        ok, detail = verify._check_cox_consistency(verify.Artifacts())
+        ok, detail = verify._check_cox_consistency(verify.Artifacts(None, None, 100, 0))
     finally:
         coxeter._arc_targets.cache_clear()
     assert ok, detail

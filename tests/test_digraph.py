@@ -2,6 +2,7 @@ import json
 from operator import getitem
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -257,4 +258,10 @@ def test_dot_export(d):
 def test_digraph_equality_semantics(d):
     assert d == build_d()
     assert d != with_retargeted_arc(d, 0, 0, d.out[1][0])
-    assert hash(d) == hash(build_d())
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_out_of_range_target_rejected(bad):
+    # a negative entry must not be read as an index from the end
+    with pytest.raises(ValueError, match=f"vertex 0 has out-neighbour {bad}"):
+        Digraph([[1, bad], [0], []])
