@@ -9,7 +9,6 @@ kept as generators and a stabilizer chain, never as a list of elements.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -328,11 +327,15 @@ def vertex_orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def arc_orbits(d: Digraph, group: AutGroup) -> tuple[tuple, ...]:
-    def act(g: Perm, arc):
-        return g[arc[0]], g[arc[1]]
+def arc_image(g: Perm, arc):
+    """The image of the arc (u, w) under the vertex permutation g."""
+    return g[arc[0]], g[arc[1]]
 
-    return tuple(tuple(sorted(o)) for o in orbits(d.arcs(), group.generators, act))
+
+def arc_orbits(d: Digraph, group: AutGroup) -> tuple[tuple, ...]:
+    return tuple(
+        tuple(sorted(o)) for o in orbits(d.arcs(), group.generators, arc_image)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +516,15 @@ def verify_c4uh(
 
     `group` is the automorphism group of d and `cycles` its census of
     oriented 4-cycles.  The cycles partition the arcs, so
-    cycle-with-rotation pairs biject with arcs and the property is
-    equivalent to arc-transitivity of the automorphism group; that
-    equivalence is the fast certificate.  On top of it, `sample` random
-    pairs are extended directly (seeded), or with sample=0 every pair is
-    covered: each extension found settles one aligned image per source
-    cycle, so uncovered triples trigger at most one search each.  The
-    harvest stops at FAILURE_CAP failures.
+    cycle-with-rotation pairs biject with arcs (a flag is the arc it
+    starts with) and the property is equivalent to arc-transitivity of
+    the automorphism group; that equivalence is the fast certificate.
+    On top of it, `sample` random pairs are extended directly (seeded),
+    or with sample=0 cycle 0 is extended onto every flag outside the
+    orbit of its first arc under the automorphisms found so far, so the
+    runs end with that orbit holding every arc, a second arc-transitivity
+    proof from generators the group search did not find.  The harvest
+    stops at FAILURE_CAP failures.
     """
     if sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
@@ -530,10 +535,10 @@ def verify_c4uh(
     if not cover_ok:
         notes.append(f"cycles do not partition the arcs ({len(bad)} witnesses)")
     structure_ok = not notes
-    orbits = arc_orbits(d, group)
-    arc_transitive = len(orbits) == 1 and len(orbits[0]) == d.arc_count()
+    arc_orbs = arc_orbits(d, group)
+    arc_transitive = len(arc_orbs) == 1 and len(arc_orbs[0]) == d.arc_count()
     if not arc_transitive:
-        notes.append(f"{len(orbits)} arc orbits")
+        notes.append(f"{len(arc_orbs)} arc orbits")
     if not structure_ok:
         return UHReport(False, group.order, (), 0, "; ".join(notes))
 
@@ -544,21 +549,17 @@ def verify_c4uh(
             (rng.randrange(m), rng.randrange(m), rng.randrange(4))
             for _ in range(sample)
         )
-        covered = None
+        reached = None
     else:
-        triples = itertools.product(range(m), range(m), range(4))
-        # (i*m + j)*4 + r is set once an extension has covered (i, j, r)
-        covered = bytearray(m * m * 4)
-        # the cycle through each arc, and the arc's position on it
-        where = {
-            (c[k], c[(k + 1) % 4]): (j, k)
-            for j, c in enumerate(cycles)
-            for k in range(4)
-        }
+        triples = ((0, j, r) for j in range(m) for r in range(4))
+        root = (cycles[0][0], cycles[0][1])
+        # the orbit of the root arc under the automorphisms found so far
+        reached = {root}
+        found: list[Perm] = []
     failures: list[tuple[int, int, int]] = []
     checked = 0
     for i, j, r in triples:
-        if covered is not None and covered[(i * m + j) * 4 + r]:
+        if reached is not None and (cycles[j][r], cycles[j][(r + 1) % 4]) in reached:
             continue
         checked += 1
         perm = extend_isomorphism(d, _pin_map(cycles, i, j, r))
@@ -566,13 +567,9 @@ def verify_c4uh(
             failures.append((i, j, r))
             if len(failures) == FAILURE_CAP:
                 break
-        elif covered is not None:
-            # perm takes cycle a onto the cycle j through the image of its
-            # first arc, position 0 to that arc's position rr; the cycles
-            # partition the arcs, so every image arc is in `where`
-            for a, cyc in enumerate(cycles):
-                j, rr = where[perm[cyc[0]], perm[cyc[1]]]
-                covered[(a * m + j) * 4 + rr] = 1
+        elif reached is not None:
+            found.append(perm)
+            reached = set(orbits([root], found, arc_image)[0])
 
     if not notes and not failures:
         mode = "exhaustive" if sample == 0 else f"sampled {checked}"

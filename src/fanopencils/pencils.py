@@ -19,14 +19,6 @@ from .fano import NotALine, line_index, lines_avoiding, third_point
 ROW_LETTERS = "abcdef"
 
 _COMPACT_RE = re.compile(r"^([0-6])([0-6])([0-6])_([0-6])$")
-_LONG_RE = re.compile(
-    r"^\(\s*([0-6])\s*,\s*([0-6])([0-6])\s*,\s*([0-6])([0-6])\s*,\s*([0-6])([0-6])\s*\)$"
-)
-
-
-class InconsistentPencil(ValueError):
-    """A written pencil whose companion points contradict its lines."""
-
 
 @dataclass(frozen=True)
 class DVertex:
@@ -73,34 +65,9 @@ def vertex_index(v: DVertex) -> int:
     return vertex_table()[(v.base, *v.line)]
 
 
-def decode_long(base: int, *pairs) -> DVertex:
-    """Build a vertex from its long form: base plus three (entry, companion) pairs.
-
-    Raises NotALine when the entries do not form a line avoiding the base,
-    and InconsistentPencil when a companion disagrees with the pencil.
-    """
-    if len(pairs) != 3:
-        raise ValueError("expected exactly three entry pairs")
-    v = DVertex(base, tuple(b for b, _ in pairs))
-    for (b, c), expected in zip(pairs, v.thirds):
-        if c != expected:
-            raise InconsistentPencil(
-                f"({base},{b},{c}) is not a line: companion of {b} is {expected}"
-            )
-    return v
-
-
 def format_long(v: DVertex) -> str:
     body = ",".join(f"{b}{c}" for b, c in zip(v.line, v.thirds))
     return f"({v.base},{body})"
-
-
-def parse_long(s: str) -> DVertex:
-    m = _LONG_RE.match(s.strip())
-    if not m:
-        raise ValueError(f"bad long-form vertex: {s!r}")
-    g = [int(x) for x in m.groups()]
-    return decode_long(g[0], (g[1], g[2]), (g[3], g[4]), (g[5], g[6]))
 
 
 def compact(v: DVertex) -> str:

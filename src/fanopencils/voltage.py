@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 from operator import getitem
 
-from .autos import Perm, is_automorphism, lift_vertex_map
+from .autos import Perm, induced_automorphism, is_automorphism
 from .digraph import Digraph, canonical_cycle, orbits
-from .pencils import compact, enumerate_vertices, translate
+from .pencils import compact, enumerate_vertices
 
 
 # the order of every cyclic action here: translation generates Z7
@@ -28,8 +28,9 @@ class InvalidAction(Exception):
 
 def z7_action(d: Digraph) -> Perm:
     """The translation x -> x+1 as a vertex permutation, the generator
-    of the action, validated against the digraph."""
-    gen = lift_vertex_map(lambda v: translate(v, 1))
+    of the action, validated against the digraph.  The translation is a
+    collineation, so it lifts through the collineation table."""
+    gen = induced_automorphism([(x + 1) % 7 for x in range(7)])
     validate_action(d, gen)
     return gen
 
@@ -83,11 +84,12 @@ class VoltageGraph:
 def quotient(d: Digraph, gen: Perm) -> VoltageGraph:
     """Project d onto orbit representatives.
 
-    The voltage of the arc leaving a representative in slot k is the
-    layer of the arc's target, i.e. the translation carrying the target
-    orbit's representative onto the target.
+    `gen` is the generator z7_action returned, already validated
+    against d; it is not checked again here.  The voltage of the arc
+    leaving a representative in slot k is the layer of the arc's target,
+    i.e. the translation carrying the target orbit's representative onto
+    the target.
     """
-    validate_action(d, gen)
     reps, rep_of, layer = action_orbits(gen, d.n)
     pos = {r: i for i, r in enumerate(reps)}
     verts = enumerate_vertices()
@@ -119,7 +121,8 @@ def derive(vg: VoltageGraph) -> Digraph:
 def derive_canonical(d: Digraph, gen: Perm) -> Digraph:
     """Lift the quotient back and relabel layers onto the original ids.
 
-    Index (r, m) becomes the vertex reached from representative r by m
+    `gen` is the generator z7_action returned, as for quotient.  Index
+    (r, m) becomes the vertex reached from representative r by m
     applications of the generator; translation commutes with every slot
     map, so the out-list order survives and the result should equal d
     exactly.

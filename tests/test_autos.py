@@ -342,7 +342,7 @@ SEED1_EXTENSIONS_SHA256 = (
 def test_extension_search_order_is_pinned(d, cycles):
     # which automorphism a pin extends to depends on the branching order
     # (fewest images first, lowest vertex on ties, images in sorted
-    # order), and so does the exhaustive harvest's count of 954 runs
+    # order)
     rng = random.Random(1)
     m = len(cycles)
     perms = []
@@ -463,7 +463,7 @@ def test_uh_detects_retargeted_arc(d):
     "sample, first",
     [
         (50, [(108, 49, 3), (5, 33, 3), (51, 117, 2)]),
-        (0, [(0, 0, 0), (0, 0, 1), (0, 0, 2)]),
+        (0, [(0, 0, 1), (0, 0, 2), (0, 0, 3)]),
     ],
 )
 def test_uh_harvest_stops_at_failure_cap(monkeypatch, d, cycles, group, sample, first):
@@ -474,6 +474,22 @@ def test_uh_harvest_stops_at_failure_cap(monkeypatch, d, cycles, group, sample, 
     assert len(rep.failures) == FAILURE_CAP
     assert list(rep.failures[:3]) == first
     assert rep.direct_checked == FAILURE_CAP
+
+
+@pytest.mark.parametrize("sample", [0, 100])
+def test_direct_checked_counts_extension_calls(monkeypatch, d, cycles, group, sample):
+    # bench/workloads.call_count_errors expects one extend_isomorphism
+    # call per direct_checked in a traced run
+    calls = []
+
+    def counted(graph, pins):
+        calls.append(pins)
+        return extend_isomorphism(graph, pins)
+
+    monkeypatch.setattr(autos, "extend_isomorphism", counted)
+    rep = verify_c4uh(d, group, cycles, sample=sample, seed=1)
+    assert rep.passed
+    assert len(calls) == rep.direct_checked
 
 
 def test_pin_map_shape(cycles):

@@ -39,6 +39,12 @@ def test_verify_uh_json_schema(capsys):
     assert payload["failures"] == []
 
 
+def test_verify_uh_exhaustive_known_answer(capsys):
+    assert main(["verify", "uh", "--sample", "0", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"pass": True, "aut_order": 1008, "failures": []}
+
+
 def test_verify_bad_selector_usage_error(capsys):
     assert main(["verify", "bogus"]) == 2
     capsys.readouterr()

@@ -8,13 +8,10 @@ from fanopencils.fano import NotALine, third_point
 from fanopencils.golden import SYMBOL_GRID
 from fanopencils.pencils import (
     DVertex,
-    InconsistentPencil,
     compact,
-    decode_long,
     enumerate_vertices,
     format_long,
     parse_compact,
-    parse_long,
     rowcol,
     symbol_grid,
     translate,
@@ -64,30 +61,15 @@ def test_compact_round_trip(v):
     assert int(x) == v.base
 
 
-@given(vertices)
-def test_long_round_trip(v):
-    assert parse_long(format_long(v)) == v
-
-
 def test_long_form_fixed_example():
     v = parse_compact("124_0")
     assert format_long(v) == "(0,13,26,45)"
-    assert decode_long(0, (1, 3), (2, 6), (4, 5)) == v
-
-
-def test_decode_long_rejects_bad_companions():
-    with pytest.raises(InconsistentPencil):
-        decode_long(0, (1, 3), (2, 6), (4, 6))
-    with pytest.raises(NotALine):
-        decode_long(0, (1, 3), (2, 6), (3, 5))  # entries 1,2,3 not a line
 
 
 def test_parse_errors():
     for bad in ("999_0", "12_0", "(0,13,26)", "124-0"):
         with pytest.raises(ValueError):
             parse_compact(bad)
-    with pytest.raises(ValueError):
-        parse_long("124_0")
 
 
 @given(vertices, st.integers(0, 6), st.integers(0, 6))

@@ -86,6 +86,19 @@ def test_failed_action_is_built_once(d, monkeypatch):
     assert len(reasons) == 1
 
 
+def test_verify_all_validates_the_action_once(monkeypatch):
+    # z7_action validates; quotient and derive_canonical take its result
+    calls = []
+
+    def counted(graph, gen):
+        calls.append(gen)
+        return validate_action(graph, gen)
+
+    monkeypatch.setattr(verify.voltage, "validate_action", counted)
+    assert verify.run_verification("all").passed
+    assert len(calls) == 1
+
+
 def test_orbit_structure(d, action):
     reps, rep_of, layer = action_orbits(action, d.n)
     assert len(reps) == 24
