@@ -2,9 +2,10 @@
 
 Automorphisms here are arc-preserving vertex bijections; arc labels are
 not required to be preserved (and one generator rotates them).  The
-group search is individualization-refinement with a numpy colour
-refinement and pruning by the automorphisms already found; the group is
-kept as generators and a stabilizer chain, never as a list of elements.
+group search is individualization-refinement, refining colours over the
+out- and in-lists, with pruning by the automorphisms already found; the
+group is kept as generators and a stabilizer chain, never as a list of
+elements.
 """
 
 from __future__ import annotations
@@ -12,19 +13,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cache
 from operator import getitem
 
-import numpy as np
-
-from .digraph import (
-    Digraph,
-    adjacency_matrix,
-    cycle_arc_cover,
-    orbits,
-)
+from .digraph import Digraph, cycle_arc_cover, orbits
 from .fano import NotALine
-from .pencils import DVertex, enumerate_vertices, vertex_index
+from .pencils import DVertex, enumerate_vertices, vertex_index, vertex_table
 
 Perm = tuple[int, ...]
 
@@ -56,36 +49,24 @@ def lift_vertex_map(fn) -> Perm:
     return tuple(vertex_index(fn(v)) for v in enumerate_vertices())
 
 
-# (base, *line) read as base-7 digits
-_DIGITS = np.array([343, 49, 7, 1], np.int64)
-
-
-@cache
-def _lift_table() -> tuple[np.ndarray, np.ndarray]:
-    """The 168 vertices as (base, *line) rows, and the vertex index of
-    every 4-digit base-7 key, -1 where the key is not a vertex."""
-    rows = np.array([(v.base, *v.line) for v in enumerate_vertices()], np.int64)
-    index = np.full(7**4, -1, np.int64)
-    index[(rows * _DIGITS).sum(axis=1)] = np.arange(len(rows))
-    return rows, index
-
-
 def induced_automorphism(point_perm) -> Perm:
     """Lift a permutation of the 7 points (a collineation) to vertices.
 
-    The images of all 168 (base, *line) rows are looked up at once in
-    one cached table; raises NotALine when point_perm is not a
-    permutation of the 7 points or some image is not a vertex, i.e.
-    point_perm is not a collineation.
+    The compact symbols of all 168 vertices are relabelled at once by
+    str.translate and each image is looked up in pencils.vertex_table;
+    raises NotALine when point_perm is not a permutation of the 7 points
+    or some image is not a vertex, i.e. point_perm is not a collineation.
     """
     s = tuple(point_perm)
     if sorted(s) != list(range(7)):
         raise NotALine(f"{s} is not a permutation of the 7 points")
-    rows, index = _lift_table()
-    image = index[(np.array(s)[rows] * _DIGITS).sum(axis=1)]
-    if (image < 0).any():
-        raise NotALine(f"{s} is not a collineation")
-    return tuple(image.tolist())
+    table = vertex_table()
+    relabel = str.maketrans("0123456", "".join(map(str, s)))
+    images = " ".join(table).translate(relabel).split()
+    try:
+        return tuple(map(table.__getitem__, images))
+    except KeyError:
+        raise NotALine(f"{s} is not a collineation") from None
 
 
 def rotate_slots(v: DVertex) -> DVertex:
@@ -94,30 +75,24 @@ def rotate_slots(v: DVertex) -> DVertex:
     return DVertex(v.base, (v.line[1], v.line[2], v.line[0]))
 
 
-def swap_slots(v: DVertex) -> DVertex:
-    """Transpose the last two entries; with rotate_slots this realizes
-    the full symmetric group on slots inside the automorphism group."""
-    return DVertex(v.base, (v.line[0], v.line[2], v.line[1]))
-
-
 # ---------------------------------------------------------------------------
 # colour refinement and the automorphism search
 
 
-def _neighbour_index(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
-    """Out- and in-neighbour rows as index arrays, padded with n up to
-    the maximum degree, so damaged graphs with uneven degrees fit."""
-
-    def padded(rows) -> np.ndarray:
-        idx = np.full((d.n, max(map(len, rows), default=0)), d.n, np.int64)
-        for v, row in enumerate(rows):
-            idx[v, : len(row)] = row
-        return idx
-
-    return padded(d.out), padded(d.inn)
+def _ranks(keys: list) -> list[int]:
+    """Each key's rank among the distinct keys in sorted order."""
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
 
 
-def _closed_walk_colours(out_idx: np.ndarray) -> np.ndarray:
+def _cell_sizes(colors: list[int]) -> list[int]:
+    sizes = [0] * (max(colors) + 1)
+    for c in colors:
+        sizes[c] += 1
+    return sizes
+
+
+def _closed_walk_colours(d: Digraph) -> list[int]:
     """Colour each vertex by its numbers of closed walks of length 4 and
     of length 8, diag(A^4) and diag(A^8), ranked to 0..k-1.
 
@@ -125,48 +100,44 @@ def _closed_walk_colours(out_idx: np.ndarray) -> np.ndarray:
     search.  The 4-walks split off the vertices near a damaged 4-cycle;
     the 8-walks also split a two-arc swap inside one 4-cycle, which
     trades the cycle for two 2-circuits and leaves every vertex on three
-    closed 4-walks.  diag(A^2k) is the row sum of A^k * (A^k)^T, and
-    A^(k+1) sums the rows of A^k over out-neighbours, in int64: a count
-    that wraps is still an invariant.
+    closed 4-walks.  Row v of A^k is one int whose field u counts the
+    k-walks from v to u, and A^(k+1) sums the rows of A^k over
+    out-neighbours.  A field holds maxdeg^8, so no count of walks of
+    length 8 or less carries into the next field.
     """
-    n = out_idx.shape[0]
-    # A^k, with a zero row n for the padding index of out_idx
-    power = np.zeros((n + 1, n), np.int64)
-    power[np.arange(n), np.arange(n)] = 1
-    walks = []
-    for k in range(1, 5):
-        nxt = np.zeros_like(power)
-        for col in out_idx.T:
-            nxt[:n] += power[col]
-        power = nxt
-        if k % 2 == 0:
-            walks.append((power[:n] * power[:n].T).sum(axis=1))
-    return np.unique(np.stack(walks, axis=1), axis=0, return_inverse=True)[1].ravel()
+    width = 8 * max(map(len, d.out), default=0).bit_length() + 1
+    mask = (1 << width) - 1
+    rows = [1 << (v * width) for v in range(d.n)]
+    diagonals = []
+    for k in range(1, 9):
+        rows = [sum(map(rows.__getitem__, out)) for out in d.out]
+        if k in (4, 8):
+            diagonals.append([row >> (v * width) & mask for v, row in enumerate(rows)])
+    return _ranks(list(zip(*diagonals)))
 
 
-def _refine(colors: np.ndarray, out_idx: np.ndarray, in_idx: np.ndarray):
+def _refine(colors: list[int], d: Digraph) -> list[int]:
     """Stable colouring refined by neighbour colours.
 
     A vertex's signature is (colour, sorted out-neighbour colours, sorted
-    in-neighbour colours), padded with -1; it splits cells exactly as the
-    in/out colour counts do.  The returned labels are the ranks of the
+    in-neighbour colours); it splits cells exactly as the in/out colour
+    counts do.  A vertex alone in its cell keeps (colour,), which sorts
+    to the same rank.  The returned labels are the ranks of the
     signatures in sorted order, canonical so that two sides of a paired
     search stay comparable.
     """
     while True:
-        k = int(colors.max()) + 1
-        ext = np.append(colors, -1)
-        sig = np.concatenate(
-            [colors[:, None], np.sort(ext[out_idx], axis=1), np.sort(ext[in_idx], axis=1)],
-            axis=1,
+        get = colors.__getitem__
+        sizes = _cell_sizes(colors)
+        new = _ranks(
+            [
+                (c,)
+                if sizes[c] == 1
+                else (c, tuple(sorted(map(get, out))), tuple(sorted(map(get, inn))))
+                for c, out, inn in zip(colors, d.out, d.inn)
+            ]
         )
-        order = np.lexsort(sig.T[::-1])
-        rows = sig[order]
-        step = np.zeros(len(rows), np.int64)
-        step[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        new = np.empty_like(colors)
-        new[order] = np.cumsum(step)
-        if int(step.sum()) + 1 == k:
+        if max(new) == max(colors):
             return new
         colors = new
 
@@ -237,57 +208,54 @@ def automorphism_group(d: Digraph) -> AutGroup:
     generators found so far (which all fix base[:i]), and in each branch
     looks for one leaf that maps the first leaf by an automorphism fixing
     base[:i] and taking base[i] to that member.  Every kept leaf is
-    verified against the adjacency matrix.  The orbits reached are the
+    checked by is_automorphism.  The orbits reached are the
     basic orbits of the stabilizer chain.
     """
     n = d.n
-    out_idx, in_idx = _neighbour_index(d)
-    a = adjacency_matrix(d).astype(bool)
 
     # the first path: colourings and cell sizes by level, target cell
     # labels, base
-    path = [_refine(_closed_walk_colours(out_idx), out_idx, in_idx)]
-    sizes = [np.bincount(path[0])]
+    path = [_refine(_closed_walk_colours(d), d)]
+    sizes = [_cell_sizes(path[0])]
     target: list[int] = []
     base: list[int] = []
 
-    def individualize(colors: np.ndarray, level: int, v: int) -> np.ndarray:
-        nxt = colors.copy()
-        nxt[v] = sizes[level].size
-        return _refine(nxt, out_idx, in_idx)
+    def individualize(colors: list[int], level: int, v: int) -> list[int]:
+        nxt = list(colors)
+        nxt[v] = len(sizes[level])
+        return _refine(nxt, d)
 
-    while (sizes[-1] > 1).any():
-        counts = sizes[-1]
-        big = np.flatnonzero(counts > 1)
-        c = int(big[np.argmin(counts[big])])
-        v = int(np.flatnonzero(path[-1] == c)[0])
+    while max(sizes[-1]) > 1:
+        # the smallest non-singleton cell, the lowest label on ties
+        c = min((s, c) for c, s in enumerate(sizes[-1]) if s > 1)[1]
+        v = path[-1].index(c)
         target.append(c)
         base.append(v)
         path.append(individualize(path[-1], len(base) - 1, v))
-        sizes.append(np.bincount(path[-1]))
+        sizes.append(_cell_sizes(path[-1]))
     first_leaf = path[-1]
-    base_arr = np.array(base, np.int64)
     nodes = len(path)
     leaves = 1
 
-    def leaf_search(colors: np.ndarray, level: int, want: np.ndarray):
+    def leaf_search(colors: list[int], level: int, want: list[int]):
         """An automorphism at a leaf below this node taking base[:len(want)]
         to want, or None."""
         nonlocal nodes, leaves
         nodes += 1
-        if not np.array_equal(np.bincount(colors), sizes[level]):
+        if _cell_sizes(colors) != sizes[level]:
             return None
         if level == len(base):
             leaves += 1
-            pos = np.empty(n, np.int64)
-            pos[colors] = np.arange(n)
-            perm = pos[first_leaf]
-            if np.array_equal(perm[base_arr[: want.size]], want) and np.array_equal(
-                a[perm][:, perm], a
-            ):
-                return perm
-            return None
-        for w in np.flatnonzero(colors == target[level]):
+            pos = [0] * n
+            for v, c in enumerate(colors):
+                pos[c] = v
+            perm = tuple(map(pos.__getitem__, first_leaf))
+            if [perm[b] for b in base[: len(want)]] != want:
+                return None
+            return perm if is_automorphism(d, perm) else None
+        for w, c in enumerate(colors):
+            if c != target[level]:
+                continue
             perm = leaf_search(individualize(colors, level, w), level + 1, want)
             if perm is not None:
                 return perm
@@ -299,13 +267,12 @@ def automorphism_group(d: Digraph) -> AutGroup:
         b = base[i]
         # the orbit of b under the generators found so far
         orbit = set(orbits([b], gens, getitem)[0])
-        for w in np.flatnonzero(path[i] == target[i]):
-            if int(w) in orbit:
+        for w, c in enumerate(path[i]):
+            if c != target[i] or w in orbit:
                 continue
-            want = np.append(base_arr[:i], w)
-            perm = leaf_search(individualize(path[i], i, w), i + 1, want)
+            perm = leaf_search(individualize(path[i], i, w), i + 1, base[:i] + [w])
             if perm is not None:
-                gens.append(tuple(int(x) for x in perm))
+                gens.append(perm)
                 orbit = set(orbits([b], gens, getitem)[0])
         inverses.insert(0, _inverse_transversal(b, gens, n))
 

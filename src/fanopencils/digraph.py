@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from operator import getitem
 
-import numpy as np
-
 from .golden import ADJACENCY_ROWS
 from .pencils import DVertex, compact, enumerate_vertices, vertex_index
 
@@ -92,20 +90,6 @@ def build_d() -> Digraph:
     )
 
 
-def adjacency_matrix(d: Digraph) -> np.ndarray:
-    a = np.zeros((d.n, d.n), dtype=np.int8)
-    for u, w in d.arcs():
-        a[u, w] = 1
-    return a
-
-
-def with_retargeted_arc(d: Digraph, u: int, slot: int, target: int) -> Digraph:
-    """Copy of d with one out-entry replaced; the fault-injection helper."""
-    rows = [list(row) for row in d.out]
-    rows[u][slot] = target
-    return Digraph(rows)
-
-
 def bfs(rows, start: int, skip_edge=None) -> tuple[list[int], list[int]]:
     """Breadth-first search along the neighbour lists `rows` (d.out, or
     d.inn to go against the arcs), never using skip_edge (u, w) in either
@@ -157,20 +141,26 @@ def check_no_short_circuits(d: Digraph) -> tuple[bool, tuple[int, ...]]:
 
 def short_circuit_matrix_check(d: Digraph) -> tuple[bool, tuple[int, int, int]]:
     """Independent oracle: (ok, (tr A, tr A^2, tr A^3)), ok iff the
-    traces of the first three adjacency powers vanish.
+    traces of the first three powers of the 0/1 adjacency matrix A
+    vanish.
 
-    tr A^2 sums A[i, j] A[j, i], and tr A^3 sums (A^2)[w, u] =
-    A[w] . A[:, u] over the arcs u -> w of the matrix, each as an int64
-    einsum over the 0/1 int8 matrix.  So the traces are exact and no
-    n x n product is formed: numpy has no BLAS path for integer matmul,
-    and a float64 BLAS product raised peak memory by about 1.3 MiB.
+    Row u of A is an int with bit w set for each arc u -> w, and column
+    u one with bit v set for each arc v -> u; a parallel arc sets its
+    bit once.  tr A counts the loops, tr A^2 sums |row u & column u|,
+    and tr A^3 sums |row w & column u| over the arcs u -> w, the closed
+    3-walks through each arc, by int.bit_count.  No path is searched, so
+    this shares no code with check_no_short_circuits.
     """
-    a = adjacency_matrix(d)
-    src, dst = np.nonzero(a)
+    rows = [sum(1 << w for w in set(out)) for out in d.out]
+    cols = [sum(1 << v for v in set(inn)) for inn in d.inn]
     traces = (
-        int(np.trace(a)),
-        int(np.einsum("ij,ji->", a, a, dtype=np.int64)),
-        int(np.einsum("ij,ij->", a[dst], a.T[src], dtype=np.int64)),
+        sum(row >> u & 1 for u, row in enumerate(rows)),
+        sum((row & col).bit_count() for row, col in zip(rows, cols)),
+        sum(
+            (rows[w] & cols[u]).bit_count()
+            for u, out in enumerate(d.out)
+            for w in set(out)
+        ),
     )
     return traces == (0, 0, 0), traces
 

@@ -56,13 +56,14 @@ def enumerate_vertices() -> tuple[DVertex, ...]:
 
 
 @cache
-def vertex_table() -> dict[tuple[int, int, int, int], int]:
-    """(base, *line) -> vertex index, over all 168 vertices."""
-    return {(v.base, *v.line): i for i, v in enumerate(enumerate_vertices())}
+def vertex_table() -> dict[str, int]:
+    """Compact symbol -> vertex index, over all 168 vertices in index
+    order."""
+    return {compact(v): i for i, v in enumerate(enumerate_vertices())}
 
 
 def vertex_index(v: DVertex) -> int:
-    return vertex_table()[(v.base, *v.line)]
+    return vertex_table()[compact(v)]
 
 
 def format_long(v: DVertex) -> str:

@@ -23,7 +23,6 @@ from fanopencils.digraph import (
     short_circuit_matrix_check,
     step_orbit_cycles,
     strongly_connected,
-    with_retargeted_arc,
 )
 from fanopencils.fano import collineations
 from fanopencils.golden import ADJACENCY_ROWS, EXAMPLE_CYCLE
@@ -31,6 +30,7 @@ from fanopencils.pencils import enumerate_vertices, parse_compact, translate, ve
 from fanopencils.digraph import canonical_cycle
 from fanopencils.verify import run_verification
 from fanopencils.voltage import cycle_orbits, derive_canonical, quotient
+from helpers import with_retargeted_arc
 
 
 def _ok(n, name):

@@ -12,7 +12,6 @@ from fanopencils import autos
 from fanopencils.autos import (
     FAILURE_CAP,
     _closed_walk_colours,
-    _neighbour_index,
     _pin_map,
     arc_orbits,
     automorphism_group,
@@ -23,22 +22,20 @@ from fanopencils.autos import (
     is_automorphism,
     lift_vertex_map,
     rotate_slots,
-    swap_slots,
     verify_c4uh,
     vertex_orbits,
 )
 from fanopencils.digraph import (
     Digraph,
-    adjacency_matrix,
     build_d,
     canonical_cycle,
     enumerate_4cycles,
-    with_retargeted_arc,
 )
 from fanopencils.fano import NotALine, collineations
 from fanopencils.golden import EXAMPLE_CYCLE
 from fanopencils.pencils import DVertex, parse_compact, translate, vertex_index
 from fanopencils.verify import run_verification
+from helpers import adjacency_matrix, swap_slots, with_retargeted_arc
 
 
 def _closure(gens, n: int) -> set:
@@ -240,25 +237,58 @@ def _two_arc_swaps(d: Digraph, seed: int, count: int) -> list[Digraph]:
 
 
 def test_closed_walk_colours_match_matrix_powers(d):
-    for g in (d, *_two_arc_swaps(d, seed=1, count=3)):
-        a = adjacency_matrix(g).astype(np.int64)
+    # vertex 0 given five out-neighbours: its walk counts need a wider
+    # field than those of a graph of maximum out-degree 3
+    extra = [w for w in range(1, d.n) if w not in d.out[0]][:2]
+    wide = Digraph([d.out[0] + tuple(extra), *d.out[1:]])
+    for g in (d, wide, *_two_arc_swaps(d, seed=1, count=3)):
+        a = adjacency_matrix(g)
         walks = np.stack(
             [np.diag(np.linalg.matrix_power(a, k)) for k in (4, 8)], axis=1
         )
         ranks = np.unique(walks, axis=0, return_inverse=True)[1].ravel()
-        out_idx, _ = _neighbour_index(g)
-        assert np.array_equal(_closed_walk_colours(out_idx), ranks)
+        assert _closed_walk_colours(g) == ranks.tolist()
+
+
+# (base, nodes, leaves) of the search on each seed-5 swap; the base
+# follows the canonical label order of the refinement, so this pins that
+# order too
+SEED5_SWAP_SEARCHES = [
+    ((), 1, 1),
+    ((), 1, 1),
+    ((4,), 3, 2),
+    ((), 1, 1),
+    ((), 1, 1),
+    ((), 1, 1),
+    ((), 1, 1),
+    ((91,), 3, 2),
+    ((), 1, 1),
+    ((8, 24), 6, 3),
+    ((), 1, 1),
+    ((), 1, 1),
+    ((125,), 3, 2),
+    ((), 1, 1),
+    ((136,), 3, 2),
+    ((), 1, 1),
+    ((), 1, 1),
+    ((), 1, 1),
+    ((), 1, 1),
+    ((), 1, 1),
+]
 
 
 def test_near_asymmetric_search_budget(d):
     # a swap changes the closed walks near it, so the closed-walk counts
     # split the first colouring and the search stays small; one of these
     # swaps takes 24 nodes when the search starts from 4-walk counts alone
+    searches = []
     for swapped in _two_arc_swaps(d, seed=5, count=20):
         grp = automorphism_group(swapped)
         assert grp.nodes <= 16, grp.nodes
         assert all(is_automorphism(swapped, g) for g in grp.generators)
         assert len(_closure(list(grp.generators), swapped.n)) == grp.order
+        searches.append((grp.base, grp.nodes, grp.leaves))
+    assert searches == SEED5_SWAP_SEARCHES
 
 
 def test_vertex_and_arc_transitivity(d, group):

@@ -180,3 +180,29 @@ def test_verify_report_deterministic_apart_from_timings():
     assert first == payload()
     digest = hashlib.sha256(json.dumps(first, sort_keys=True).encode()).hexdigest()
     assert digest == VERIFY_ALL_SEED0_SHA256
+
+
+def test_commands_run_without_numpy():
+    # the package needs only the standard library: with numpy made
+    # unimportable, verify, table and export still run and pass
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from fanopencils.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    outputs = []
+    for argv in (
+        ["verify", "all", "--format", "json"],
+        ["table"],
+        ["export", "quotient"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["pass"] is True

@@ -4,7 +4,7 @@ import pytest
 
 from fanopencils import verify
 from fanopencils.autos import lift_vertex_map, rotate_slots
-from fanopencils.digraph import Digraph, build_d, with_retargeted_arc
+from fanopencils.digraph import Digraph, build_d
 from fanopencils.pencils import enumerate_vertices, compact, parse_compact, translate, vertex_index
 from fanopencils.voltage import (
     ORDER,
@@ -21,6 +21,7 @@ from fanopencils.voltage import (
     validate_action,
     z7_action,
 )
+from helpers import with_retargeted_arc
 
 VERTS = enumerate_vertices()
 
