@@ -11,13 +11,6 @@ from .autos import UHReport
 from .verify import SELECTORS, run_verification
 
 
-def _sample_count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanopencils",
@@ -30,13 +23,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("selector", nargs="?", default="all", choices=SELECTORS)
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--output", default=None, help="write the report here")
-    v.add_argument(
-        "--sample",
-        type=_sample_count,
-        default=100,
-        help="homogeneity extensions to sample; 0 checks all 63504 pairs",
-    )
-    v.add_argument("--seed", type=int, default=0)
+    # ignored: the benchmark's argv (bench/workloads.cli_argv) still passes them
+    v.add_argument("--sample", type=int, help=argparse.SUPPRESS)
+    v.add_argument("--seed", type=int, help=argparse.SUPPRESS)
 
     t = sub.add_parser("table", help="print the base-0 adjacency rows and golden diff")
     t.add_argument("--output", default=None)
@@ -62,7 +51,7 @@ def _emit(text: str, path: str | None) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verification(args.selector, sample=args.sample, seed=args.seed)
+    report = run_verification(args.selector)
     if args.format == "json":
         if args.selector == "uh":
             uh = report.uh_report or UHReport(

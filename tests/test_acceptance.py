@@ -87,26 +87,23 @@ def test_criterion_06_step_permutation_law(d):
 
 
 def test_criterion_07_ultrahomogeneity(d, cycles, group):
-    sampled = verify_c4uh(d, sample=120, seed=0, group=group, cycles=cycles)
-    assert sampled.passed
+    rep = verify_c4uh(d, group, cycles)
+    assert rep.passed
     assert len(arc_orbits(d, group)) == 1
-    assert sampled.failures == ()
-    assert sampled.direct_checked >= 100
-    exhaustive = verify_c4uh(d, sample=0, group=group, cycles=cycles)
-    assert exhaustive.passed
-    assert exhaustive.failures == ()
+    assert rep.failures == ()
     # two extensions of cycle 0 carry its first arc onto all 504 arcs
-    assert exhaustive.direct_checked == 2
+    assert rep.direct_checked == 2
+    assert set(rep.to_json_dict()) == {"pass", "aut_order", "failures"}
     _ok(7, "every cycle-to-cycle rotation extends to an automorphism")
 
 
 def test_criterion_08_symmetry_floor(d, group):
-    assert group.order % 504 == 0
+    assert group.order == 1008
     for s in collineations():
         assert induced_automorphism(s) in group
     for t in range(7):
         assert lift_vertex_map(lambda v: translate(v, t)) in group
-    _ok(8, f"|Aut| = {group.order}, a multiple of 504, with all known lifts")
+    _ok(8, f"|Aut| = {group.order}, with all known lifts")
 
 
 def test_criterion_09_voltage_round_trip(d, cycles, action):
@@ -157,10 +154,18 @@ def test_criterion_11_fault_injection(d, cox):
     assert not (part.passed and count.passed)
     assert part.detail or count.detail
 
-    rep = run_verification("uh", sample=4, d=broken)
+    rep = run_verification("uh", d=broken)
     assert not rep.passed
     flag = next(c for c in rep.checks if c.name == "uh.flag_regular")
     assert not flag.passed and "arc orbits" in flag.detail
+
+    # two disjoint copies of D: 504 divides the group order, which is
+    # 2 * 1008^2, so only the exact order catches it
+    twice = Digraph(d.out + tuple(tuple(w + d.n for w in row) for row in d.out))
+    rep = run_verification("uh", d=twice)
+    order = next(c for c in rep.checks if c.name == "uh.aut_order")
+    assert not order.passed
+    assert order.detail == "automorphism group order 2032128, expected 1008"
 
     rep = run_verification("voltage", d=broken)
     assert not rep.passed
@@ -219,7 +224,7 @@ retargeted_graphs = st.lists(
 
 @pytest.fixture(scope="module")
 def details_on_d(d):
-    return {c.name: c.detail for c in run_verification("all", sample=4, d=d).checks}
+    return {c.name: c.detail for c in run_verification("all", d=d).checks}
 
 
 @settings(max_examples=30)
@@ -230,7 +235,7 @@ def details_on_d(d):
 @given(retargeted_graphs)
 def test_criterion_11_random_faults(details_on_d, broken):
     assume(sorted(broken.arcs()) != sorted(D.arcs()))
-    rep = run_verification("all", sample=4, d=broken)
+    rep = run_verification("all", d=broken)
     assert not rep.passed
     act = next(c for c in rep.checks if c.name == "voltage.action")
     assert not act.passed

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fanopencils import autos
 from fanopencils.autos import (
-    FAILURE_CAP,
     _closed_walk_colours,
     _pin_map,
     arc_orbits,
@@ -34,7 +33,6 @@ from fanopencils.digraph import (
 from fanopencils.fano import NotALine, collineations
 from fanopencils.golden import EXAMPLE_CYCLE
 from fanopencils.pencils import DVertex, parse_compact, translate, vertex_index
-from fanopencils.verify import run_verification
 from helpers import adjacency_matrix, swap_slots, with_retargeted_arc
 
 
@@ -130,7 +128,7 @@ def test_group_order_cross_checked_by_known_generators(d, group):
 
 
 def test_group_invariants(d, group):
-    assert group.order % 504 == 0
+    assert group.order == 1008
     assert group.order % d.n == 0
     for g in group.generators:
         assert is_automorphism(d, g)
@@ -352,8 +350,9 @@ def test_extend_across_components(d, cycles):
 
 
 def test_extend_backtracks_from_dead_branch(d, cycles, group):
-    # the third pin verify_c4uh(sample=100, seed=1) draws: the first image
-    # tried at one branch point is a dead end, so the search backtracks
+    # the third of the random.Random(1) pins that
+    # test_extension_search_order_is_pinned draws: the first image tried
+    # at one branch point is a dead end, so the search backtracks
     # and must restore the domains it narrowed there
     pins = _pin_map(cycles, 83, 48, 1)
     perm = extend_isomorphism(d, pins)
@@ -362,8 +361,9 @@ def test_extend_backtracks_from_dead_branch(d, cycles, group):
     assert perm in group
 
 
-# sha256 of the repr of the list of the 100 permutations that
-# verify_c4uh(d, sample=100, seed=1) extends its pins to
+# sha256 of the repr of the list of the 100 permutations that the
+# pins of 100 random (cycle, cycle, rotation) triples, drawn by
+# random.Random(1), extend to
 SEED1_EXTENSIONS_SHA256 = (
     "decb24906f561da088cb084489897cf68248e3383c9d32657bd0e16fd38c3690"
 )
@@ -459,12 +459,14 @@ def test_extend_fails_on_collapsing_pins(d):
     assert extend_isomorphism(d, {0: 5, 1: 5}) is None
 
 
-def test_uh_report_sampled(d, cycles, group):
-    rep = verify_c4uh(d, sample=120, seed=7, group=group, cycles=cycles)
+def test_uh_report_certificate(d, cycles, group):
+    rep = verify_c4uh(d, group, cycles)
     assert rep.passed
     assert len(arc_orbits(d, group)) == 1
     assert rep.failures == ()
-    assert rep.direct_checked == 120
+    # two extensions of cycle 0 carry its first arc onto all 504 arcs
+    assert rep.direct_checked == 2
+    assert rep.detail == "2 extension runs from cycle 0 reach all 504 arcs, 0 failures"
     assert rep.aut_order == group.order
     payload = rep.to_json_dict()
     assert set(payload) == {"pass", "aut_order", "failures"}
@@ -472,42 +474,26 @@ def test_uh_report_sampled(d, cycles, group):
     assert payload["failures"] == []
 
 
-def test_uh_rejects_negative_sample(d, cycles, group):
-    with pytest.raises(ValueError):
-        verify_c4uh(d, sample=-3, group=group, cycles=cycles)
-    with pytest.raises(ValueError):
-        run_verification("uh", sample=-3, d=d)
-
-
 def test_uh_detects_retargeted_arc(d):
     target = 0 if d.out[9][2] != 0 else 1
     broken = with_retargeted_arc(d, 9, 2, target)
-    rep = verify_c4uh(
-        broken, automorphism_group(broken), enumerate_4cycles(broken), sample=4, seed=1
-    )
+    rep = verify_c4uh(broken, automorphism_group(broken), enumerate_4cycles(broken))
     assert not rep.passed
     assert "126" in rep.detail or "arc orbits" in rep.detail
 
 
-@pytest.mark.parametrize(
-    "sample, first",
-    [
-        (50, [(108, 49, 3), (5, 33, 3), (51, 117, 2)]),
-        (0, [(0, 0, 1), (0, 0, 2), (0, 0, 3)]),
-    ],
-)
-def test_uh_harvest_stops_at_failure_cap(monkeypatch, d, cycles, group, sample, first):
-    # with every extension failing, both harvest modes stop at the cap
+def test_uh_stops_at_first_failure(monkeypatch, d, cycles, group):
+    # with every extension failing, the runs stop at the first flag past
+    # the root: cycle 0 onto itself, rotated once
     monkeypatch.setattr(autos, "extend_isomorphism", lambda d, pins: None)
-    rep = verify_c4uh(d, sample=sample, seed=0, group=group, cycles=cycles)
+    rep = verify_c4uh(d, group, cycles)
     assert not rep.passed
-    assert len(rep.failures) == FAILURE_CAP
-    assert list(rep.failures[:3]) == first
-    assert rep.direct_checked == FAILURE_CAP
+    assert rep.failures == ((0, 0, 1),)
+    assert rep.direct_checked == 1
+    assert rep.detail == "1 extension runs from cycle 0, 1 failure: (0, 0, 1) does not extend"
 
 
-@pytest.mark.parametrize("sample", [0, 100])
-def test_direct_checked_counts_extension_calls(monkeypatch, d, cycles, group, sample):
+def test_direct_checked_counts_extension_calls(monkeypatch, d, cycles, group):
     # bench/workloads.call_count_errors expects one extend_isomorphism
     # call per direct_checked in a traced run
     calls = []
@@ -517,7 +503,7 @@ def test_direct_checked_counts_extension_calls(monkeypatch, d, cycles, group, sa
         return extend_isomorphism(graph, pins)
 
     monkeypatch.setattr(autos, "extend_isomorphism", counted)
-    rep = verify_c4uh(d, group, cycles, sample=sample, seed=1)
+    rep = verify_c4uh(d, group, cycles)
     assert rep.passed
     assert len(calls) == rep.direct_checked
 
