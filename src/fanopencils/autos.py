@@ -32,7 +32,7 @@ def is_automorphism(d: Digraph, perm) -> bool:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)[i] = p[q[i]]: apply q first."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:
@@ -78,14 +78,8 @@ def rotate_slots(v: DVertex) -> DVertex:
 # colour refinement and the automorphism search
 
 
-def _ranks(keys: list) -> list[int]:
-    """Each key's rank among the distinct keys in sorted order."""
-    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return [rank[key] for key in keys]
-
-
 def _cell_sizes(colors: list[int]) -> list[int]:
-    sizes = [0] * (max(colors) + 1)
+    sizes = [0] * (max(colors, default=-1) + 1)
     for c in colors:
         sizes[c] += 1
     return sizes
@@ -112,33 +106,64 @@ def _closed_walk_colours(d: Digraph) -> list[int]:
         rows = [sum(map(rows.__getitem__, out)) for out in d.out]
         if k in (4, 8):
             diagonals.append([row >> (v * width) & mask for v, row in enumerate(rows)])
-    return _ranks(list(zip(*diagonals)))
+    keys = list(zip(*diagonals))
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
 
 
-def _refine(colors: list[int], d: Digraph) -> list[int]:
+def _refine(colors: list[int], d: Digraph, moved=None) -> list[int]:
     """Stable colouring refined by neighbour colours.
 
     A vertex's signature is (colour, sorted out-neighbour colours, sorted
     in-neighbour colours); it splits cells exactly as the in/out colour
-    counts do.  A vertex alone in its cell keeps (colour,), which sorts
-    to the same rank.  The returned labels are the ranks of the
-    signatures in sorted order, canonical so that two sides of a paired
-    search stay comparable.
+    counts do.  Each round's labels are the ranks of the signatures in
+    sorted order, canonical so that two sides of a paired search stay
+    comparable.
+
+    Cell mates had equal neighbour colour counts when their cell formed,
+    and a vertex's counts in all but one part of a split cell fix its
+    count in the last.  So a round re-signs only the neighbours of the
+    parts of cells that split in the last round, the largest part of each
+    left out, and the other members of a cell share one signature,
+    computed once.  The first round re-signs the neighbours of every
+    vertex, or only of `moved` when `colors` is a stable colouring that
+    gave `moved` new colours.
     """
+    out, inn = d.out, d.inn
+    colors = list(colors)
+    get = colors.__getitem__
+
+    def signature(v: int) -> tuple:
+        return tuple(sorted(map(get, out[v]))), tuple(sorted(map(get, inn[v])))
+
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    split = range(len(colors)) if moved is None else moved
     while True:
-        get = colors.__getitem__
-        sizes = _cell_sizes(colors)
-        new = _ranks(
-            [
-                (c,)
-                if sizes[c] == 1
-                else (c, tuple(sorted(map(get, out))), tuple(sorted(map(get, inn))))
-                for c, out, inn in zip(colors, d.out, d.inn)
-            ]
-        )
-        if max(new) == max(colors):
-            return new
-        colors = new
+        dirty = {w for v in split for w in out[v] + inn[v]}
+        hit = {colors[v] for v in dirty}
+        refined = []
+        split = []
+        for c, members in enumerate(cells):
+            if c not in hit or len(members) == 1:
+                refined.append(members)
+                continue
+            clean = [v for v in members if v not in dirty]
+            parts = {signature(clean[0]): clean} if clean else {}
+            for v in members:
+                if v in dirty:
+                    parts.setdefault(signature(v), []).append(v)
+            ordered = [parts[key] for key in sorted(parts)]
+            refined.extend(ordered)
+            largest = max(ordered, key=len)
+            split.extend(v for part in ordered if part is not largest for v in part)
+        cells = refined
+        for c, members in enumerate(cells):
+            for v in members:
+                colors[v] = c
+        if not split or len(cells) == len(colors):
+            return colors
 
 
 @dataclass(frozen=True)
@@ -200,15 +225,16 @@ def automorphism_group(d: Digraph) -> AutGroup:
     The first refinement starts from each vertex's numbers of closed
     4- and 8-walks, invariants that split off the vertices near a
     damaged spot of an otherwise symmetric graph.  The first path then
-    individualizes the first vertex of the smallest non-singleton cell
-    at each level until the colouring is discrete; those vertices are
-    the base.  Then, deepest level first, level i
-    branches only on cell members outside the orbit of base[i] under the
-    generators found so far (which all fix base[:i]), and in each branch
-    looks for one leaf that maps the first leaf by an automorphism fixing
-    base[:i] and taking base[i] to that member.  Every kept leaf is
-    checked by is_automorphism.  The orbits reached are the
-    basic orbits of the stabilizer chain.
+    individualizes the first vertex of the largest cell (the lowest
+    label on ties, as Traces does) at each level until the colouring is
+    discrete; those vertices are the base.  Each individualization
+    re-refines outward from the individualized vertex.  Then, deepest
+    level first, level i branches only on cell members outside the
+    orbit of base[i] under the generators found so far (which all fix
+    base[:i]), and in each branch looks for one leaf that maps the first
+    leaf by an automorphism fixing base[:i] and taking base[i] to that
+    member.  Every kept leaf is checked by is_automorphism.  The orbits
+    reached are the basic orbits of the stabilizer chain.
     """
     n = d.n
 
@@ -222,11 +248,11 @@ def automorphism_group(d: Digraph) -> AutGroup:
     def individualize(colors: list[int], level: int, v: int) -> list[int]:
         nxt = list(colors)
         nxt[v] = len(sizes[level])
-        return _refine(nxt, d)
+        return _refine(nxt, d, (v,))
 
-    while max(sizes[-1]) > 1:
-        # the smallest non-singleton cell, the lowest label on ties
-        c = min((s, c) for c, s in enumerate(sizes[-1]) if s > 1)[1]
+    while max(sizes[-1], default=0) > 1:
+        # the largest cell, the lowest label on ties
+        c = sizes[-1].index(max(sizes[-1]))
         v = path[-1].index(c)
         target.append(c)
         base.append(v)

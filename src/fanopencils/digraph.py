@@ -10,6 +10,7 @@ the arc with label LABELS[k].
 from __future__ import annotations
 
 import json
+from itertools import zip_longest
 from operator import getitem
 
 from .golden import ADJACENCY_ROWS
@@ -262,9 +263,12 @@ def cycle_arc_cover(d: Digraph, cycles):
 
 
 def _base_rows(d: Digraph):
-    verts = enumerate_vertices()
+    """(row symbol, entry symbols) of the 24 base-0 vertices: empty for a
+    row d lacks, and a target past the 168 pencils is named by its index."""
+    syms = [compact(v) for v in enumerate_vertices()]
+    syms += (f"vertex {w} (not a pencil)" for w in range(len(syms), d.n))
     return [
-        (compact(verts[i]), tuple(compact(verts[w]) for w in d.out[i]))
+        (syms[i], tuple(map(syms.__getitem__, d.out[i])) if i < d.n else ())
         for i in range(24)
     ]
 
@@ -273,12 +277,14 @@ def golden_sublist_diff(d: Digraph):
     """Differences between the base-0 out-lists of d and the golden table.
 
     Each entry is (row symbol, position, expected, got), so injected
-    faults are located.
+    faults are located; an entry on one side only is "missing" on the
+    other.
     """
     diffs = []
     for sym, entries in _base_rows(d):
         expected = ADJACENCY_ROWS[sym]
-        for pos, (e, g) in enumerate(zip(expected, entries)):
+        pairs = zip_longest(expected, entries, fillvalue="missing")
+        for pos, (e, g) in enumerate(pairs):
             if e != g:
                 diffs.append((sym, pos, e, g))
     return diffs

@@ -30,7 +30,7 @@ from fanopencils.pencils import enumerate_vertices, parse_compact, translate, ve
 from fanopencils.digraph import canonical_cycle
 from fanopencils.verify import run_verification
 from fanopencils.voltage import cycle_orbits, derive_canonical, quotient
-from helpers import with_retargeted_arc
+from helpers import two_copies, with_retargeted_arc
 
 
 def _ok(n, name):
@@ -161,11 +161,17 @@ def test_criterion_11_fault_injection(d, cox):
 
     # two disjoint copies of D: 504 divides the group order, which is
     # 2 * 1008^2, so only the exact order catches it
-    twice = Digraph(d.out + tuple(tuple(w + d.n for w in row) for row in d.out))
-    rep = run_verification("uh", d=twice)
+    rep = run_verification("uh", d=two_copies(d))
     order = next(c for c in rep.checks if c.name == "uh.aut_order")
     assert not order.passed
     assert order.detail == "automorphism group order 2032128, expected 1008"
+
+    # the empty digraph: the trivial group, so the order check names it
+    rep = run_verification("uh", d=Digraph([]))
+    order = next(c for c in rep.checks if c.name == "uh.aut_order")
+    assert not order.passed
+    assert order.detail == "automorphism group order 1, expected 1008"
+    assert not any(c.detail.startswith("raised") for c in rep.checks)
 
     rep = run_verification("voltage", d=broken)
     assert not rep.passed
@@ -231,7 +237,7 @@ def details_on_d(d):
 # the two-arc swap (167, 77, 146, 82), which leaves two 2-circuits
 @example(_retargeted([(167, 1, 82), (146, 1, 77)]))
 # two disjoint copies of D: not strongly connected
-@example(Digraph(D.out + tuple(tuple(w + D.n for w in row) for row in D.out)))
+@example(two_copies(D))
 @given(retargeted_graphs)
 def test_criterion_11_random_faults(details_on_d, broken):
     assume(sorted(broken.arcs()) != sorted(D.arcs()))

@@ -2,6 +2,7 @@
 import gc
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fanopencils import autos
 from fanopencils.autos import (
     _closed_walk_colours,
     _pin_map,
+    _refine,
     arc_orbits,
     automorphism_group,
     compose,
@@ -33,7 +35,13 @@ from fanopencils.digraph import (
 from fanopencils.fano import NotALine, collineations
 from fanopencils.golden import EXAMPLE_CYCLE
 from fanopencils.pencils import DVertex, parse_compact, translate, vertex_index
-from helpers import adjacency_matrix, swap_slots, with_retargeted_arc
+from helpers import (
+    adjacency_matrix,
+    full_round_refine,
+    swap_slots,
+    two_copies,
+    with_retargeted_arc,
+)
 
 
 def _closure(gens, n: int) -> set:
@@ -197,6 +205,7 @@ def _relabelled_cycle(n: int, seed: int) -> Digraph:
         ("directed 168-cycle", lambda cox: _relabelled_cycle(168, 3), 168),
         ("coxeter", lambda cox: cox, 336),
         ("edgeless 8", lambda cox: Digraph([[] for _ in range(8)]), 40320),
+        ("two copies of D", lambda cox: two_copies(build_d()), 2 * 1008**2),
     ],
 )
 def test_symmetric_input_search_budget(cox, name, graph, order):
@@ -211,9 +220,17 @@ def test_symmetric_input_search_budget(cox, name, graph, order):
 def test_symmetric_searches_keep_their_shape(group, cox_group):
     # both graphs are vertex-transitive, so every vertex has the same
     # closed-walk counts and the starting colouring leaves both searches
-    # alone
-    assert (group.nodes, group.leaves, group.base) == (16, 6, (0, 6, 7))
-    assert (cox_group.nodes, cox_group.leaves) == (15, 5)
+    # alone; the search targets the largest cell, so D's basic orbits
+    # are 168 and 6
+    assert (group.nodes, group.leaves, group.base) == (11, 6, (0, 7))
+    assert [len(t) for t in group.inverses] == [168, 6]
+    assert (cox_group.nodes, cox_group.leaves) == (8, 5)
+
+
+def test_empty_digraph_has_the_trivial_group():
+    grp = automorphism_group(Digraph([]))
+    assert (grp.degree, grp.order, grp.base, grp.generators) == (0, 1, (), ())
+    assert () in grp
 
 
 def _two_arc_swaps(d: Digraph, seed: int, count: int) -> list[Digraph]:
@@ -261,7 +278,7 @@ SEED5_SWAP_SEARCHES = [
     ((), 1, 1),
     ((91,), 3, 2),
     ((), 1, 1),
-    ((8, 24), 6, 3),
+    ((24,), 4, 3),
     ((), 1, 1),
     ((), 1, 1),
     ((125,), 3, 2),
@@ -287,6 +304,26 @@ def test_near_asymmetric_search_budget(d):
         assert len(_closure(list(grp.generators), swapped.n)) == grp.order
         searches.append((grp.base, grp.nodes, grp.leaves))
     assert searches == SEED5_SWAP_SEARCHES
+
+
+def _assert_refine_matches_full_rounds(g: Digraph):
+    """_refine agrees with the full-round oracle from the closed-walk
+    colouring and after every single individualization of a vertex in a
+    non-singleton cell of the stable colouring."""
+    start = _closed_walk_colours(g)
+    stable = _refine(start, g)
+    assert stable == full_round_refine(start, g)
+    sizes = Counter(stable)
+    for v, c in enumerate(stable):
+        if sizes[c] > 1:
+            singled = list(stable)
+            singled[v] = len(sizes)
+            assert _refine(singled, g, (v,)) == full_round_refine(singled, g), v
+
+
+def test_refine_matches_full_rounds(d, cox):
+    for g in (d, cox, *_two_arc_swaps(d, seed=2, count=20)):
+        _assert_refine_matches_full_rounds(g)
 
 
 def test_vertex_and_arc_transitivity(d, group):
@@ -447,6 +484,12 @@ def test_extension_agrees_with_group_on_damaged_graphs(retargets, i, j, r):
         assert perm is not None
         assert all(perm[u] == w for u, w in pins.items())
         assert perm in grp
+
+
+@settings(max_examples=25)
+@given(retargets=retarget_lists)
+def test_refine_matches_full_rounds_on_damaged_graphs(retargets):
+    _assert_refine_matches_full_rounds(_retargeted(retargets))
 
 
 def test_extend_fails_on_arc_to_non_arc(d):

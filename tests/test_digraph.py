@@ -27,7 +27,8 @@ from fanopencils.digraph import (
 )
 from fanopencils.golden import ADJACENCY_ROWS, EXAMPLE_CYCLE, ROW_ORDER
 from fanopencils.pencils import compact, enumerate_vertices, parse_compact, vertex_index
-from helpers import adjacency_matrix, with_retargeted_arc
+from fanopencils.verify import run_verification
+from helpers import adjacency_matrix, two_copies, with_retargeted_arc
 
 VERTS = enumerate_vertices()
 vertices = st.sampled_from(VERTS)
@@ -83,6 +84,24 @@ def test_golden_rows_match_exactly(d):
     assert tuple(compact(v) for v in enumerate_vertices()[:24]) == ROW_ORDER
 
 
+def test_golden_rows_locate_missing_rows_and_foreign_targets(d):
+    # three vertices: the check names the first row the graph lacks
+    rep = run_verification("digraph", d=Digraph([[1], [2], [0]]))
+    golden = next(c for c in rep.checks if c.name == "digraph.golden_rows")
+    assert not golden.passed
+    assert golden.detail.startswith(
+        "3 vertices, so rows from 165_0 on are missing; 72 mismatches: "
+        "124_0 slot 0: 165_3 != 142_0; 124_0 slot 1: 325_6 != missing"
+    )
+    # a 169th vertex, targeted from row 124_0: outside the table
+    rows = [list(row) for row in d.out] + [[0]]
+    rows[0][1] = 168
+    rep = run_verification("digraph", d=Digraph(rows))
+    golden = next(c for c in rep.checks if c.name == "digraph.golden_rows")
+    assert not golden.passed
+    assert golden.detail == "1 mismatches: 124_0 slot 1: 325_6 != vertex 168 (not a pencil)"
+
+
 def test_table_contains_published_rows(d):
     text = format_table(d)
     assert "124_0 : 165_3, 325_6, 364_5" in text
@@ -98,8 +117,7 @@ def test_row_symbols_cover_all_base_zero_vertices():
 def test_strong_connectivity(d):
     assert strongly_connected(d) == (True, (168, 168))
     assert strongly_connected(Digraph(d.inn)) == (True, (168, 168))
-    two = Digraph(d.out + tuple(tuple(w + d.n for w in row) for row in d.out))
-    assert strongly_connected(two) == (False, (168, 168))
+    assert strongly_connected(two_copies(d)) == (False, (168, 168))
 
 
 def test_no_short_circuits_two_ways(d):
