@@ -11,7 +11,7 @@ elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import getitem
 
 from .digraph import Digraph, cycle_arc_cover, orbits
@@ -166,8 +166,9 @@ def _refine(colors: list[int], d: Digraph, moved=None) -> list[int]:
             return colors
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(
+    namedtuple("AutGroup", "degree generators order base inverses nodes leaves")
+):
     """A permutation group on range(degree), held as a stabilizer chain.
 
     The pointwise stabilizer of `base` is trivial.  `inverses[i]` maps
@@ -180,13 +181,7 @@ class AutGroup:
     group was found.
     """
 
-    degree: int
-    generators: tuple[Perm, ...]
-    order: int
-    base: tuple[int, ...]
-    inverses: tuple[dict[int, Perm], ...] = field(repr=False, compare=False)
-    nodes: int
-    leaves: int
+    __slots__ = ()
 
     def __contains__(self, perm) -> bool:
         p = tuple(perm)
@@ -469,13 +464,12 @@ def extend_isomorphism(d: Digraph, pins: dict) -> Perm | None:
 # oriented-4-cycle homogeneity
 
 
-@dataclass(frozen=True)
-class UHReport:
-    passed: bool
-    aut_order: int
-    failures: tuple[tuple[int, int, int], ...]
-    direct_checked: int
-    detail: str = ""
+class UHReport(
+    namedtuple(
+        "UHReport", "passed aut_order failures direct_checked detail", defaults=("",)
+    )
+):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,27 +13,22 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cache
 
 from .digraph import LABELS, Digraph, arc_label, bfs, step
 from .fano import line_index, lines_avoiding, third_point
-from .pencils import DVertex
+from .pencils import DVertex, Pencil
 
 
-@dataclass(frozen=True)
-class CoxVertex:
+class CoxVertex(Pencil):
     """Base point plus the (sorted) line of far entries of its pencil."""
 
-    base: int
-    line: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.line != tuple(sorted(self.line)):
+    def __init__(self, base: int, line: tuple[int, int, int]):
+        super().__init__(base, line)
+        if line != tuple(sorted(line)):
             raise ValueError("line must be sorted")
-        line_index(self.line)
-        if self.base in self.line:
-            raise ValueError(f"base {self.base} lies on {self.line}")
 
     def pencil(self) -> tuple[tuple[int, int], ...]:
         """The (entry, companion) pairs, sorted by entry."""

@@ -196,7 +196,16 @@ def enumerate_4cycles(d: Digraph) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def label_permutations(d: Digraph) -> dict[int, tuple[int, ...]]:
-    """The map v -> out-neighbor for each label slot."""
+    """The map v -> out-neighbor for each label slot.
+
+    Raises ValueError naming the first vertex whose out-list lacks a slot.
+    """
+    v = next((v for v, row in enumerate(d.out) if len(row) < len(LABELS)), None)
+    if v is not None:
+        k = len(d.out[v])
+        raise ValueError(
+            f"vertex {v} has no slot {k} (label {LABELS[k]}): out-list {d.out[v]}"
+        )
     return {
         lab: tuple(row[k] for row in d.out) for k, lab in enumerate(LABELS)
     }

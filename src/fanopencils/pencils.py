@@ -11,36 +11,60 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cache, cached_property
+from collections import namedtuple
+from functools import cache
 
-from .fano import NotALine, line_index, lines_avoiding, third_point
+from .fano import POINTS, NotALine, line_index, lines_avoiding, third_point
 
 ROW_LETTERS = "abcdef"
 
 _COMPACT_RE = re.compile(r"^([0-6])([0-6])([0-6])_([0-6])$")
 
-@dataclass(frozen=True)
-class DVertex:
+
+class Pencil:
+    """A base point plus a line avoiding it, validated at construction.
+
+    Equal only to a pencil of the same type with the same base and line.
+    """
+
+    __slots__ = ("base", "line")
+
+    def __init__(self, base: int, line: tuple[int, int, int]):
+        if base not in POINTS:
+            raise ValueError(f"base out of range: {base}")
+        if type(line) is not tuple:
+            raise TypeError(f"line must be a 3-tuple, not {line!r}")
+        line_index(line)  # raises NotALine for junk
+        if base in line:
+            raise NotALine(f"base {base} lies on its own line {line}")
+        self.base = base
+        self.line = line
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.base == other.base and self.line == other.line
+
+    def __hash__(self):
+        return hash((self.base, self.line))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(base={self.base!r}, line={self.line!r})"
+
+
+class DVertex(Pencil):
     """An ordered pencil: a base point plus an ordered line avoiding it.
 
     The slot order of `line` matches the arc-label order (1, 2, 0).
     `thirds[k]` completes the line through the base and `line[k]`.
     """
 
-    base: int
-    line: tuple[int, int, int]
+    __slots__ = ("thirds",)
 
-    def __post_init__(self):
-        if self.base not in range(7):
-            raise ValueError(f"base out of range: {self.base}")
-        line_index(self.line)  # raises NotALine for junk
-        if self.base in self.line:
-            raise NotALine(f"base {self.base} lies on its own line {self.line}")
-
-    @cached_property
-    def thirds(self) -> tuple[int, int, int]:
-        return tuple(third_point(self.base, q) for q in self.line)
+    def __init__(self, base: int, line: tuple[int, int, int]):
+        super().__init__(base, line)
+        p, q, r = line
+        self.thirds = (third_point(base, p), third_point(base, q), third_point(base, r))
 
 
 @cache
@@ -88,13 +112,11 @@ def translate(v: DVertex, t: int) -> DVertex:
     return DVertex((v.base + t) % 7, tuple((q + t) % 7 for q in v.line))
 
 
-@dataclass(frozen=True)
-class RowColSymbol:
+class RowColSymbol(namedtuple("RowColSymbol", "col row")):
     """Orbit label of a translation class: column = line index of the
     base-0 representative, row = lexicographic rank of its ordering."""
 
-    col: int
-    row: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.col}_{self.row}"

@@ -9,24 +9,19 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import autos, coxeter, digraph, golden, voltage
 from .pencils import compact, format_long, parse_compact, symbol_grid, vertex_index
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    ms: int
+
+CheckResult = namedtuple("CheckResult", "name passed detail ms")
 
 
-@dataclass
-class VerificationReport:
-    selector: str
-    checks: tuple[CheckResult, ...]
-    uh_report: autos.UHReport | None = None
+class VerificationReport(
+    namedtuple("VerificationReport", "selector checks uh_report", defaults=(None,))
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -118,6 +113,8 @@ def _check_digraph_counts(a: Artifacts):
 
 def _check_digraph_degrees(a: Artifacts):
     d = a.d
+    if d.n == 0:
+        return False, "0 vertices"
     bad = [
         v
         for v in range(d.n)

@@ -10,7 +10,7 @@ original digraph, vertex for vertex and slot for slot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import getitem
 
 from .autos import Perm, induced_automorphism, is_automorphism
@@ -37,7 +37,9 @@ def z7_action(d: Digraph) -> Perm:
 
 def validate_action(d: Digraph, gen: Perm):
     if len(gen) != d.n:
-        raise InvalidAction("generator acts on the wrong vertex set")
+        raise InvalidAction(
+            f"generator acts on {len(gen)} vertices, the digraph has {d.n}"
+        )
     if not is_automorphism(d, gen):
         raise InvalidAction("generator is not an automorphism")
     for orbit in orbits(range(d.n), [gen], getitem):
@@ -62,17 +64,16 @@ def action_orbits(gen: Perm, n: int):
     return sorted(reps), rep_of, layer
 
 
-@dataclass(frozen=True)
-class VoltageGraph:
+class VoltageGraph(
+    namedtuple("VoltageGraph", "reps arcs rep_vertices", defaults=(None,))
+):
     """Quotient multidigraph with Z-valued arc voltages.
 
     reps are display names; arcs are (from-position, to-position,
     voltage) triples, grouped by source in slot order.
     """
 
-    reps: tuple[str, ...]
-    arcs: tuple[tuple[int, int, int], ...]
-    rep_vertices: tuple[int, ...] | None = None
+    __slots__ = ()
 
     def out_degree(self, i: int) -> int:
         return sum(1 for a in self.arcs if a[0] == i)

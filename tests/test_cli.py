@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -225,3 +226,22 @@ def test_commands_run_without_numpy():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert json.loads(outputs[0])["pass"] is True
+
+
+def test_import_leaves_out_dataclasses_inspect_and_typing():
+    # without cached bytecode every fresh process pays for these imports
+    # (about 10 ms together); -S leaves out site .pth files, which may
+    # import typing before the package does
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    script = (
+        f"import sys; sys.path[:0] = [{src!r}]; import fanopencils.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -20,6 +20,7 @@ from fanopencils.coxeter import (
     to_json,
 )
 from fanopencils.digraph import Digraph, arc_label, strongly_connected
+from fanopencils.pencils import DVertex
 from fanopencils.verify import run_verification
 
 
@@ -36,6 +37,17 @@ def test_vertex_validation():
         CoxVertex(0, (2, 1, 4))  # not sorted
     with pytest.raises(ValueError):
         CoxVertex(1, (1, 2, 4))  # base on line
+    with pytest.raises(ValueError, match="base out of range: 9"):
+        CoxVertex(9, (1, 2, 4))
+    with pytest.raises(TypeError):
+        CoxVertex(0, [1, 2, 4])  # a list, not a 3-tuple
+
+
+def test_vertex_equals_only_its_own_type():
+    v = CoxVertex(0, (1, 2, 4))
+    assert v == CoxVertex(0, (1, 2, 4)) and len({v, CoxVertex(0, (1, 2, 4))}) == 1
+    assert v != DVertex(0, (1, 2, 4))
+    assert repr(v) == "CoxVertex(base=0, line=(1, 2, 4))"
 
 
 def test_pencil_and_label():

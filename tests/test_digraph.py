@@ -229,6 +229,24 @@ def test_label_maps_are_permutations(d):
         assert sorted(perm) == list(range(d.n))
 
 
+def test_short_out_list_names_its_vertex():
+    d = Digraph([[1], [2], [0]])
+    with pytest.raises(ValueError, match=r"^vertex 0 has no slot 1 \(label 2\)"):
+        label_permutations(d)
+    rep = run_verification("all", d=d)
+    orbs = next(c for c in rep.checks if c.name == "cycles.label_orbits")
+    assert orbs.detail == (
+        "raised ValueError: vertex 0 has no slot 1 (label 2): out-list (1,)"
+    )
+    assert not any("IndexError" in c.detail for c in rep.checks)
+
+
+def test_degrees_fail_on_the_empty_digraph():
+    rep = run_verification("digraph", d=Digraph([]))
+    deg = next(c for c in rep.checks if c.name == "digraph.degrees")
+    assert not deg.passed and deg.detail == "0 vertices"
+
+
 def test_known_cycle_present(cycles):
     idx = tuple(vertex_index(parse_compact(s)) for s in EXAMPLE_CYCLE)
     assert canonical_cycle(idx) in set(cycles)

@@ -43,6 +43,19 @@ def test_vertex_validation():
         DVertex(0, (1, 2, 3))  # not a line
     with pytest.raises(ValueError):
         DVertex(9, (1, 2, 4))
+    with pytest.raises(TypeError):
+        DVertex(0, [1, 2, 4])  # a list, not a 3-tuple
+    with pytest.raises(NotALine):
+        DVertex(0, (1, 2, 4, 1))
+
+
+def test_vertex_equality_hash_and_repr():
+    v = DVertex(0, (1, 2, 4))
+    assert v == DVertex(0, (1, 2, 4)) and hash(v) == hash(DVertex(0, (1, 2, 4)))
+    assert v != DVertex(0, (2, 1, 4))
+    assert v != (0, (1, 2, 4))
+    assert repr(v) == "DVertex(base=0, line=(1, 2, 4))"
+    assert v.thirds == (3, 6, 5)
 
 
 def test_thirds_complete_the_pencil():

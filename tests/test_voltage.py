@@ -64,6 +64,13 @@ def test_wrong_size_rejected(d):
         validate_action(d, tuple(range(10)))
 
 
+def test_wrong_size_names_both_counts():
+    with pytest.raises(
+        InvalidAction, match="^generator acts on 168 vertices, the digraph has 3$"
+    ):
+        z7_action(Digraph([[1], [2], [0]]))
+
+
 def test_retargeted_graph_rejects_translation(d):
     target = 0 if d.out[4][0] != 0 else 1
     broken = with_retargeted_arc(d, 4, 0, target)
