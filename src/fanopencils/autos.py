@@ -4,14 +4,13 @@ Automorphisms here are arc-preserving vertex bijections; arc labels are
 not required to be preserved (and one generator rotates them).  The
 group search is individualization-refinement, refining colours over the
 out- and in-lists, with pruning by the automorphisms already found; the
-group is kept as generators and a stabilizer chain, never as a list of
-elements.
+group is kept as generators and an order, never as a list of elements.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
+from itertools import islice
 from operator import getitem
 
 from .digraph import Digraph, cycle_arc_cover, orbits
@@ -30,16 +29,21 @@ def is_automorphism(d: Digraph, perm) -> bool:
     )
 
 
+def arc_witness(d: Digraph, name: str, perm) -> str:
+    """Why `perm`, called `name`, is not an automorphism of d: a length
+    other than d.n, or else the first arc whose image is not an arc."""
+    if len(perm) != d.n:
+        return f"{name} acts on {len(perm)} vertices, the digraph has {d.n}"
+    arcs = set(d.arcs())
+    for u, w in d.arcs():
+        if (perm[u], perm[w]) not in arcs:
+            return f"{name} maps arc {u} -> {w} to {perm[u]} -> {perm[w]}, not an arc"
+    return f"{name} maps every arc to an arc, but not one to one"
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)[i] = p[q[i]]: apply q first."""
     return tuple(map(p.__getitem__, q))
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
 
 
 def lift_vertex_map(fn) -> Perm:
@@ -166,50 +170,17 @@ def _refine(colors: list[int], d: Digraph, moved=None) -> list[int]:
             return colors
 
 
-class AutGroup(
-    namedtuple("AutGroup", "degree generators order base inverses nodes leaves")
-):
-    """A permutation group on range(degree), held as a stabilizer chain.
+class AutGroup(namedtuple("AutGroup", "degree generators order base nodes leaves")):
+    """A permutation group on range(degree), held as generators.
 
-    The pointwise stabilizer of `base` is trivial.  `inverses[i]` maps
-    each point x of the orbit of base[i] under the stabilizer of
-    base[:i] to an element taking x back to base[i]: the inverse of a
-    transversal element, stored once when the chain is built.  So the
-    order is the product of the orbit lengths, and membership is decided
-    by sifting with one gather per level.  `nodes` and `leaves` count the
-    search-tree nodes refined and the discrete leaves reached while the
-    group was found.
+    The pointwise stabilizer of `base` is trivial, and `order` is the
+    product of the basic orbit lengths: the orbit of base[i] under the
+    stabilizer of base[:i].  `nodes` and `leaves` count the search-tree
+    nodes refined and the discrete leaves reached while the group was
+    found.
     """
 
     __slots__ = ()
-
-    def __contains__(self, perm) -> bool:
-        p = tuple(perm)
-        ident = tuple(range(self.degree))
-        if sorted(p) != list(ident):
-            return False
-        for b, inv in zip(self.base, self.inverses):
-            back = inv.get(p[b])
-            if back is None:
-                return False
-            p = tuple(map(back.__getitem__, p))
-        return p == ident
-
-
-def _inverse_transversal(b: int, gens: list[Perm], n: int) -> dict[int, Perm]:
-    """For each point x of the orbit of b under gens, an element of the
-    generated group taking x to b."""
-    back = {b: tuple(range(n))}
-    pairs = [(g, inverse(g)) for g in gens]
-    frontier = [b]
-    while frontier:
-        x = frontier.pop()
-        for g, g_inv in pairs:
-            y = g[x]
-            if y not in back:
-                back[y] = compose(back[x], g_inv)
-                frontier.append(y)
-    return back
 
 
 def automorphism_group(d: Digraph) -> AutGroup:
@@ -229,7 +200,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
     base[:i]), and in each branch looks for one leaf that maps the first
     leaf by an automorphism fixing base[:i] and taking base[i] to that
     member.  Every kept leaf is checked by is_automorphism.  The orbits
-    reached are the basic orbits of the stabilizer chain.
+    reached are the basic orbits, and their lengths multiply to the order.
     """
     n = d.n
 
@@ -282,7 +253,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
         return None
 
     gens: list[Perm] = []
-    inverses: list[dict[int, Perm]] = []
+    order = 1
     for i in reversed(range(len(base))):
         b = base[i]
         # the orbit of b under the generators found so far
@@ -294,14 +265,13 @@ def automorphism_group(d: Digraph) -> AutGroup:
             if perm is not None:
                 gens.append(perm)
                 orbit = set(orbits([b], gens, getitem)[0])
-        inverses.insert(0, _inverse_transversal(b, gens, n))
+        order *= len(orbit)
 
     return AutGroup(
         degree=n,
         generators=tuple(gens),
-        order=math.prod(len(t) for t in inverses),
+        order=order,
         base=tuple(base),
-        inverses=tuple(inverses),
         nodes=nodes,
         leaves=leaves,
     )
@@ -330,7 +300,14 @@ def arc_orbits(d: Digraph, group: AutGroup) -> tuple[tuple, ...]:
 
 
 def extend_isomorphism(d: Digraph, pins: dict) -> Perm | None:
-    """Grow a partial vertex map of d into itself to an automorphism.
+    """The first automorphism of d that extends the partial vertex map
+    `pins`, or None when there is none."""
+    return next(extensions(d, pins), None)
+
+
+def extensions(d: Digraph, pins: dict):
+    """Every automorphism of d that extends the partial vertex map
+    `pins`, one at a time, in search order.
 
     Forward checking (as in VF2, Cordella et al. 2004, and the Glasgow
     Subgraph Solver, McCreesh, Prosser & Trimble 2020): every unmapped
@@ -347,8 +324,9 @@ def extend_isomorphism(d: Digraph, pins: dict) -> Perm | None:
     Only when no unmapped vertex has a mapped neighbour (the map has
     covered whole weak components) does the first unmapped vertex range
     over every free image.  Mappings and domain changes share one
-    trail, so backtracking restores both.  Every result is checked by
-    is_automorphism; returns None when no extension exists.
+    trail, so backtracking restores both.  Every complete map is
+    checked by is_automorphism before it is yielded; after each one the
+    search backtracks from the deepest branch point.
     """
     n = d.n
     out, inn = d.out, d.inn
@@ -438,17 +416,20 @@ def extend_isomorphism(d: Digraph, pins: dict) -> Perm | None:
         return u, [x for x in range(n) if src[x] < 0]
 
     if not all(assign(u, w) for u, w in pins.items()):
-        return None
+        return
     # (vertex, its untried images, trail length before its assignment)
     stack = []
     while True:
         u, opts = branch()
         if u is None:
-            break
-        stack.append((u, iter(opts), len(trail)))
+            perm = tuple(tgt)
+            if is_automorphism(d, perm):
+                yield perm
+        else:
+            stack.append((u, iter(opts), len(trail)))
         while True:
             if not stack:
-                return None
+                return
             u, rest, mark = stack[-1]
             undo(mark)
             w = next(rest, None)
@@ -456,8 +437,6 @@ def extend_isomorphism(d: Digraph, pins: dict) -> Perm | None:
                 stack.pop()
             elif assign(u, w):
                 break
-    perm = tuple(tgt)
-    return perm if is_automorphism(d, perm) else None
 
 
 # ---------------------------------------------------------------------------
@@ -482,27 +461,33 @@ class UHReport(
         }
 
 
+# |Aut D| / 504: the automorphisms of D that fix an arc
+ARC_STABILIZER = 2
+
+
 def _pin_map(cycles, i: int, j: int, r: int) -> dict:
     c, c2 = cycles[i], cycles[j]
     return {c[k]: c2[(k + r) % 4] for k in range(4)}
 
 
-def verify_c4uh(d: Digraph, group: AutGroup, cycles) -> UHReport:
+def verify_c4uh(d: Digraph, cycles) -> UHReport:
     """Check that every rotation-aligned map between oriented 4-cycles
-    extends to an automorphism.
+    extends to an automorphism, and certify the group order.
 
-    `group` is the automorphism group of d and `cycles` its census of
-    oriented 4-cycles.  The cycles partition the arcs, so
-    cycle-with-rotation pairs biject with arcs (a flag is the arc it
-    starts with) and the property is equivalent to arc-transitivity.
-    That is proved twice: from the arc orbits of `group`, and from
-    direct extensions.  Cycle 0 is extended onto each flag outside the
-    orbit of its first arc under the extensions found so far, so every
-    run grows that orbit until it holds every arc: arc-transitivity from
-    generators the group search did not find.  Automorphisms compose, so
-    every map between two cycles then extends.  The runs stop at the
-    first flag that does not extend, which is the one failure reported,
-    so there are at most as many runs as arcs.
+    `cycles` is the census of oriented 4-cycles of d.  The cycles
+    partition the arcs, so cycle-with-rotation pairs biject with arcs (a
+    flag is the arc it starts with) and the property is equivalent to
+    arc-transitivity.  Cycle 0 is extended onto each flag outside the
+    orbit of its first arc, the root, under the extensions found so far,
+    so every run grows that orbit until it holds every arc.
+    Automorphisms compose, so every map between two cycles then extends.
+    The runs stop at the first flag that does not extend, which is the
+    one failure reported, so there are at most as many runs as arcs.
+
+    Then the automorphisms that fix the root arc are enumerated, and
+    orbit-stabilizer gives the order, with no help from the group search.
+    The enumeration stops at the first solution past ARC_STABILIZER;
+    `aut_order` is 0 whenever the certificate is incomplete.
     """
     notes = []
     if len(cycles) != 126:
@@ -510,36 +495,40 @@ def verify_c4uh(d: Digraph, group: AutGroup, cycles) -> UHReport:
     cover_ok, bad = cycle_arc_cover(d, cycles)
     if not cover_ok:
         notes.append(f"cycles do not partition the arcs ({len(bad)} witnesses)")
-    structure_ok = not notes
-    arc_orbs = arc_orbits(d, group)
-    arc_transitive = len(arc_orbs) == 1 and len(arc_orbs[0]) == d.arc_count()
-    if not arc_transitive:
-        notes.append(f"{len(arc_orbs)} arc orbits")
-    if not structure_ok:
-        return UHReport(False, group.order, (), 0, "; ".join(notes))
+    if notes:
+        return UHReport(False, 0, (), 0, "; ".join(notes))
 
-    root = (cycles[0][0], cycles[0][1])
+    u, w = root = (cycles[0][0], cycles[0][1])
     # the orbit of the root arc under the automorphisms found so far
     reached = {root}
     found: list[Perm] = []
-    failures: tuple[tuple[int, int, int], ...] = ()
     flags = ((j, r) for j in range(len(cycles)) for r in range(4))
     for j, r in flags:
         if (cycles[j][r], cycles[j][(r + 1) % 4]) in reached:
             continue
         perm = extend_isomorphism(d, _pin_map(cycles, 0, j, r))
         if perm is None:
-            failures = ((0, j, r),)
-            break
+            runs = len(found) + 1
+            detail = (
+                f"{runs} extension runs from cycle 0, "
+                f"1 failure: {(0, j, r)} does not extend"
+            )
+            return UHReport(False, 0, ((0, j, r),), runs, detail)
         found.append(perm)
         reached = set(orbits([root], found, arc_image)[0])
 
-    checked = len(found) + len(failures)
-    runs = f"{checked} extension runs from cycle 0"
-    if failures:
-        notes.append(f"{runs}, 1 failure: {failures[0]} does not extend")
-    else:
-        notes.append(f"{runs} reach all {len(reached)} arcs, 0 failures")
-    return UHReport(
-        arc_transitive and not failures, group.order, failures, checked, "; ".join(notes)
+    stab = list(islice(extensions(d, {u: u, w: w}), ARC_STABILIZER + 1))
+    runs = f"{len(found)} extension runs from cycle 0 reach all {len(reached)} arcs"
+    if len(stab) > ARC_STABILIZER:
+        v = next(x for x, y in enumerate(stab[-1]) if x != y)
+        detail = (
+            f"{runs}, 0 failures; more than {ARC_STABILIZER} automorphisms fix arc "
+            f"{u} -> {w}; one moves vertex {v} to {stab[-1][v]}"
+        )
+        return UHReport(True, 0, (), len(found), detail)
+    order = len(reached) * len(stab)
+    detail = (
+        f"{runs}, 0 failures; {len(stab)} automorphisms fix arc {u} -> {w}, "
+        f"so the order is {len(reached)} x {len(stab)} = {order}"
     )
+    return UHReport(True, order, (), len(found), detail)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import coxeter, digraph, voltage
@@ -50,6 +49,12 @@ def _emit(text: str, path: str | None) -> int:
     return 0
 
 
+def _json(payload: dict) -> str:
+    import json
+
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _cmd_verify(args) -> int:
     report = run_verification(args.selector)
     if args.format == "json":
@@ -60,7 +65,7 @@ def _cmd_verify(args) -> int:
             payload = uh.to_json_dict()
         else:
             payload = report.to_json_dict()
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload)
     else:
         text = report.format_text() + "\n"
     code = _emit(text, args.output)
@@ -84,16 +89,15 @@ def _cmd_table(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.target == "digraph":
-        d = digraph.build_d()
-        text = digraph.to_dot(d) if args.format == "dot" else digraph.to_json(d)
+        module, graph = digraph, digraph.build_d()
     elif args.target == "coxeter":
-        g = coxeter.build_coxeter()
-        text = coxeter.to_dot(g) if args.format == "dot" else coxeter.to_json(g)
+        module, graph = coxeter, coxeter.build_coxeter()
     else:
         d = digraph.build_d()
-        vg = voltage.quotient(d, voltage.z7_action(d))
-        text = voltage.to_dot(vg) if args.format == "dot" else voltage.to_json(vg)
-    return _emit(text, args.output)
+        module, graph = voltage, voltage.quotient(d, voltage.z7_action(d))
+    if args.format == "dot":
+        return _emit(module.to_dot(graph), args.output)
+    return _emit(_json(module.to_json_dict(graph)), args.output)
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,6 @@ distance-regular graph of girth 7 on 28 vertices.
 from __future__ import annotations
 
 import itertools
-import json
 from functools import cache
 
 from .digraph import LABELS, Digraph, arc_label, bfs, step
@@ -180,10 +179,6 @@ def to_json_dict(g: Digraph) -> dict:
         "vertices": [v.label() for v in cox_vertices()],
         "edges": [[u, w] for u, w in edges(g)],
     }
-
-
-def to_json(g: Digraph) -> str:
-    return json.dumps(to_json_dict(g), indent=2) + "\n"
 
 
 def to_dot(g: Digraph) -> str:

@@ -9,7 +9,6 @@ the arc with label LABELS[k].
 
 from __future__ import annotations
 
-import json
 from itertools import zip_longest
 from operator import getitem
 
@@ -319,10 +318,6 @@ def to_json_dict(d: Digraph) -> dict:
     ]
     cycles = [[syms[v] for v in cyc] for cyc in enumerate_4cycles(d)]
     return {"vertices": syms, "arcs": arcs, "cycles": cycles}
-
-
-def to_json(d: Digraph) -> str:
-    return json.dumps(to_json_dict(d), indent=2) + "\n"
 
 
 def to_dot(d: Digraph) -> str:

@@ -94,7 +94,7 @@ class Artifacts:
 
     @_built_once
     def uh(self) -> autos.UHReport:
-        return autos.verify_c4uh(self.d, self.group, self.cycles)
+        return autos.verify_c4uh(self.d, self.cycles)
 
     @_built_once
     def action(self) -> autos.Perm:
@@ -214,34 +214,46 @@ def _check_cycles_incidence(a: Artifacts):
     for cyc in a.cycles:
         for v in cyc:
             per_vertex[v] += 1
-    ok = set(per_vertex) == {3}
-    return ok, "every vertex on exactly 3 cycles" if ok else f"counts {sorted(set(per_vertex))}"
+    bad = next((v for v, k in enumerate(per_vertex) if k != 3), None)
+    if bad is None:
+        return True, "every vertex on exactly 3 cycles"
+    return False, (
+        f"counts {sorted(set(per_vertex))}; first: vertex {bad} on {per_vertex[bad]} cycles"
+    )
 
 
 def _check_uh_order(a: Artifacts):
-    order = a.group.order
-    return order == 1008, f"automorphism group order {order}, expected 1008"
+    search, certified = a.group.order, a.uh.aut_order
+    return search == certified == 1008, (
+        f"automorphism group order {search} by search, {certified} by certificate, "
+        "expected 1008"
+    )
+
+
+# x -> x + 1 and an involution: together they generate all 168 collineations
+TRANSLATION = (1, 2, 3, 4, 5, 6, 0)
+INVOLUTION = (0, 1, 4, 3, 2, 6, 5)
 
 
 def _check_uh_lifts(a: Artifacts):
-    from .fano import collineations
-
-    group = a.group
-    missing = sum(
-        1 for s in collineations() if autos.induced_automorphism(s) not in group
+    # a group lies inside another iff its generators do, and lifting is a
+    # homomorphism: every collineation and the slot rotation lift to
+    # automorphisms iff these three do
+    lifts = {
+        "translation": autos.induced_automorphism(TRANSLATION),
+        f"involution {INVOLUTION}": autos.induced_automorphism(INVOLUTION),
+        "slot rotation": autos.lift_vertex_map(autos.rotate_slots),
+    }
+    bad = [name for name, p in lifts.items() if not autos.is_automorphism(a.d, p)]
+    points = [TRANSLATION, INVOLUTION]
+    generated = len(digraph.orbits([tuple(range(7))], points, autos.compose)[0])
+    detail = (
+        f"{3 - len(bad)} of 3 generator lifts are automorphisms; translation and "
+        f"involution generate {generated} collineations"
     )
-    # the translation x -> x + t is itself a collineation
-    shifts = sum(
-        1
-        for t in range(7)
-        if autos.induced_automorphism([(x + t) % 7 for x in range(7)]) in group
-    )
-    rot_in = autos.lift_vertex_map(autos.rotate_slots) in group
-    ok = missing == 0 and shifts == 7 and rot_in
-    return ok, (
-        f"{168 - missing} of 168 collineation lifts present, {shifts} of 7 "
-        f"translations, slot rotation {'present' if rot_in else 'absent'}"
-    )
+    if bad:
+        detail += f"; first failure: {autos.arc_witness(a.d, bad[0], lifts[bad[0]])}"
+    return not bad and generated == 168, detail
 
 
 def _check_uh_vertex_transitive(a: Artifacts):

@@ -9,11 +9,10 @@ original digraph, vertex for vertex and slot for slot.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from operator import getitem
 
-from .autos import Perm, induced_automorphism, is_automorphism
+from .autos import Perm, arc_witness, induced_automorphism, is_automorphism
 from .digraph import Digraph, canonical_cycle, orbits
 from .pencils import compact, enumerate_vertices
 
@@ -41,7 +40,7 @@ def validate_action(d: Digraph, gen: Perm):
             f"generator acts on {len(gen)} vertices, the digraph has {d.n}"
         )
     if not is_automorphism(d, gen):
-        raise InvalidAction("generator is not an automorphism")
+        raise InvalidAction(arc_witness(d, "translation", gen))
     for orbit in orbits(range(d.n), [gen], getitem):
         if len(orbit) != ORDER:
             raise InvalidAction(
@@ -177,10 +176,6 @@ def to_json_dict(vg: VoltageGraph) -> dict:
             {"from": r, "to": r2, "voltage": v} for (r, r2, v) in vg.arcs
         ],
     }
-
-
-def to_json(vg: VoltageGraph) -> str:
-    return json.dumps(to_json_dict(vg), indent=2) + "\n"
 
 
 def to_dot(vg: VoltageGraph) -> str:

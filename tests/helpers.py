@@ -1,11 +1,13 @@
 """Graph builders the tests share: fault injection, two disjoint copies
-of a graph, a named slot permutation, the adjacency matrix the numpy oracles start from, and the
-full-round colour refinement that autos._refine must agree with."""
+of a graph, a named slot permutation, the adjacency matrix the numpy oracles start from, the
+full-round colour refinement that autos._refine must agree with, and the
+inverse and the closure of permutations, the group oracles."""
 
 from collections import Counter
 
 import numpy as np
 
+from fanopencils.autos import compose
 from fanopencils.digraph import Digraph
 from fanopencils.pencils import DVertex
 
@@ -60,3 +62,29 @@ def full_round_refine(colors: list[int], d: Digraph) -> list[int]:
         if len(rank) == len(sizes):
             return new
         colors = new
+
+
+def inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def closure(gens, n: int) -> set:
+    """Every element of the group generated by gens, by breadth-first
+    products: an order and membership oracle that shares no code with
+    the search."""
+    ident = tuple(range(n))
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                x = compose(g, h)
+                if x not in elems:
+                    elems.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return elems

@@ -30,7 +30,7 @@ from fanopencils.pencils import enumerate_vertices, parse_compact, translate, ve
 from fanopencils.digraph import canonical_cycle
 from fanopencils.verify import run_verification
 from fanopencils.voltage import cycle_orbits, derive_canonical, quotient
-from helpers import two_copies, with_retargeted_arc
+from helpers import closure, two_copies, with_retargeted_arc
 
 
 def _ok(n, name):
@@ -87,7 +87,7 @@ def test_criterion_06_step_permutation_law(d):
 
 
 def test_criterion_07_ultrahomogeneity(d, cycles, group):
-    rep = verify_c4uh(d, group, cycles)
+    rep = verify_c4uh(d, cycles)
     assert rep.passed
     assert len(arc_orbits(d, group)) == 1
     assert rep.failures == ()
@@ -99,10 +99,11 @@ def test_criterion_07_ultrahomogeneity(d, cycles, group):
 
 def test_criterion_08_symmetry_floor(d, group):
     assert group.order == 1008
+    elements = closure(group.generators, d.n)
     for s in collineations():
-        assert induced_automorphism(s) in group
+        assert induced_automorphism(s) in elements
     for t in range(7):
-        assert lift_vertex_map(lambda v: translate(v, t)) in group
+        assert lift_vertex_map(lambda v: translate(v, t)) in elements
     _ok(8, f"|Aut| = {group.order}, with all known lifts")
 
 
@@ -164,19 +165,23 @@ def test_criterion_11_fault_injection(d, cox):
     rep = run_verification("uh", d=two_copies(d))
     order = next(c for c in rep.checks if c.name == "uh.aut_order")
     assert not order.passed
-    assert order.detail == "automorphism group order 2032128, expected 1008"
+    assert order.detail == (
+        "automorphism group order 2032128 by search, 0 by certificate, expected 1008"
+    )
 
     # the empty digraph: the trivial group, so the order check names it
     rep = run_verification("uh", d=Digraph([]))
     order = next(c for c in rep.checks if c.name == "uh.aut_order")
     assert not order.passed
-    assert order.detail == "automorphism group order 1, expected 1008"
+    assert order.detail == (
+        "automorphism group order 1 by search, 0 by certificate, expected 1008"
+    )
     assert not any(c.detail.startswith("raised") for c in rep.checks)
 
     rep = run_verification("voltage", d=broken)
     assert not rep.passed
     act = next(c for c in rep.checks if c.name == "voltage.action")
-    assert not act.passed and "automorphism" in act.detail
+    assert not act.passed and act.detail.startswith("translation maps arc ")
 
     rows = [list(r) for r in cox.out]
     rows[3][1] = 0 if rows[3][1] != 0 else 1
@@ -207,6 +212,28 @@ def test_criterion_11_fault_injection(d, cox):
     assert not cubic.passed
     assert cubic.detail == "cubic False (vertex 3 has degree 2), connected True"
     _ok(11, "every suite fails with a located witness on one retargeted arc")
+
+
+def test_lift_checks_name_the_broken_arc(d):
+    # arc 9 -> 54 retargeted to 9 -> 0: the translation carries the new
+    # arc onto a pair that is not an arc, and both checks that lift it
+    # name that arc; a graph of the wrong size names both sizes
+    details = {
+        c.name: c.detail
+        for c in run_verification("all", d=with_retargeted_arc(d, 9, 2, 0)).checks
+    }
+    assert details["voltage.action"] == "translation maps arc 9 -> 0 to 38 -> 29, not an arc"
+    assert details["uh.known_subgroups"] == (
+        "0 of 3 generator lifts are automorphisms; translation and involution "
+        "generate 168 collineations; first failure: translation maps arc 9 -> 0 "
+        "to 38 -> 29, not an arc"
+    )
+    assert details["cycles.vertex_incidence"] == "counts [2, 3]; first: vertex 9 on 2 cycles"
+    small = run_verification("uh", d=Digraph([[1], [2], [0]]))
+    lifts = next(c for c in small.checks if c.name == "uh.known_subgroups")
+    assert lifts.detail.endswith(
+        "first failure: translation acts on 168 vertices, the digraph has 3"
+    )
 
 
 D = build_d()

@@ -3,14 +3,16 @@ import gc
 import hashlib
 import random
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fanopencils import autos
+from fanopencils import autos, verify
 from fanopencils.autos import (
+    ARC_STABILIZER,
     _closed_walk_colours,
     _pin_map,
     _refine,
@@ -18,8 +20,8 @@ from fanopencils.autos import (
     automorphism_group,
     compose,
     extend_isomorphism,
+    extensions,
     induced_automorphism,
-    inverse,
     is_automorphism,
     lift_vertex_map,
     rotate_slots,
@@ -30,36 +32,28 @@ from fanopencils.digraph import (
     Digraph,
     build_d,
     canonical_cycle,
+    cycle_arc_cover,
     enumerate_4cycles,
+    orbits,
 )
 from fanopencils.fano import NotALine, collineations
 from fanopencils.golden import EXAMPLE_CYCLE
 from fanopencils.pencils import DVertex, parse_compact, translate, vertex_index
 from helpers import (
     adjacency_matrix,
+    closure,
     full_round_refine,
+    inverse,
     swap_slots,
     two_copies,
     with_retargeted_arc,
 )
 
 
-def _closure(gens, n: int) -> set:
-    """Every element of the group generated by gens, by breadth-first
-    products: an order oracle that shares no code with the search."""
-    ident = tuple(range(n))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                x = compose(g, h)
-                if x not in elems:
-                    elems.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return elems
+@pytest.fixture(scope="module")
+def elements(d, group):
+    """Every automorphism of D, as a set: the membership oracle."""
+    return closure(group.generators, d.n)
 
 
 def test_identity_and_junk_permutations(d):
@@ -116,7 +110,7 @@ def _small_point_generators():
     for s in sorted(collineations()):
         if s not in closed:
             gens.append(s)
-            closed = _closure(gens, 7)
+            closed = closure(gens, 7)
             if len(closed) == 168:
                 break
     assert len(closed) == 168
@@ -128,11 +122,18 @@ def test_group_order_cross_checked_by_known_generators(d, group):
     lifted = [induced_automorphism(s) for s in _small_point_generators()]
     lifted.append(lift_vertex_map(rotate_slots))
     lifted.append(lift_vertex_map(swap_slots))
-    known = _closure(lifted, d.n)
+    known = closure(lifted, d.n)
     assert len(known) == 1008
     assert len(known) == group.order
-    assert all(g in group for g in known)
+    assert known == closure(group.generators, d.n)
     assert group.order == 1008
+
+
+def test_point_generators_close_to_all_collineations():
+    # uh.known_subgroups lifts these two in place of all 168
+    gens = [verify.TRANSLATION, verify.INVOLUTION]
+    assert closure(gens, 7) == set(collineations())
+    assert len(orbits([tuple(range(7))], gens, compose)[0]) == 168
 
 
 def test_group_invariants(d, group):
@@ -141,18 +142,18 @@ def test_group_invariants(d, group):
     for g in group.generators:
         assert is_automorphism(d, g)
         assert is_automorphism(d, inverse(g))
-    assert len(_closure(list(group.generators), d.n)) == group.order
+    assert len(closure(list(group.generators), d.n)) == group.order
 
 
-def test_membership_rejects_non_automorphisms(d, group):
+def test_membership_rejects_non_automorphisms(d, group, elements):
     ident = tuple(range(d.n))
-    assert ident in group
+    assert ident in elements
     swapped = list(ident)
     swapped[0], swapped[1] = 1, 0
-    assert tuple(swapped) not in group
-    assert ident[:-1] not in group
-    assert (0,) * d.n not in group
-    # sifting agrees with the direct arc check on the named automorphisms
+    assert tuple(swapped) not in elements
+    assert ident[:-1] not in elements
+    assert (0,) * d.n not in elements
+    # the group agrees with the direct arc check on the named automorphisms
     lifts = [induced_automorphism(s) for s in collineations()]
     named = lifts + [
         lift_vertex_map(lambda v, t=t: translate(v, t)) for t in range(7)
@@ -160,7 +161,7 @@ def test_membership_rejects_non_automorphisms(d, group):
     named += [lift_vertex_map(rotate_slots), lift_vertex_map(swap_slots)]
     for perm in named:
         assert is_automorphism(d, perm)
-        assert perm in group
+        assert perm in elements
     # and on near misses
     transposed = list(lifts[5])
     transposed[3], transposed[40] = transposed[40], transposed[3]
@@ -168,19 +169,23 @@ def test_membership_rejects_non_automorphisms(d, group):
     random.Random(9).shuffle(shuffled)
     for perm in (tuple(transposed), tuple(shuffled), lifts[5] + (d.n,)):
         assert not is_automorphism(d, perm)
-        assert perm not in group
+        assert perm not in elements
 
 
-def test_stabilizer_chain_shape(d, group):
-    assert len(group.base) == len(group.inverses)
+def test_stabilizer_chain_shape(d, group, elements):
+    # the order is the product of the basic orbits, read here off the
+    # whole group: the images of base[i] under the elements fixing base[:i]
     assert group.order == 1008
-    lengths = [len(t) for t in group.inverses]
-    assert lengths[0] == d.n
-    for i, (b, back) in enumerate(zip(group.base, group.inverses)):
-        for x, u in back.items():
-            assert u[x] == b
-            assert all(u[c] == c for c in group.base[:i])
-            assert is_automorphism(d, u)
+    lengths = []
+    for i, b in enumerate(group.base):
+        fixing = [g for g in elements if all(g[c] == c for c in group.base[:i])]
+        lengths.append(len({g[b] for g in fixing}))
+    assert lengths == [d.n, 6]
+    assert lengths[0] * lengths[1] == group.order
+    # the pointwise stabilizer of the base is trivial
+    assert [g for g in elements if all(g[c] == c for c in group.base)] == [
+        tuple(range(d.n))
+    ]
 
 
 def test_order_oracle_schreier_sims(group, cox_group):
@@ -223,14 +228,13 @@ def test_symmetric_searches_keep_their_shape(group, cox_group):
     # alone; the search targets the largest cell, so D's basic orbits
     # are 168 and 6
     assert (group.nodes, group.leaves, group.base) == (11, 6, (0, 7))
-    assert [len(t) for t in group.inverses] == [168, 6]
     assert (cox_group.nodes, cox_group.leaves) == (8, 5)
 
 
 def test_empty_digraph_has_the_trivial_group():
     grp = automorphism_group(Digraph([]))
     assert (grp.degree, grp.order, grp.base, grp.generators) == (0, 1, (), ())
-    assert () in grp
+    assert closure(grp.generators, 0) == {()}
 
 
 def _two_arc_swaps(d: Digraph, seed: int, count: int) -> list[Digraph]:
@@ -301,7 +305,7 @@ def test_near_asymmetric_search_budget(d):
         grp = automorphism_group(swapped)
         assert grp.nodes <= 16, grp.nodes
         assert all(is_automorphism(swapped, g) for g in grp.generators)
-        assert len(_closure(list(grp.generators), swapped.n)) == grp.order
+        assert len(closure(list(grp.generators), swapped.n)) == grp.order
         searches.append((grp.base, grp.nodes, grp.leaves))
     assert searches == SEED5_SWAP_SEARCHES
 
@@ -364,13 +368,13 @@ def test_extend_translation_between_cycle_and_its_shift(d, cycles):
 
 @settings(max_examples=50)
 @given(i=st.integers(0, 125), j=st.integers(0, 125), r=st.integers(0, 3))
-def test_extension_is_a_group_element(d, cycles, group, i, j, r):
+def test_extension_is_a_group_element(d, cycles, elements, i, j, r):
     pins = _pin_map(cycles, i, j, r)
     perm = extend_isomorphism(d, pins)
     assert perm is not None
     assert all(perm[u] == w for u, w in pins.items())
     assert is_automorphism(d, perm)
-    assert perm in group
+    assert perm in elements
 
 
 def test_extend_across_components(d, cycles):
@@ -386,7 +390,7 @@ def test_extend_across_components(d, cycles):
         assert is_automorphism(twice, perm)
 
 
-def test_extend_backtracks_from_dead_branch(d, cycles, group):
+def test_extend_backtracks_from_dead_branch(d, cycles, elements):
     # the third of the random.Random(1) pins that
     # test_extension_search_order_is_pinned draws: the first image tried
     # at one branch point is a dead end, so the search backtracks
@@ -395,7 +399,7 @@ def test_extend_backtracks_from_dead_branch(d, cycles, group):
     perm = extend_isomorphism(d, pins)
     assert perm is not None
     assert all(perm[u] == w for u, w in pins.items())
-    assert perm in group
+    assert perm in elements
 
 
 # sha256 of the repr of the list of the 100 permutations that the
@@ -472,18 +476,15 @@ def test_extension_agrees_with_group_on_damaged_graphs(retargets, i, j, r):
     i %= len(cyc)
     j = i if j is None else j % len(cyc)
     pins = _pin_map(cyc, i, j, r)
-    respecting = [
-        h
-        for h in _closure(list(grp.generators), g.n)
-        if all(h[u] == w for u, w in pins.items())
-    ]
+    elements = closure(grp.generators, g.n)
+    respecting = [h for h in elements if all(h[u] == w for u, w in pins.items())]
     perm = extend_isomorphism(g, pins)
     if not respecting:
         assert perm is None
     else:
         assert perm is not None
         assert all(perm[u] == w for u, w in pins.items())
-        assert perm in grp
+        assert perm in elements
 
 
 @settings(max_examples=25)
@@ -503,13 +504,16 @@ def test_extend_fails_on_collapsing_pins(d):
 
 
 def test_uh_report_certificate(d, cycles, group):
-    rep = verify_c4uh(d, group, cycles)
+    rep = verify_c4uh(d, cycles)
     assert rep.passed
     assert len(arc_orbits(d, group)) == 1
     assert rep.failures == ()
     # two extensions of cycle 0 carry its first arc onto all 504 arcs
     assert rep.direct_checked == 2
-    assert rep.detail == "2 extension runs from cycle 0 reach all 504 arcs, 0 failures"
+    assert rep.detail == (
+        "2 extension runs from cycle 0 reach all 504 arcs, 0 failures; "
+        "2 automorphisms fix arc 0 -> 79, so the order is 504 x 2 = 1008"
+    )
     assert rep.aut_order == group.order
     payload = rep.to_json_dict()
     assert set(payload) == {"pass", "aut_order", "failures"}
@@ -520,23 +524,27 @@ def test_uh_report_certificate(d, cycles, group):
 def test_uh_detects_retargeted_arc(d):
     target = 0 if d.out[9][2] != 0 else 1
     broken = with_retargeted_arc(d, 9, 2, target)
-    rep = verify_c4uh(broken, automorphism_group(broken), enumerate_4cycles(broken))
-    assert not rep.passed
-    assert "126" in rep.detail or "arc orbits" in rep.detail
+    rep = verify_c4uh(broken, enumerate_4cycles(broken))
+    assert not rep.passed and rep.aut_order == 0
+    assert rep.detail == (
+        "125 oriented 4-cycles, expected 126; cycles do not partition the arcs (4 witnesses)"
+    )
 
 
-def test_uh_stops_at_first_failure(monkeypatch, d, cycles, group):
+def test_uh_stops_at_first_failure(monkeypatch, d, cycles):
     # with every extension failing, the runs stop at the first flag past
     # the root: cycle 0 onto itself, rotated once
     monkeypatch.setattr(autos, "extend_isomorphism", lambda d, pins: None)
-    rep = verify_c4uh(d, group, cycles)
+    rep = verify_c4uh(d, cycles)
     assert not rep.passed
     assert rep.failures == ((0, 0, 1),)
     assert rep.direct_checked == 1
     assert rep.detail == "1 extension runs from cycle 0, 1 failure: (0, 0, 1) does not extend"
+    # an orbit cut short certifies no order
+    assert rep.aut_order == 0
 
 
-def test_direct_checked_counts_extension_calls(monkeypatch, d, cycles, group):
+def test_direct_checked_counts_extension_calls(monkeypatch, d, cycles):
     # bench/workloads.call_count_errors expects one extend_isomorphism
     # call per direct_checked in a traced run
     calls = []
@@ -546,7 +554,7 @@ def test_direct_checked_counts_extension_calls(monkeypatch, d, cycles, group):
         return extend_isomorphism(graph, pins)
 
     monkeypatch.setattr(autos, "extend_isomorphism", counted)
-    rep = verify_c4uh(d, group, cycles)
+    rep = verify_c4uh(d, cycles)
     assert rep.passed
     assert len(calls) == rep.direct_checked
 
@@ -556,3 +564,48 @@ def test_pin_map_shape(cycles):
     assert len(pins) == 4
     assert set(pins) == set(cycles[0])
     assert set(pins.values()) == set(cycles[1])
+
+
+def test_root_arc_stabilizer_certifies_the_order(d, cycles):
+    # 2 automorphisms fix the root arc, so |Aut D| = 504 * 2 by
+    # orbit-stabilizer, with no help from the group search
+    u, w = cycles[0][:2]
+    stab = list(extensions(d, {u: u, w: w}))
+    assert len(stab) == ARC_STABILIZER == 2
+    assert all(is_automorphism(d, g) and g[u] == u and g[w] == w for g in stab)
+    assert verify_c4uh(d, cycles).aut_order == 1008
+
+
+def test_stabilizer_enumeration_stops_past_the_bound():
+    # 126 disjoint directed 4-cycles pass the structure gate, and the arc
+    # stabilizer is huge: every other cycle can be moved and rotated; the
+    # enumeration is cut at the first solution past ARC_STABILIZER
+    g = Digraph([[4 * (v // 4) + (v + 1) % 4] for v in range(504)])
+    cycles = enumerate_4cycles(g)
+    assert len(cycles) == 126 and cycle_arc_cover(g, cycles)[0]
+    u, w = cycles[0][:2]
+    stab = list(islice(extensions(g, {u: u, w: w}), ARC_STABILIZER + 1))
+    assert len(stab) == 3 and len(set(stab)) == 3
+    assert all(is_automorphism(g, p) and p[u] == u and p[w] == w for p in stab)
+
+
+def test_certificate_incomplete_past_the_stabilizer_bound(monkeypatch, d, cycles):
+    # with the bound at 1, D's second root-arc automorphism is the extra
+    # one: homogeneity still holds, but no order is certified
+    monkeypatch.setattr(autos, "ARC_STABILIZER", 1)
+    rep = verify_c4uh(d, cycles)
+    assert rep.passed and rep.aut_order == 0
+    assert rep.detail.startswith(
+        "2 extension runs from cycle 0 reach all 504 arcs, 0 failures; "
+        "more than 1 automorphisms fix arc 0 -> 79; one moves vertex "
+    )
+
+
+def test_extension_generator_starts_with_extend_isomorphism(d, cycles):
+    for i, j, r in ((0, 5, 2), (83, 48, 1)):
+        pins = _pin_map(cycles, i, j, r)
+        first, *rest = extensions(d, pins)
+        assert first == extend_isomorphism(d, pins)
+        # the pins map one arc onto another, which a coset of an arc
+        # stabilizer does: 2 automorphisms
+        assert len(rest) == 1 and rest[0] != first

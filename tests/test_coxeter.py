@@ -1,6 +1,4 @@
 import itertools
-import json
-
 import pytest
 
 from fanopencils import coxeter, verify
@@ -17,7 +15,7 @@ from fanopencils.coxeter import (
     girth_with_witness,
     orderings,
     to_dot,
-    to_json,
+    to_json_dict,
 )
 from fanopencils.digraph import Digraph, arc_label, strongly_connected
 from fanopencils.pencils import DVertex
@@ -175,11 +173,11 @@ def test_validation_locates_retargeted_edge(cox):
 
 
 def test_exports(cox):
-    payload = json.loads(to_json(cox))
+    payload = to_json_dict(cox)
     assert len(payload["vertices"]) == 28
     assert len(payload["edges"]) == 42
     assert payload["vertices"][0] == "[0,13,26,45]"
     dot = to_dot(cox)
     assert dot.startswith("graph coxeter")
     assert dot.count(" -- ") == 42
-    assert to_json(cox) == to_json(build_coxeter())
+    assert payload == to_json_dict(build_coxeter())
