@@ -2,21 +2,21 @@
 
 A vertex is a base point together with a line avoiding it; equivalently
 an unordered pencil of ordered lines through the base whose far entries
-form a line.  Adjacency aligns the two pencils entry-for-entry so that
-aligned entries share exactly one point, the shared points form a line,
-and the alignment respects the written order of an arc of the ordered
-digraph.  The expected invariants are those of the classical cubic
-distance-regular graph of girth 7 on 28 vertices.
+form a line.  The ordered digraph replaces these pencils by ordered
+ones, so forgetting the order projects it onto this graph: each arc
+aligns its two pencils entry for entry, lands on an edge, and each
+direction of each edge is the image of 6 arcs.  The edges come from a
+closed form (cox_neighbors).  The expected invariants are those of the
+classical cubic distance-regular graph of girth 7 on 28 vertices.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 
-from .digraph import LABELS, Digraph, arc_label, bfs, step
+from .digraph import Digraph, arc_label, bfs
 from .fano import line_index, lines_avoiding, third_point
-from .pencils import DVertex, Pencil
+from .pencils import DVertex, Pencil, enumerate_vertices
 
 
 class CoxVertex(Pencil):
@@ -49,39 +49,45 @@ def cox_vertices() -> tuple[CoxVertex, ...]:
 
 
 @cache
-def orderings(v: CoxVertex) -> tuple[DVertex, ...]:
-    """The six ordered pencils refining an unordered one, built once per
-    pencil so that their `thirds` are computed once too."""
-    return tuple(DVertex(v.base, t) for t in itertools.permutations(v.line))
+def _cox_index() -> dict[tuple[int, tuple[int, int, int]], int]:
+    """(base, sorted line) -> index in cox_vertices()."""
+    return {(v.base, v.line): i for i, v in enumerate(cox_vertices())}
 
 
-@cache
-def _arc_targets(v: CoxVertex) -> frozenset[CoxVertex]:
-    """The pencils that some ordering of v has an arc of the ordered
-    digraph to.
+def cox_adjacent(u: DVertex, w: DVertex) -> tuple[int, int] | None:
+    """The alignment of one arc: the Coxeter indices of the unordered
+    pencils of u and w when arc_label accepts u -> w, else None.
 
-    arc_label's equations fix the target's base and line from the source
-    and the label, and that target is step(u, label); so the 6 * 3 steps
-    are the only candidates, and arc_label confirms each.
+    Forgetting the order of the entries of an arc's two pencils aligns
+    them entry for entry: aligned entries share one point each, and those
+    points form the far line of the target.
     """
-    out = set()
-    for u in orderings(v):
-        for lab in LABELS:
-            w = step(u, lab)
-            if arc_label(u, w) is not None:
-                out.add(CoxVertex(w.base, tuple(sorted(w.line))))
-    return frozenset(out)
+    if arc_label(u, w) is None:
+        return None
+    index = _cox_index()
+    return index[u.base, tuple(sorted(u.line))], index[w.base, tuple(sorted(w.line))]
 
 
-def cox_adjacent(p: CoxVertex, q: CoxVertex) -> bool:
-    """Alignment test: some orderings of the two pencils form an arc.
-
-    Two pencils are adjacent when some alignment of their entries is an
-    arc of the ordered digraph in either direction; the aligned entries
-    then intersect in one point each and those points form a line (the
-    far line of the arc's target).
-    """
-    return q in _arc_targets(p) or p in _arc_targets(q)
+def projection(d: Digraph, cox: Digraph) -> tuple[bool, str]:
+    """(ok, detail): ok iff d is on the 168 ordered pencils and forgetting
+    their order carries its arcs onto the edges of cox, each direction of
+    each edge the image of 6 arcs (504 = 84 * 6).  The detail names the
+    first arc or edge that fails."""
+    verts = enumerate_vertices()
+    if d.n != len(verts):
+        return False, f"D has {d.n} vertices, not {len(verts)}"
+    hits = dict.fromkeys(cox.arcs(), 0)
+    for u, w in d.arcs():
+        pair = cox_adjacent(verts[u], verts[w])
+        if pair is None:
+            return False, f"arc {u} -> {w} breaks the arc equations"
+        if pair not in hits:
+            return False, f"arc {u} -> {w} aligns {pair[0]} -> {pair[1]}, not an edge"
+        hits[pair] += 1
+    for (i, j), k in sorted(hits.items()):
+        if k != 6:
+            return False, f"edge {i} -> {j} is aligned by {k} arcs, not 6"
+    return True, f"{d.arc_count()} arcs align, 6 onto each of {len(hits)} directed edges"
 
 
 def cox_neighbors(v: CoxVertex) -> tuple[CoxVertex, ...]:

@@ -241,12 +241,15 @@ def step_orbit_cycles(d: Digraph) -> dict[int, tuple[tuple[int, ...], ...]]:
     their least vertex, i.e. canonically rotated.
 
     Orbits of any length are returned; callers check they all have
-    length 4.
+    length 4.  A label map that is not a permutation raises ValueError
+    naming a vertex it hits twice and both of its preimages.
     """
     result = {}
     for lab, perm in label_permutations(d).items():
-        if sorted(perm) != list(range(d.n)):
-            raise ValueError(f"label {lab} map is not a permutation")
+        first = {}
+        for v, w in enumerate(perm):
+            if first.setdefault(w, v) != v:
+                raise ValueError(f"label {lab} maps both {first[w]} and {v} to vertex {w}")
         result[lab] = tuple(orbits(range(d.n), [perm], getitem))
     return result
 

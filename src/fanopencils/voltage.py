@@ -118,21 +118,20 @@ def derive(vg: VoltageGraph) -> Digraph:
     return Digraph(rows)
 
 
-def derive_canonical(d: Digraph, gen: Perm) -> Digraph:
+def derive_canonical(vg: VoltageGraph, gen: Perm) -> Digraph:
     """Lift the quotient back and relabel layers onto the original ids.
 
-    `gen` is the generator z7_action returned, as for quotient.  Index
-    (r, m) becomes the vertex reached from representative r by m
+    `vg` is quotient(d, gen) and `gen` the generator z7_action returned.
+    Index (r, m) becomes the vertex reached from representative r by m
     applications of the generator; translation commutes with every slot
     map, so the out-list order survives and the result should equal d
     exactly.
     """
-    vg = quotient(d, gen)
     lifted = derive(vg)
     ids = [
         x for orb in orbits(vg.rep_vertices, [gen], getitem) for x in orb
     ]
-    rows = [None] * d.n
+    rows = [None] * len(gen)
     for i, row in enumerate(lifted.out):
         rows[ids[i]] = tuple(ids[j] for j in row)
     return Digraph(rows)

@@ -111,7 +111,7 @@ def test_criterion_09_voltage_round_trip(d, cycles, action):
     vg = quotient(d, action)
     assert len(vg.reps) == 24
     assert len(vg.arcs) == 72
-    assert derive_canonical(d, action) == d
+    assert derive_canonical(vg, action) == d
     orbs = cycle_orbits(cycles, action)
     assert len(orbs) == 18
     assert all(len(o) == 7 for o in orbs)
@@ -192,13 +192,13 @@ def test_criterion_11_fault_injection(d, cox):
     failed = [c for c in rep.checks if not c.passed]
     assert failed
     assert not align.passed or any(c.detail for c in failed)
-    # row 3 lists 0 in place of 12: 3 -> 0 is one-sided, and the
-    # alignment rule still joins 3 and 12
+    # row 3 lists 0 in place of 12: 3 -> 0 is one-sided, and D's arc
+    # 2 -> 77 still aligns 3 with 12
     counts = next(c for c in rep.checks if c.name == "coxeter.counts")
     assert not counts.passed
     assert counts.detail == "28 vertices, 41 edges; first one-sided pair: 3 -> 0"
     assert not align.passed
-    assert align.detail == "1 disagreeing pairs; first: (3, 12)"
+    assert align.detail == "arc 2 -> 77 aligns 3 -> 12, not an edge"
     dr = next(c for c in rep.checks if c.name == "coxeter.distance_regular")
     assert not dr.passed
     assert dr.detail == (
@@ -217,7 +217,8 @@ def test_criterion_11_fault_injection(d, cox):
 def test_lift_checks_name_the_broken_arc(d):
     # arc 9 -> 54 retargeted to 9 -> 0: the translation carries the new
     # arc onto a pair that is not an arc, and both checks that lift it
-    # name that arc; a graph of the wrong size names both sizes
+    # name that arc; a graph of the wrong size names both sizes. The
+    # label-0 map now sends 9 where it already sends 142
     details = {
         c.name: c.detail
         for c in run_verification("all", d=with_retargeted_arc(d, 9, 2, 0)).checks
@@ -229,6 +230,7 @@ def test_lift_checks_name_the_broken_arc(d):
         "to 38 -> 29, not an arc"
     )
     assert details["cycles.vertex_incidence"] == "counts [2, 3]; first: vertex 9 on 2 cycles"
+    assert details["cycles.label_orbits"] == "label 0 maps both 9 and 142 to vertex 0"
     small = run_verification("uh", d=Digraph([[1], [2], [0]]))
     lifts = next(c for c in small.checks if c.name == "uh.known_subgroups")
     assert lifts.detail.endswith(

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import pathlib
 import re
@@ -7,6 +8,7 @@ import sys
 
 
 from fanopencils.cli import main
+from fanopencils.verify import run_verification
 
 CHECK_LINE = re.compile(r"^CHECK [a-z_]+\.[a-z_0-9]+: (PASS|FAIL) \(\d+ms\)$")
 
@@ -73,6 +75,18 @@ def test_benchmark_argv_still_accepted(capsys):
     assert main(["verify", "--help"]) == 0
     help_text = capsys.readouterr().out
     assert "--sample" not in help_text and "--seed" not in help_text
+
+
+def test_benchmark_check_names_match_the_suites():
+    # bench/workloads.CHECK_NAMES is the known answer every benchmark
+    # verdict is held to; a check renamed, added or moved here must
+    # change it too
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    names = tuple(c.name for c in run_verification("all").checks)
+    assert workloads.CHECK_NAMES == names
 
 
 def test_verify_output_file(tmp_path, capsys):
@@ -176,11 +190,11 @@ def test_module_entry_point_subprocess():
 # sha256 of the `verify all --format json --seed 0` payload with every
 # check's "ms" dropped, serialized by json.dumps(..., sort_keys=True);
 # pins the report's content against refactors (--seed is ignored); last
-# re-pinned when uh.aut_order began to show the certified order next to
-# the searched one, uh.known_subgroups to check generator lifts, and
-# uh.extensions to report the root arc's stabilizer
+# re-pinned when coxeter.alignment_consistency began to project the
+# arcs of D onto the Coxeter edges, and digraph.symbol_grid to say that
+# it checks the notation tables, not the input graph
 VERIFY_ALL_SEED0_SHA256 = (
-    "e5948dfec0c81e02ceda6d72f9bc83bfd3476f109f9d3ac3d43df3935d8cb059"
+    "137c57c6cb836982b10b658a37dd28f0705275b452699f29e5ff5732a37f3a9f"
 )
 
 

@@ -1,4 +1,6 @@
 import itertools
+from collections import Counter
+
 import pytest
 
 from fanopencils import coxeter, verify
@@ -13,13 +15,25 @@ from fanopencils.coxeter import (
     distance_regular_array,
     edges,
     girth_with_witness,
-    orderings,
     to_dot,
     to_json_dict,
 )
 from fanopencils.digraph import Digraph, arc_label, strongly_connected
-from fanopencils.pencils import DVertex
+from fanopencils.pencils import DVertex, enumerate_vertices
 from fanopencils.verify import run_verification
+
+from helpers import with_retargeted_arc
+
+
+def projected_pairs(d):
+    """How often each Coxeter pair is the alignment of an arc of d."""
+    verts = enumerate_vertices()
+    return Counter(cox_adjacent(verts[u], verts[w]) for u, w in d.arcs())
+
+
+def orderings(v: CoxVertex) -> list[DVertex]:
+    """The six ordered pencils refining an unordered one."""
+    return [DVertex(v.base, t) for t in itertools.permutations(v.line)]
 
 
 def test_vertex_universe():
@@ -88,29 +102,28 @@ def test_closed_form_neighbors_example():
     assert set(cox_neighbors(v)) == expected
 
 
-def test_alignment_rule_agrees_with_closed_form(cox):
-    # the arc-projection semantics and the companion-swap formula must
-    # define the same 42 edges
-    verts = cox_vertices()
-    for i, j in itertools.combinations(range(cox.n), 2):
-        assert cox_adjacent(verts[i], verts[j]) == (j in cox.out[i])
+def test_alignment_rule_agrees_with_closed_form(d, cox):
+    # the arc projection and the companion-swap formula must define the
+    # same 42 edges, each direction the image of 6 of the 504 arcs
+    assert projected_pairs(d) == Counter({arc: 6 for arc in cox.arcs()})
 
 
-def test_adjacency_equals_alignment_brute_force():
-    # oracle: all 6 x 6 orderings of both pencils, arcs in both directions
+def test_adjacency_equals_alignment_brute_force(d):
+    # oracle: an ordered pair of pencils is projected iff some ordering
+    # of the first has an arc to some ordering of the second, over all
+    # 6 x 6 orderings
+    projected = set(projected_pairs(d))
     verts = cox_vertices()
-    for p, q in itertools.product(verts, repeat=2):
+    for (i, p), (j, q) in itertools.product(enumerate(verts), repeat=2):
         brute = any(
-            arc_label(u, w) is not None or arc_label(w, u) is not None
-            for u in orderings(p)
-            for w in orderings(q)
+            arc_label(u, w) is not None for u in orderings(p) for w in orderings(q)
         )
-        assert cox_adjacent(p, q) == brute, (p, q)
+        assert ((i, j) in projected) == brute, (p, q)
 
 
 def test_alignment_check_budget(monkeypatch):
-    # one arc_label call per ordering and label, 28 * 6 * 3 = 504; trying
-    # every ordering pair makes 24326
+    # one arc_label call per arc of D, 504; trying every ordering pair
+    # of every pencil pair makes 24326
     calls = []
 
     def counted(u, w):
@@ -118,22 +131,37 @@ def test_alignment_check_budget(monkeypatch):
         return arc_label(u, w)
 
     monkeypatch.setattr(coxeter, "arc_label", counted)
-    coxeter._arc_targets.cache_clear()
-    try:
-        ok, detail = verify._check_cox_consistency(verify.Artifacts(None, None))
-    finally:
-        coxeter._arc_targets.cache_clear()
+    ok, detail = verify._check_cox_consistency(verify.Artifacts(None, None))
     assert ok, detail
     assert len(calls) <= 504, len(calls)
 
 
-def test_adjacency_is_irreflexive_and_symmetric(cox):
-    verts = cox_vertices()
+def test_adjacency_is_irreflexive_and_symmetric(d):
+    # an arc never aligns a pencil with itself, its reverse is no arc,
+    # and yet both directions of every projected pair are projected
+    verts = enumerate_vertices()
     for v in verts[:6]:
-        assert not cox_adjacent(v, v)
-    for i in range(0, cox.n, 5):
-        for j in cox.out[i]:
-            assert cox_adjacent(verts[j], verts[i])
+        assert cox_adjacent(v, v) is None
+    for u in range(0, d.n, 5):
+        for w in d.out[u]:
+            i, j = cox_adjacent(verts[u], verts[w])
+            assert i != j
+            assert cox_adjacent(verts[w], verts[u]) is None
+    projected = set(projected_pairs(d))
+    assert {(j, i) for i, j in projected} == projected
+
+
+def test_alignment_check_reads_the_input_digraph(d):
+    # arc 9's slot 2 retargeted to vertex 0: the closed-form graph is
+    # untouched, so only the projection of D can see it
+    rep = run_verification("coxeter", d=with_retargeted_arc(d, 9, 2, 0))
+    failed = {c.name: c.detail for c in rep.checks if not c.passed}
+    assert failed == {
+        "coxeter.alignment_consistency": "arc 9 -> 0 breaks the arc equations"
+    }
+    rep = run_verification("coxeter", d=Digraph([[1], [2], [0]]))
+    align = rep.checks[-1]
+    assert not align.passed and align.detail == "D has 3 vertices, not 168"
 
 
 def test_translation_is_a_graph_automorphism(cox):

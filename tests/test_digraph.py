@@ -234,9 +234,7 @@ def test_short_out_list_names_its_vertex():
         label_permutations(d)
     rep = run_verification("all", d=d)
     orbs = next(c for c in rep.checks if c.name == "cycles.label_orbits")
-    assert orbs.detail == (
-        "raised ValueError: vertex 0 has no slot 1 (label 2): out-list (1,)"
-    )
+    assert orbs.detail == "vertex 0 has no slot 1 (label 2): out-list (1,)"
     assert not any("IndexError" in c.detail for c in rep.checks)
 
 
