@@ -15,18 +15,20 @@ from operator import getitem
 
 from .digraph import Digraph, cycle_arc_cover, orbits
 from .fano import NotALine
-from .pencils import DVertex, enumerate_vertices, vertex_index, vertex_table
+from .pencils import enumerate_vertices, vertex_index, vertex_table
 
 Perm = tuple[int, ...]
 
 
 def is_automorphism(d: Digraph, perm) -> bool:
-    if sorted(perm) != list(range(d.n)):
+    """Whether perm permutes range(d.n) and carries the arcs onto the
+    arcs, parallel arcs counted: the arc u -> w has the code u * n + w,
+    and the sorted codes of the images equal those of the arcs."""
+    n = d.n
+    if sorted(perm) != list(range(n)):
         return False
-    return all(
-        sorted(perm[w] for w in d.out[u]) == sorted(d.out[perm[u]])
-        for u in range(d.n)
-    )
+    codes = sorted(u * n + w for u, row in enumerate(d.out) for w in row)
+    return sorted(p * n + perm[w] for p, row in zip(perm, d.out) for w in row) == codes
 
 
 def arc_witness(d: Digraph, name: str, perm) -> str:
@@ -72,10 +74,12 @@ def induced_automorphism(point_perm) -> Perm:
         raise NotALine(f"{s} is not a collineation") from None
 
 
-def rotate_slots(v: DVertex) -> DVertex:
-    """Cyclic shift of the written order of a pencil; an automorphism
-    that rotates arc labels rather than fixing them."""
-    return DVertex(v.base, (v.line[1], v.line[2], v.line[0]))
+def slot_rotation() -> Perm:
+    """The cyclic shift of the written order of every pencil, an
+    automorphism that rotates arc labels rather than fixing them, lifted
+    by table: the vertex with compact symbol yup_x goes to upy_x."""
+    table = vertex_table()
+    return tuple(table[s[1:3] + s[0] + s[3:]] for s in table)
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,45 @@ def edges(g: Digraph) -> list[tuple[int, int]]:
     return sorted((u, w) for u, w in g.arcs() if u < w)
 
 
+def _girth(g: Digraph) -> int:
+    """The girth of the simple graph under g (arcs taken both ways,
+    loops and repeats dropped), g.n + 1 if it has no cycle.
+
+    A plain search runs from every vertex, one layer at a time: an edge
+    inside layer i closes a cycle of length at most 2i + 1, and a vertex
+    reached from two vertices of layer i one of length at most 2i + 2.
+    Layers that cannot beat the best length found are skipped.
+    """
+    rows = [set(o).union(i) - {u} for u, (o, i) in enumerate(zip(g.out, g.inn))]
+    best = g.n + 1
+    for v in range(g.n):
+        dist = [-1] * g.n
+        dist[v] = 0
+        frontier, i = [v], 0
+        while frontier and 2 * i + 1 < best:
+            nxt = []
+            for u in frontier:
+                for w in rows[u]:
+                    if dist[w] < 0:
+                        dist[w] = i + 1
+                        nxt.append(w)
+                    elif dist[w] >= i:
+                        best = min(best, i + dist[w] + 1)
+            frontier, i = nxt, i + 1
+    return best
+
+
 def girth_with_witness(g: Digraph):
     """Shortest cycle length and one witness cycle.
 
     For every edge, the distance between its endpoints without that edge
-    plus one bounds the girth; the minimum over edges attains it.
+    plus one bounds the girth; the minimum over edges attains it, and the
+    witness closes at the first edge, in sorted order, that does.  Each
+    such cycle lies in the simple graph under g, so the scan stops at the
+    first edge that meets _girth, as the witness edge does on a symmetric
+    graph.
     """
+    bound = _girth(g)
     best = None
     witness = ()
     for u, w in edges(g):
@@ -131,16 +164,12 @@ def girth_with_witness(g: Digraph):
         if best is None or dist[w] + 1 < best:
             best = dist[w] + 1
             path = [w]
-            cur = w
-            while cur != u:
-                cur = parent[cur]
-                path.append(cur)
+            while path[-1] != u:
+                path.append(parent[path[-1]])
             witness = tuple(reversed(path))
+            if best == bound:
+                break
     return best, witness
-
-
-def distance_matrix(g: Digraph) -> list[list[int]]:
-    return [bfs(g.out, v)[0] for v in range(g.n)]
 
 
 class NotDistanceRegular(ValueError):
@@ -154,18 +183,21 @@ def distance_regular_array(g: Digraph):
     seen from a base vertex v, disagree with those of an earlier pair at
     the same distance, or the first vertex v cannot reach.
     """
-    dist = distance_matrix(g)
+    dist = [bfs(g.out, v)[0] for v in range(g.n)]
     diam = max(max(row) for row in dist)
     # b_d = 0 and c_0 = 0 hold in every connected graph
     b = [None] * diam + [0]
     c = [0] + [None] * diam
-    for v in range(g.n):
-        for u in range(g.n):
-            i = dist[v][u]
+    for v, dv in enumerate(dist):
+        for u, i in enumerate(dv):
             if i < 0:
                 raise NotDistanceRegular(f"from vertex {v}, vertex {u} is unreachable")
-            up = sum(1 for w in g.out[u] if dist[v][w] == i + 1)
-            down = sum(1 for w in g.out[u] if dist[v][w] == i - 1)
+            up = down = 0
+            for w in g.out[u]:
+                if dv[w] == i + 1:
+                    up += 1
+                elif dv[w] == i - 1:
+                    down += 1
             for name, counts, got in (("b", b, up), ("c", c, down)):
                 if counts[i] is None:
                     counts[i] = got

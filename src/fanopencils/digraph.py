@@ -96,6 +96,7 @@ def bfs(rows, start: int, skip_edge=None) -> tuple[list[int], list[int]]:
     direction.  Returns (dist, parent): dist[v] is the number of steps
     from start, -1 if unreached, and parent[v] the vertex v was first
     reached from, -1 for start and the unreached."""
+    skip = (skip_edge, skip_edge[::-1]) if skip_edge else ()
     dist = [-1] * len(rows)
     parent = [-1] * len(rows)
     dist[start] = 0
@@ -104,9 +105,7 @@ def bfs(rows, start: int, skip_edge=None) -> tuple[list[int], list[int]]:
         nxt = []
         for u in frontier:
             for w in rows[u]:
-                if skip_edge and (u, w) in (skip_edge, skip_edge[::-1]):
-                    continue
-                if dist[w] < 0:
+                if dist[w] < 0 and (u, w) not in skip:
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     nxt.append(w)
@@ -205,9 +204,7 @@ def label_permutations(d: Digraph) -> dict[int, tuple[int, ...]]:
         raise ValueError(
             f"vertex {v} has no slot {k} (label {LABELS[k]}): out-list {d.out[v]}"
         )
-    return {
-        lab: tuple(row[k] for row in d.out) for k, lab in enumerate(LABELS)
-    }
+    return {lab: tuple(row[k] for row in d.out) for k, lab in enumerate(LABELS)}
 
 
 def orbits(points, generators, act) -> list[tuple]:
@@ -303,11 +300,7 @@ def golden_sublist_diff(d: Digraph):
 
 def format_table(d: Digraph) -> str:
     """The base-0 adjacency rows rendered one per line."""
-    lines = [
-        f"{sym} : {', '.join(entries)}"
-        for sym, entries in _base_rows(d)
-    ]
-    return "\n".join(lines)
+    return "\n".join(f"{sym} : {', '.join(entries)}" for sym, entries in _base_rows(d))
 
 
 def to_json_dict(d: Digraph) -> dict:

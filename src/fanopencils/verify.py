@@ -196,9 +196,7 @@ def _check_cycles_orbits(a: Artifacts):
     except ValueError as e:
         return False, str(e)
     sizes = {lab: len(orbs) for lab, orbs in per_label.items()}
-    all_len4 = all(
-        len(c) == 4 for orbs in per_label.values() for c in orbs
-    )
+    all_len4 = all(len(c) == 4 for orbs in per_label.values() for c in orbs)
     union = sorted(c for orbs in per_label.values() for c in orbs)
     ok = all_len4 and sizes == {0: 42, 1: 42, 2: 42} and union == sorted(a.cycles)
     return ok, f"orbit counts per label {sizes}, census agreement {union == sorted(a.cycles)}"
@@ -248,7 +246,7 @@ def _check_uh_lifts(a: Artifacts):
     lifts = {
         "translation": autos.induced_automorphism(TRANSLATION),
         f"involution {INVOLUTION}": autos.induced_automorphism(INVOLUTION),
-        "slot rotation": autos.lift_vertex_map(autos.rotate_slots),
+        "slot rotation": autos.slot_rotation(),
     }
     bad = [name for name, p in lifts.items() if not autos.is_automorphism(a.d, p)]
     points = [TRANSLATION, INVOLUTION]
@@ -262,9 +260,19 @@ def _check_uh_lifts(a: Artifacts):
     return not bad and generated == 168, detail
 
 
+def _outside(orbits, name) -> str:
+    """A failed orbit check's witness: the size of the first orbit and
+    the least point outside it, shown by `name`."""
+    if len(orbits) < 2:
+        return ""
+    least = name(min(orbits[1:])[0])
+    return f"; the first has size {len(orbits[0])} and misses {least}"
+
+
 def _check_uh_vertex_transitive(a: Artifacts):
     orbits = autos.vertex_orbits(a.group)
-    return len(orbits) == 1, f"{len(orbits)} vertex orbits"
+    witness = _outside(orbits, "vertex {}".format)
+    return len(orbits) == 1, f"{len(orbits)} vertex orbits{witness}"
 
 
 def _check_uh_extensions(a: Artifacts):
@@ -274,7 +282,8 @@ def _check_uh_extensions(a: Artifacts):
 def _check_uh_flags(a: Artifacts):
     orbits = autos.arc_orbits(a.d, a.group)
     ok = len(orbits) == 1 and len(orbits[0]) == a.d.arc_count()
-    return ok, f"{len(orbits)} arc orbits (arc-transitive iff 1 of size 504)"
+    witness = _outside(orbits, lambda arc: "arc {} -> {}".format(*arc))
+    return ok, f"{len(orbits)} arc orbits (arc-transitive iff 1 of size 504){witness}"
 
 
 def _check_voltage_action(a: Artifacts):
@@ -440,6 +449,8 @@ def run_verification(
             t0 = time.perf_counter()
             try:
                 ok, detail = fn(arts)
+            except voltage.InvalidAction:
+                ok, detail = False, "needs the Z7 action, and voltage.action failed"
             except Exception as e:
                 ok, detail = False, f"raised {type(e).__name__}: {e}"
             ms = int(round((time.perf_counter() - t0) * 1000))

@@ -96,11 +96,7 @@ def quotient(d: Digraph, gen: Perm) -> VoltageGraph:
     names = tuple(compact(verts[r]) for r in reps) if d.n == len(verts) else tuple(
         f"orbit{i}" for i in range(len(reps))
     )
-    arcs = tuple(
-        (pos[r], pos[rep_of[w]], layer[w])
-        for r in reps
-        for w in d.out[r]
-    )
+    arcs = tuple((pos[r], pos[rep_of[w]], layer[w]) for r in reps for w in d.out[r])
     return VoltageGraph(names, arcs, tuple(reps))
 
 

@@ -1,14 +1,22 @@
-"""Graph builders the tests share: fault injection, two disjoint copies
-of a graph, a named slot permutation, the adjacency matrix the numpy oracles start from, the
-full-round colour refinement that autos._refine must agree with, and the
-inverse and the closure of permutations, the group oracles."""
+"""Graph builders and oracles the tests share: fault injection, two
+disjoint copies of a graph, the two named slot permutations, the
+adjacency matrix the numpy oracles start from, the Fano collineations
+by frame images, the full-round colour refinement that autos._refine
+must agree with, the per-edge girth, the generator-sum intersection
+numbers and the per-vertex automorphism test that the coxeter and autos
+routines must agree with, and the inverse and the closure of
+permutations, the group oracles."""
 
+import itertools
 from collections import Counter
+from functools import cache
 
 import numpy as np
 
 from fanopencils.autos import compose
-from fanopencils.digraph import Digraph
+from fanopencils.coxeter import NotDistanceRegular, edges
+from fanopencils.digraph import Digraph, bfs
+from fanopencils.fano import LINES, POINTS, third_point
 from fanopencils.pencils import DVertex
 
 
@@ -24,6 +32,12 @@ def two_copies(d: Digraph) -> Digraph:
     return Digraph(d.out + tuple(tuple(w + d.n for w in row) for row in d.out))
 
 
+def rotate_slots(v: DVertex) -> DVertex:
+    """Cyclic shift of the written order of a pencil; an automorphism
+    that rotates arc labels rather than fixing them."""
+    return DVertex(v.base, (v.line[1], v.line[2], v.line[0]))
+
+
 def swap_slots(v: DVertex) -> DVertex:
     """Transpose the last two entries; with autos.rotate_slots this
     realizes the full symmetric group on slots inside the automorphism
@@ -37,6 +51,42 @@ def adjacency_matrix(d: Digraph) -> np.ndarray:
     for u, w in d.arcs():
         a[u, w] = 1
     return a
+
+
+def apply_to_line(perm, pts) -> tuple[int, int, int]:
+    """Image of a line under a point permutation, re-sorted."""
+    return tuple(sorted(perm[x] for x in pts))
+
+
+# (x, p, q): point x is the third point of the line through p and q,
+# where p and q are the frame 0, 1, 2 or points placed before x
+_SPAN = ((3, 0, 1), (6, 0, 2), (4, 1, 2), (5, 0, 4))
+
+
+@cache
+def collineations() -> tuple[tuple[int, ...], ...]:
+    """All point permutations preserving the line set, sorted.
+
+    There are 168 of them.  Each is returned in one-line notation: the
+    tuple g with g[p] the image of p.  The frame 0, 1, 2 is not
+    collinear, and every other point is the third point of a line
+    through two points placed before it, so a collineation is fixed by
+    the images of the frame: any a, any b != a, and any c off the line
+    through a and b.  Each of those 7 * 6 * 4 candidates is completed
+    through third_point and kept once all seven lines map to lines.
+    """
+    lines = set(LINES)
+    keep = []
+    for a, b in itertools.permutations(POINTS, 2):
+        for c in POINTS:
+            if c in (a, b, third_point(a, b)):
+                continue
+            perm = [a, b, c, 0, 0, 0, 0]
+            for x, p, q in _SPAN:
+                perm[x] = third_point(perm[p], perm[q])
+            if all(apply_to_line(perm, l) in lines for l in LINES):
+                keep.append(tuple(perm))
+    return tuple(sorted(keep))
 
 
 def full_round_refine(colors: list[int], d: Digraph) -> list[int]:
@@ -62,6 +112,66 @@ def full_round_refine(colors: list[int], d: Digraph) -> list[int]:
         if len(rank) == len(sizes):
             return new
         colors = new
+
+
+def girth_per_edge(g: Digraph):
+    """Shortest cycle length and one witness cycle, by one search per
+    edge: for every edge in sorted order, the distance between its
+    endpoints without that edge plus one bounds the girth, and the
+    first edge to attain the minimum closes the witness."""
+    best = None
+    witness = ()
+    for u, w in edges(g):
+        dist, parent = bfs(g.out, u, skip_edge=(u, w))
+        if dist[w] < 0:
+            continue
+        if best is None or dist[w] + 1 < best:
+            best = dist[w] + 1
+            path = [w]
+            cur = w
+            while cur != u:
+                cur = parent[cur]
+                path.append(cur)
+            witness = tuple(reversed(path))
+    return best, witness
+
+
+def array_by_sums(g: Digraph):
+    """Intersection numbers (b_0..b_{d-1}; c_1..c_d), each vertex pair's
+    counts taken by two generator sums over the out-list; raises
+    NotDistanceRegular with the message coxeter.distance_regular_array
+    gives."""
+    dist = [bfs(g.out, v)[0] for v in range(g.n)]
+    diam = max(max(row) for row in dist)
+    b = [None] * diam + [0]
+    c = [0] + [None] * diam
+    for v in range(g.n):
+        for u in range(g.n):
+            i = dist[v][u]
+            if i < 0:
+                raise NotDistanceRegular(f"from vertex {v}, vertex {u} is unreachable")
+            up = sum(1 for w in g.out[u] if dist[v][w] == i + 1)
+            down = sum(1 for w in g.out[u] if dist[v][w] == i - 1)
+            for name, counts, got in (("b", b, up), ("c", c, down)):
+                if counts[i] is None:
+                    counts[i] = got
+                elif counts[i] != got:
+                    raise NotDistanceRegular(
+                        f"from vertex {v}, vertex {u} at distance {i} has "
+                        f"{name}_{i} = {got}, not {counts[i]}"
+                    )
+    return tuple(b[:diam]), tuple(c[1:])
+
+
+def automorphism_per_vertex(d: Digraph, perm) -> bool:
+    """Whether perm permutes range(d.n) and, at every vertex u, carries
+    the out-list of u onto the out-list of perm[u] as multisets."""
+    if sorted(perm) != list(range(d.n)):
+        return False
+    return all(
+        sorted(perm[w] for w in d.out[u]) == sorted(d.out[perm[u]])
+        for u in range(d.n)
+    )
 
 
 def inverse(p: tuple) -> tuple:

@@ -24,13 +24,12 @@ from fanopencils.digraph import (
     step_orbit_cycles,
     strongly_connected,
 )
-from fanopencils.fano import collineations
 from fanopencils.golden import ADJACENCY_ROWS, EXAMPLE_CYCLE
 from fanopencils.pencils import enumerate_vertices, parse_compact, translate, vertex_index
 from fanopencils.digraph import canonical_cycle
 from fanopencils.verify import run_verification
 from fanopencils.voltage import cycle_orbits, derive_canonical, quotient
-from helpers import closure, two_copies, with_retargeted_arc
+from helpers import closure, collineations, two_copies, with_retargeted_arc
 
 
 def _ok(n, name):
@@ -231,11 +230,38 @@ def test_lift_checks_name_the_broken_arc(d):
     )
     assert details["cycles.vertex_incidence"] == "counts [2, 3]; first: vertex 9 on 2 cycles"
     assert details["cycles.label_orbits"] == "label 0 maps both 9 and 142 to vertex 0"
+    # the group of the damaged graph is trivial, so each orbit is one point
+    assert details["uh.vertex_transitive"] == (
+        "168 vertex orbits; the first has size 1 and misses vertex 1"
+    )
+    assert details["uh.flag_regular"] == (
+        "504 arc orbits (arc-transitive iff 1 of size 504); "
+        "the first has size 1 and misses arc 0 -> 135"
+    )
     small = run_verification("uh", d=Digraph([[1], [2], [0]]))
     lifts = next(c for c in small.checks if c.name == "uh.known_subgroups")
     assert lifts.detail.endswith(
         "first failure: translation acts on 168 vertices, the digraph has 3"
     )
+
+
+def test_orbit_checks_name_a_point_outside_the_first_orbit(d):
+    # D with a directed 3-cycle beside it: D's vertices and arcs form one
+    # orbit each, and the 3-cycle's another
+    n = d.n
+    rows = d.out + ((n + 1,), (n + 2,), (n,))
+    details = {c.name: c.detail for c in run_verification("uh", d=Digraph(rows)).checks}
+    assert details["uh.vertex_transitive"] == (
+        "2 vertex orbits; the first has size 168 and misses vertex 168"
+    )
+    assert details["uh.flag_regular"] == (
+        "2 arc orbits (arc-transitive iff 1 of size 504); "
+        "the first has size 504 and misses arc 168 -> 169"
+    )
+    # passing details stay as they were
+    on_d = {c.name: c.detail for c in run_verification("uh", d=d).checks}
+    assert on_d["uh.vertex_transitive"] == "1 vertex orbits"
+    assert on_d["uh.flag_regular"] == "1 arc orbits (arc-transitive iff 1 of size 504)"
 
 
 D = build_d()

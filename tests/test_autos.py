@@ -24,7 +24,7 @@ from fanopencils.autos import (
     induced_automorphism,
     is_automorphism,
     lift_vertex_map,
-    rotate_slots,
+    slot_rotation,
     verify_c4uh,
     vertex_orbits,
 )
@@ -36,14 +36,17 @@ from fanopencils.digraph import (
     enumerate_4cycles,
     orbits,
 )
-from fanopencils.fano import NotALine, collineations
+from fanopencils.fano import NotALine
 from fanopencils.golden import EXAMPLE_CYCLE
 from fanopencils.pencils import DVertex, parse_compact, translate, vertex_index
 from helpers import (
     adjacency_matrix,
+    automorphism_per_vertex,
     closure,
+    collineations,
     full_round_refine,
     inverse,
+    rotate_slots,
     swap_slots,
     two_copies,
     with_retargeted_arc,
@@ -63,6 +66,47 @@ def test_identity_and_junk_permutations(d):
     swapped[0], swapped[1] = 1, 0
     assert not is_automorphism(d, tuple(swapped))
     assert not is_automorphism(d, ident[:-1])
+
+
+# small digraphs with loops, parallel arcs and uneven out-lists, and
+# candidate maps of any length with repeated or out-of-range entries
+small_digraphs = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n
+    ).map(Digraph)
+)
+
+
+@given(small_digraphs, st.data())
+def test_arc_codes_agree_with_the_per_vertex_test(d, data):
+    perm = data.draw(
+        st.one_of(
+            st.permutations(range(d.n)),
+            st.lists(st.integers(0, d.n), min_size=d.n - 1, max_size=d.n + 1),
+        )
+    )
+    assert is_automorphism(d, perm) == automorphism_per_vertex(d, perm)
+
+
+def test_arc_codes_count_parallel_arcs():
+    # 0 -> 1 twice against 1 -> 0 once: swapping 0 and 1 maps every arc
+    # to an arc, but not the multiset of arcs onto itself
+    d = Digraph([[1, 1], [0]])
+    assert not is_automorphism(d, (1, 0))
+    assert automorphism_per_vertex(d, (1, 0)) is False
+    d = Digraph([[1, 1], [0, 0]])
+    assert is_automorphism(d, (1, 0)) and automorphism_per_vertex(d, (1, 0))
+
+
+def test_arc_codes_agree_on_d(d, group):
+    perms = [*group.generators, slot_rotation(), tuple(range(d.n))]
+    perms += [p[1:] + p[:1] for p in perms]
+    for perm in perms:
+        assert is_automorphism(d, perm) == automorphism_per_vertex(d, perm)
+
+
+def test_slot_rotation_by_table_equals_the_one_by_one_lift():
+    assert slot_rotation() == lift_vertex_map(rotate_slots)
 
 
 def test_compose_inverse():

@@ -89,6 +89,20 @@ def test_benchmark_check_names_match_the_suites():
     assert workloads.CHECK_NAMES == names
 
 
+def test_benchmark_traced_names_exist():
+    # bench/spans.LAYERS names the functions the benchmark's tracer wraps;
+    # Tracer.install looks each up by name and raises AttributeError on one
+    # that was renamed or deleted
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod, funcs in spans.LAYERS.items():
+        module = importlib.import_module(f"fanopencils.{mod}")
+        missing = [f for f in funcs if not callable(getattr(module, f, None))]
+        assert not missing, (mod, missing)
+
+
 def test_verify_output_file(tmp_path, capsys):
     path = tmp_path / "report.txt"
     assert main(["verify", "voltage", "--output", str(path)]) == 0

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -7,22 +8,22 @@ from fanopencils import coxeter, verify
 from fanopencils.coxeter import (
     EXPECTED_ARRAY,
     CoxVertex,
+    NotDistanceRegular,
     build_coxeter,
     cox_adjacent,
     cox_neighbors,
     cox_vertices,
-    distance_matrix,
     distance_regular_array,
     edges,
     girth_with_witness,
     to_dot,
     to_json_dict,
 )
-from fanopencils.digraph import Digraph, arc_label, strongly_connected
+from fanopencils.digraph import Digraph, arc_label, bfs, strongly_connected
 from fanopencils.pencils import DVertex, enumerate_vertices
 from fanopencils.verify import run_verification
 
-from helpers import with_retargeted_arc
+from helpers import array_by_sums, girth_per_edge, with_retargeted_arc
 
 
 def projected_pairs(d):
@@ -77,7 +78,7 @@ def test_counts_and_regularity(cox):
 
 def test_connected_and_diameter(cox):
     assert strongly_connected(cox)[0]
-    assert max(max(row) for row in distance_matrix(cox)) == 4
+    assert max(max(bfs(cox.out, v)[0]) for v in range(cox.n)) == 4
 
 
 def test_girth_seven_with_valid_witness(cox):
@@ -90,6 +91,95 @@ def test_girth_seven_with_valid_witness(cox):
 
 def test_distance_regular_array(cox):
     assert distance_regular_array(cox) == EXPECTED_ARRAY
+
+
+def simple_graph(n, edge_list):
+    """The symmetric digraph of an undirected graph, rows ascending."""
+    rows = [[] for _ in range(n)]
+    for u, w in edge_list:
+        rows[u].append(w)
+        rows[w].append(u)
+    return Digraph(sorted(r) for r in rows)
+
+
+def array_or_message(f, g):
+    try:
+        return f(g)
+    except NotDistanceRegular as e:
+        return str(e)
+
+
+PETERSEN = simple_graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
+)
+HEAWOOD = simple_graph(
+    14,
+    [(i, (i + 1) % 14) for i in range(14)]
+    + [(i, (i + 5) % 14) for i in range(0, 14, 2)],
+)
+NAMED_GRAPHS = {
+    "petersen": (PETERSEN, 5, ((3, 2), (1, 1))),
+    "heawood": (HEAWOOD, 6, ((3, 2, 2), (1, 1, 3))),
+    "k4": (simple_graph(4, itertools.combinations(range(4), 2)), 3, ((3,), (1,))),
+    **{
+        f"c{n}": (simple_graph(n, [(i, (i + 1) % n) for i in range(n)]), n, None)
+        for n in range(3, 9)
+    },
+    "tree": (simple_graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (4, 5)]), None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
+def test_girth_and_array_equal_the_oracles_on_named_graphs(name):
+    g, girth, array = NAMED_GRAPHS[name]
+    assert girth_with_witness(g) == girth_per_edge(g)
+    assert girth_with_witness(g)[0] == girth
+    if girth is None:
+        assert girth_with_witness(g) == (None, ())
+    got = array_or_message(distance_regular_array, g)
+    assert got == array_or_message(array_by_sums, g)
+    if array is not None:
+        assert got == array
+
+
+def test_girth_and_array_equal_the_oracles_on_the_coxeter_graph(cox):
+    assert girth_with_witness(cox) == girth_per_edge(cox)
+    assert distance_regular_array(cox) == array_by_sums(cox) == EXPECTED_ARRAY
+
+
+def damaged_coxeter_graphs(cox):
+    """Every single-edge deletion, 40 seeded degree-preserving edge swaps
+    (u - w and x - y become u - y and x - w), and 9 one-sided arc
+    deletions of the Coxeter graph."""
+    es = edges(cox)
+    for e in es:
+        yield simple_graph(cox.n, [f for f in es if f != e])
+    rng = random.Random(0)
+    swaps = 0
+    while swaps < 40:
+        (u, w), (x, y) = rng.sample(es, 2)
+        new = {tuple(sorted(p)) for p in ((u, y), (x, w))}
+        if len({u, w, x, y}) < 4 or new & set(es):
+            continue
+        kept = [f for f in es if f not in ((u, w), (x, y))]
+        yield simple_graph(cox.n, kept + [(u, y), (x, w)])
+        swaps += 1
+    for u, w in es[::5]:
+        rows = [list(r) for r in cox.out]
+        rows[u].remove(w)
+        yield Digraph(rows)
+
+
+def test_girth_and_array_equal_the_oracles_on_damaged_coxeter_graphs(cox):
+    graphs = list(damaged_coxeter_graphs(cox))
+    assert len(graphs) == 42 + 40 + 9
+    for g in graphs:
+        assert girth_with_witness(g) == girth_per_edge(g)
+        got = array_or_message(distance_regular_array, g)
+        assert got == array_or_message(array_by_sums, g)
 
 
 def test_closed_form_neighbors_example():

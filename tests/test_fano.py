@@ -4,19 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fanopencils import fano
 from fanopencils.fano import (
     LINES,
     POINTS,
     DegeneratePair,
     NotALine,
-    apply_to_line,
-    collineations,
     line,
     line_index,
     lines_avoiding,
     third_point,
 )
+import helpers
+from helpers import apply_to_line, collineations
 
 
 def test_seven_lines_of_three_points():
@@ -90,7 +89,7 @@ def test_collineations_line_check_budget(monkeypatch):
         calls.append(pts)
         return apply_to_line(perm, pts)
 
-    monkeypatch.setattr(fano, "apply_to_line", counted)
+    monkeypatch.setattr(helpers, "apply_to_line", counted)
     collineations.cache_clear()
     try:
         assert len(collineations()) == 168

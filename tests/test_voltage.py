@@ -1,7 +1,7 @@
 import pytest
 
 from fanopencils import verify
-from fanopencils.autos import lift_vertex_map, rotate_slots
+from fanopencils.autos import lift_vertex_map
 from fanopencils.digraph import Digraph, build_d
 from fanopencils.pencils import enumerate_vertices, compact, parse_compact, translate, vertex_index
 from fanopencils.voltage import (
@@ -19,9 +19,12 @@ from fanopencils.voltage import (
     validate_action,
     z7_action,
 )
-from helpers import with_retargeted_arc
+from helpers import rotate_slots, with_retargeted_arc
 
 VERTS = enumerate_vertices()
+
+# the detail of a voltage check that needs the action once it failed
+NEEDS_ACTION = "needs the Z7 action, and voltage.action failed"
 
 
 def test_action_is_valid(d, action):
@@ -88,8 +91,29 @@ def test_failed_action_is_built_once(d, monkeypatch):
     rep = verify.run_verification("voltage", d=broken)
     assert len(calls) == 1
     assert len(rep.checks) == 5 and not any(c.passed for c in rep.checks)
-    reasons = {c.detail.removeprefix("raised InvalidAction: ") for c in rep.checks}
-    assert len(reasons) == 1
+    # voltage.action gives the reason once; the four checks that need the
+    # action name the check that failed instead of repeating it
+    assert rep.checks[0].detail.startswith("translation maps arc ")
+    assert {c.detail for c in rep.checks[1:]} == {NEEDS_ACTION}
+
+
+def test_checks_after_a_failed_action_name_it(d):
+    # arc 9 -> 54 retargeted to 9 -> 0, and a 3-vertex graph
+    for broken, reason in (
+        (
+            with_retargeted_arc(d, 9, 2, 0),
+            "translation maps arc 9 -> 0 to 38 -> 29, not an arc",
+        ),
+        (Digraph([[1], [2], [0]]), "generator acts on 168 vertices, the digraph has 3"),
+    ):
+        rep = verify.run_verification("voltage", d=broken)
+        assert {c.name: (c.passed, c.detail) for c in rep.checks} == {
+            "voltage.action": (False, reason),
+            "voltage.quotient_shape": (False, NEEDS_ACTION),
+            "voltage.round_trip": (False, NEEDS_ACTION),
+            "voltage.closure": (False, NEEDS_ACTION),
+            "voltage.cycle_orbits": (False, NEEDS_ACTION),
+        }
 
 
 def test_verify_all_validates_the_action_once(monkeypatch):
