@@ -10,8 +10,8 @@ group is kept as generators and an order, never as a list of elements.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
-from operator import getitem
+from itertools import islice, repeat, zip_longest
+from operator import add, and_, getitem, rshift
 
 from .digraph import Digraph, cycle_arc_cover, orbits
 from .fano import NotALine
@@ -22,13 +22,15 @@ Perm = tuple[int, ...]
 
 def is_automorphism(d: Digraph, perm) -> bool:
     """Whether perm permutes range(d.n) and carries the arcs onto the
-    arcs, parallel arcs counted: the arc u -> w has the code u * n + w,
-    and the sorted codes of the images equal those of the arcs."""
+    arcs, parallel arcs counted.  A vertex permutation maps the codes of
+    Digraph.arc_codes one to one, so it does iff the image
+    (k * n + perm[u]) * n + perm[w] of each code is again a code; the
+    pass stops at the first image that is not."""
     n = d.n
     if sorted(perm) != list(range(n)):
         return False
-    codes = sorted(u * n + w for u, row in enumerate(d.out) for w in row)
-    return sorted(p * n + perm[w] for p, row in zip(perm, d.out) for w in row) == codes
+    arcs, codes = d.arc_codes()
+    return codes.issuperset((k + perm[u]) * n + perm[w] for k, u, w in arcs)
 
 
 def arc_witness(d: Digraph, name: str, perm) -> str:
@@ -103,17 +105,23 @@ def _closed_walk_colours(d: Digraph) -> list[int]:
     trades the cycle for two 2-circuits and leaves every vertex on three
     closed 4-walks.  Row v of A^k is one int whose field u counts the
     k-walks from v to u, and A^(k+1) sums the rows of A^k over
-    out-neighbours.  A field holds maxdeg^8, so no count of walks of
-    length 8 or less carries into the next field.
+    out-neighbours, one out-list slot at a time (the zero row n past the
+    end of a short list).  A field holds maxdeg^8, so no count of walks
+    of length 8 or less carries into the next field.
     """
-    width = 8 * max(map(len, d.out), default=0).bit_length() + 1
+    slots = list(zip_longest(*d.out, fillvalue=d.n))
+    width = 8 * len(slots).bit_length() + 1
     mask = (1 << width) - 1
-    rows = [1 << (v * width) for v in range(d.n)]
+    shifts = range(0, d.n * width, width)
+    rows = [1 << shift for shift in shifts]
     diagonals = []
     for k in range(1, 9):
-        rows = [sum(map(rows.__getitem__, out)) for out in d.out]
+        get = (rows + [0]).__getitem__
+        rows = [0] * d.n
+        for slot in slots:
+            rows = list(map(add, rows, map(get, slot)))
         if k in (4, 8):
-            diagonals.append([row >> (v * width) & mask for v, row in enumerate(rows)])
+            diagonals.append(list(map(and_, map(rshift, rows, shifts), repeat(mask))))
     keys = list(zip(*diagonals))
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [rank[key] for key in keys]

@@ -5,17 +5,19 @@ an unordered pencil of ordered lines through the base whose far entries
 form a line.  The ordered digraph replaces these pencils by ordered
 ones, so forgetting the order projects it onto this graph: each arc
 aligns its two pencils entry for entry, lands on an edge, and each
-direction of each edge is the image of 6 arcs.  The edges come from a
-closed form (cox_neighbors).  The expected invariants are those of the
-classical cubic distance-regular graph of girth 7 on 28 vertices.
+direction of each edge is the image of 6 arcs.  The edges come from the
+arc rule on the sorted pencil, its images read in any order.  The
+expected invariants are those of the classical cubic distance-regular
+graph of girth 7 on 28 vertices.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import permutations
 
-from .digraph import Digraph, arc_label, bfs
-from .fano import line_index, lines_avoiding, third_point
+from .digraph import Digraph, arc_label, bfs, image_rows
+from .fano import line_index, lines_avoiding
 from .pencils import DVertex, Pencil, enumerate_vertices
 
 
@@ -31,7 +33,7 @@ class CoxVertex(Pencil):
 
     def pencil(self) -> tuple[tuple[int, int], ...]:
         """The (entry, companion) pairs, sorted by entry."""
-        return tuple((b, third_point(self.base, b)) for b in self.line)
+        return tuple(zip(self.line, self.thirds))
 
     def label(self) -> str:
         body = ",".join(f"{b}{c}" for b, c in self.pencil())
@@ -50,8 +52,9 @@ def cox_vertices() -> tuple[CoxVertex, ...]:
 
 @cache
 def _cox_index() -> dict[tuple[int, tuple[int, int, int]], int]:
-    """(base, sorted line) -> index in cox_vertices()."""
-    return {(v.base, v.line): i for i, v in enumerate(cox_vertices())}
+    """(base, line in any of its 6 orders) -> index in cox_vertices()."""
+    verts = enumerate(cox_vertices())
+    return {(v.base, t): i for i, v in verts for t in permutations(v.line)}
 
 
 def cox_adjacent(u: DVertex, w: DVertex) -> tuple[int, int] | None:
@@ -65,7 +68,7 @@ def cox_adjacent(u: DVertex, w: DVertex) -> tuple[int, int] | None:
     if arc_label(u, w) is None:
         return None
     index = _cox_index()
-    return index[u.base, tuple(sorted(u.line))], index[w.base, tuple(sorted(w.line))]
+    return index[u.base, u.line], index[w.base, w.line]
 
 
 def projection(d: Digraph, cox: Digraph) -> tuple[bool, str]:
@@ -90,22 +93,12 @@ def projection(d: Digraph, cox: Digraph) -> tuple[bool, str]:
     return True, f"{d.arc_count()} arcs align, 6 onto each of {len(hits)} directed edges"
 
 
-def cox_neighbors(v: CoxVertex) -> tuple[CoxVertex, ...]:
-    """Closed form: each entry b hands the base to the companion of b and
-    keeps b while the other entries are replaced by their companions."""
-    nbr = []
-    for b in v.line:
-        rest = [third_point(v.base, w) for w in v.line if w != b]
-        nbr.append(CoxVertex(third_point(v.base, b), tuple(sorted([b] + rest))))
-    return tuple(nbr)
-
-
 def build_coxeter() -> Digraph:
     """The graph as a symmetric digraph: row i lists the neighbours of
-    cox_vertices()[i], ascending."""
-    verts = cox_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    g = Digraph(sorted(index[w] for w in cox_neighbors(v)) for v in verts)
+    cox_vertices()[i], ascending.  Each entry b hands the base to the
+    companion of b and keeps b while the other entries are replaced by
+    their companions: digraph.image_rows on the sorted pencil."""
+    g = Digraph(sorted(row) for row in image_rows(cox_vertices(), _cox_index()))
     if g.out != g.inn:
         raise AssertionError("adjacency is not symmetric")
     return g

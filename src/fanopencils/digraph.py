@@ -13,17 +13,35 @@ from itertools import zip_longest
 from operator import getitem
 
 from .golden import ADJACENCY_ROWS
-from .pencils import DVertex, compact, enumerate_vertices, vertex_index
+from .pencils import DVertex, enumerate_vertices, pencil_index, vertex_table
 
 LABELS = (1, 2, 0)
 
 
+def _images(v) -> tuple[tuple[int, tuple[int, int, int]], ...]:
+    """(base, line) of the three out-neighbours of a pencil, in slot
+    order: slot p keeps line[p], replaces each other entry line[k] by its
+    companion thirds[k], and moves the base to thirds[p]."""
+    (a, b, c), (x, y, z) = v.line, v.thirds
+    return (x, (a, y, z)), (y, (x, b, z)), (z, (x, y, c))
+
+
 def step(v: DVertex, label: int) -> DVertex:
     """The unique out-neighbor of v along the arc with the given label."""
-    p = LABELS.index(label)
-    th = v.thirds
-    newline = tuple(v.line[k] if k == p else th[k] for k in range(3))
-    return DVertex(th[p], newline)
+    return DVertex(*_images(v)[LABELS.index(label)])
+
+
+def image_rows(pencils, index) -> list[tuple[int, int, int]]:
+    """Row i holds index[image] for the out-neighbours of pencils[i], in
+    slot order; an image missing from `index` raises ValueError naming
+    vertex i."""
+    rows = []
+    try:
+        for v in pencils:
+            rows.append(tuple(map(index.__getitem__, _images(v))))
+    except KeyError as e:
+        raise ValueError(f"vertex {len(rows)} steps to {e.args[0]}, not a vertex") from None
+    return rows
 
 
 def arc_label(u: DVertex, v: DVertex) -> int | None:
@@ -55,7 +73,7 @@ class Digraph:
     ValueError naming the vertex and the entry.
     """
 
-    __slots__ = ("n", "out", "inn")
+    __slots__ = ("n", "out", "inn", "_codes")
 
     def __init__(self, out_lists):
         self.out = tuple(tuple(row) for row in out_lists)
@@ -69,6 +87,21 @@ class Digraph:
                     )
                 incoming[w].append(u)
         self.inn = tuple(tuple(sorted(r)) for r in incoming)
+        self._codes = None
+
+    def arc_codes(self):
+        """(arcs, codes), built on the first call: (k * n, u, w) for the
+        k-th of the parallel arcs u -> w, k from 0, and the set of their
+        codes (k * n + u) * n + w."""
+        if self._codes is None:
+            n = self.n
+            arcs = [
+                (row[:i].count(w) * n, u, w)
+                for u, row in enumerate(self.out)
+                for i, w in enumerate(row)
+            ]
+            self._codes = arcs, {(k + u) * n + w for k, u, w in arcs}
+        return self._codes
 
     def arcs(self):
         for u, row in enumerate(self.out):
@@ -83,11 +116,9 @@ class Digraph:
 
 
 def build_d() -> Digraph:
-    """The full digraph on the 168 canonical vertices."""
-    verts = enumerate_vertices()
-    return Digraph(
-        [tuple(vertex_index(step(v, lab)) for lab in LABELS) for v in verts]
-    )
+    """The full digraph on the 168 canonical vertices, each image looked
+    up by (base, line) in pencils.pencil_index."""
+    return Digraph(image_rows(enumerate_vertices(), pencil_index()))
 
 
 def bfs(rows, start: int, skip_edge=None) -> tuple[list[int], list[int]]:
@@ -273,7 +304,7 @@ def cycle_arc_cover(d: Digraph, cycles):
 def _base_rows(d: Digraph):
     """(row symbol, entry symbols) of the 24 base-0 vertices: empty for a
     row d lacks, and a target past the 168 pencils is named by its index."""
-    syms = [compact(v) for v in enumerate_vertices()]
+    syms = list(vertex_table())
     syms += (f"vertex {w} (not a pencil)" for w in range(len(syms), d.n))
     return [
         (syms[i], tuple(map(syms.__getitem__, d.out[i])) if i < d.n else ())
@@ -305,8 +336,7 @@ def format_table(d: Digraph) -> str:
 
 def to_json_dict(d: Digraph) -> dict:
     """JSON form: compact vertex symbols, labeled arcs, the 4-cycle census."""
-    verts = enumerate_vertices()
-    syms = [compact(v) for v in verts]
+    syms = list(vertex_table())
     arcs = [
         {"from": u, "to": w, "label": LABELS[k]}
         for u, row in enumerate(d.out)
@@ -317,10 +347,9 @@ def to_json_dict(d: Digraph) -> dict:
 
 
 def to_dot(d: Digraph) -> str:
-    verts = enumerate_vertices()
     lines = ["digraph pencils {"]
-    for i, v in enumerate(verts):
-        lines.append(f'  {i} [label="{compact(v)}"];')
+    for i, sym in enumerate(vertex_table()):
+        lines.append(f'  {i} [label="{sym}"];')
     for u, row in enumerate(d.out):
         for k, w in enumerate(row):
             lines.append(f"  {u} -> {w} [label={LABELS[k]}];")

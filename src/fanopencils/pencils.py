@@ -23,11 +23,12 @@ _COMPACT_RE = re.compile(r"^([0-6])([0-6])([0-6])_([0-6])$")
 
 class Pencil:
     """A base point plus a line avoiding it, validated at construction.
+    `thirds[k]` completes the line through the base and `line[k]`.
 
     Equal only to a pencil of the same type with the same base and line.
     """
 
-    __slots__ = ("base", "line")
+    __slots__ = ("base", "line", "thirds")
 
     def __init__(self, base: int, line: tuple[int, int, int]):
         if base not in POINTS:
@@ -39,6 +40,8 @@ class Pencil:
             raise NotALine(f"base {base} lies on its own line {line}")
         self.base = base
         self.line = line
+        p, q, r = line
+        self.thirds = (third_point(base, p), third_point(base, q), third_point(base, r))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -56,15 +59,9 @@ class DVertex(Pencil):
     """An ordered pencil: a base point plus an ordered line avoiding it.
 
     The slot order of `line` matches the arc-label order (1, 2, 0).
-    `thirds[k]` completes the line through the base and `line[k]`.
     """
 
-    __slots__ = ("thirds",)
-
-    def __init__(self, base: int, line: tuple[int, int, int]):
-        super().__init__(base, line)
-        p, q, r = line
-        self.thirds = (third_point(base, p), third_point(base, q), third_point(base, r))
+    __slots__ = ()
 
 
 @cache
@@ -86,8 +83,14 @@ def vertex_table() -> dict[str, int]:
     return {compact(v): i for i, v in enumerate(enumerate_vertices())}
 
 
+@cache
+def pencil_index() -> dict[tuple[int, tuple[int, int, int]], int]:
+    """(base, ordered line) -> vertex index, over all 168 vertices."""
+    return {(v.base, v.line): i for i, v in enumerate(enumerate_vertices())}
+
+
 def vertex_index(v: DVertex) -> int:
-    return vertex_table()[compact(v)]
+    return pencil_index()[v.base, v.line]
 
 
 def format_long(v: DVertex) -> str:

@@ -3,9 +3,9 @@ disjoint copies of a graph, the two named slot permutations, the
 adjacency matrix the numpy oracles start from, the Fano collineations
 by frame images, the full-round colour refinement that autos._refine
 must agree with, the per-edge girth, the generator-sum intersection
-numbers and the per-vertex automorphism test that the coxeter and autos
-routines must agree with, and the inverse and the closure of
-permutations, the group oracles."""
+numbers, the object-built Coxeter neighbours and the per-vertex
+automorphism test that the coxeter and autos routines must agree with,
+and the inverse and the closure of permutations, the group oracles."""
 
 import itertools
 from collections import Counter
@@ -14,7 +14,7 @@ from functools import cache
 import numpy as np
 
 from fanopencils.autos import compose
-from fanopencils.coxeter import NotDistanceRegular, edges
+from fanopencils.coxeter import CoxVertex, NotDistanceRegular, edges
 from fanopencils.digraph import Digraph, bfs
 from fanopencils.fano import LINES, POINTS, third_point
 from fanopencils.pencils import DVertex
@@ -161,6 +161,16 @@ def array_by_sums(g: Digraph):
                         f"{name}_{i} = {got}, not {counts[i]}"
                     )
     return tuple(b[:diam]), tuple(c[1:])
+
+
+def cox_neighbors(v: CoxVertex) -> tuple[CoxVertex, ...]:
+    """Closed form: each entry b hands the base to the companion of b and
+    keeps b while the other entries are replaced by their companions."""
+    nbr = []
+    for b in v.line:
+        rest = [third_point(v.base, w) for w in v.line if w != b]
+        nbr.append(CoxVertex(third_point(v.base, b), tuple(sorted([b] + rest))))
+    return tuple(nbr)
 
 
 def automorphism_per_vertex(d: Digraph, perm) -> bool:

@@ -88,6 +88,14 @@ def test_arc_codes_agree_with_the_per_vertex_test(d, data):
     assert is_automorphism(d, perm) == automorphism_per_vertex(d, perm)
 
 
+@given(small_digraphs, st.data())
+def test_one_digraph_answers_several_maps_in_a_row(d, data):
+    # the codes are cached on the digraph after the first call; a stale
+    # or perm-dependent cache would answer a later map wrongly
+    for perm in data.draw(st.lists(st.permutations(range(d.n)), min_size=2, max_size=5)):
+        assert is_automorphism(d, perm) == automorphism_per_vertex(d, perm)
+
+
 def test_arc_codes_count_parallel_arcs():
     # 0 -> 1 twice against 1 -> 0 once: swapping 0 and 1 maps every arc
     # to an arc, but not the multiset of arcs onto itself
@@ -304,7 +312,10 @@ def test_closed_walk_colours_match_matrix_powers(d):
     # field than those of a graph of maximum out-degree 3
     extra = [w for w in range(1, d.n) if w not in d.out[0]][:2]
     wide = Digraph([d.out[0] + tuple(extra), *d.out[1:]])
-    for g in (d, wide, *_two_arc_swaps(d, seed=1, count=3)):
+    # out-degrees 0 to 5: short out-lists read the zero row past their end
+    uneven = Digraph([range(1, 1 + k) for k in range(6)] + [[0, 2, 4]])
+    graphs = (Digraph([]), Digraph([[]] * 5), uneven, d, wide)
+    for g in (*graphs, *_two_arc_swaps(d, seed=1, count=3)):
         a = adjacency_matrix(g)
         walks = np.stack(
             [np.diag(np.linalg.matrix_power(a, k)) for k in (4, 8)], axis=1

@@ -11,7 +11,6 @@ from fanopencils.coxeter import (
     NotDistanceRegular,
     build_coxeter,
     cox_adjacent,
-    cox_neighbors,
     cox_vertices,
     distance_regular_array,
     edges,
@@ -23,7 +22,7 @@ from fanopencils.digraph import Digraph, arc_label, bfs, strongly_connected
 from fanopencils.pencils import DVertex, enumerate_vertices
 from fanopencils.verify import run_verification
 
-from helpers import array_by_sums, girth_per_edge, with_retargeted_arc
+from helpers import array_by_sums, cox_neighbors, girth_per_edge, with_retargeted_arc
 
 
 def projected_pairs(d):
@@ -190,6 +189,32 @@ def test_closed_form_neighbors_example():
         CoxVertex(5, (3, 4, 6)),
     }
     assert set(cox_neighbors(v)) == expected
+
+
+def test_build_follows_the_object_closed_form(cox):
+    verts = cox_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    for i, v in enumerate(verts):
+        assert cox.out[i] == tuple(sorted(index[w] for w in cox_neighbors(v)))
+
+
+def test_build_constructs_only_the_28_vertices(monkeypatch):
+    built = []
+    init = CoxVertex.__init__
+
+    def counted(self, base, line):
+        built.append((base, line))
+        init(self, base, line)
+
+    monkeypatch.setattr(CoxVertex, "__init__", counted)
+    cox_vertices.cache_clear()
+    coxeter._cox_index.cache_clear()
+    try:
+        build_coxeter()
+    finally:
+        cox_vertices.cache_clear()
+        coxeter._cox_index.cache_clear()
+    assert len(built) <= 28, len(built)
 
 
 def test_alignment_rule_agrees_with_closed_form(d, cox):

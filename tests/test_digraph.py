@@ -15,6 +15,7 @@ from fanopencils.digraph import (
     cycle_arc_cover,
     format_table,
     golden_sublist_diff,
+    image_rows,
     label_permutations,
     orbits,
     short_circuit_matrix_check,
@@ -25,7 +26,15 @@ from fanopencils.digraph import (
     to_json_dict,
 )
 from fanopencils.golden import ADJACENCY_ROWS, EXAMPLE_CYCLE, ROW_ORDER
-from fanopencils.pencils import compact, enumerate_vertices, parse_compact, vertex_index
+from fanopencils.pencils import (
+    DVertex,
+    compact,
+    enumerate_vertices,
+    parse_compact,
+    pencil_index,
+    vertex_index,
+    vertex_table,
+)
 from fanopencils.verify import run_verification
 from helpers import adjacency_matrix, two_copies, with_retargeted_arc
 
@@ -76,6 +85,34 @@ def test_arc_label_rejects_non_arcs(d):
 def test_out_lists_follow_label_order(d):
     for i, v in enumerate(VERTS):
         assert d.out[i] == tuple(vertex_index(step(v, lab)) for lab in LABELS)
+
+
+def test_build_constructs_only_the_168_vertices(monkeypatch):
+    built = []
+    init = DVertex.__init__
+
+    def counted(self, base, line):
+        built.append((base, line))
+        init(self, base, line)
+
+    caches = (enumerate_vertices, vertex_table, pencil_index)
+    monkeypatch.setattr(DVertex, "__init__", counted)
+    for f in caches:
+        f.cache_clear()
+    try:
+        build_d()
+    finally:
+        for f in caches:
+            f.cache_clear()
+    assert len(built) <= 168, len(built)
+
+
+def test_an_image_outside_the_table_names_its_vertex():
+    index = dict(pencil_index())
+    missing = step(VERTS[5], 2)
+    del index[missing.base, missing.line]
+    with pytest.raises(ValueError, match=r"^vertex 5 steps to \(.*\), not a vertex$"):
+        image_rows(VERTS, index)
 
 
 def test_golden_rows_match_exactly(d):
