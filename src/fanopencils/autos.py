@@ -35,12 +35,13 @@ def is_automorphism(d: Digraph, perm) -> bool:
 
 def arc_witness(d: Digraph, name: str, perm) -> str:
     """Why `perm`, called `name`, is not an automorphism of d: a length
-    other than d.n, or else the first arc whose image is not an arc."""
+    other than d.n, or else the first arc whose image, coded u * n + w
+    as in Digraph.arc_codes, is not an arc."""
     if len(perm) != d.n:
         return f"{name} acts on {len(perm)} vertices, the digraph has {d.n}"
-    arcs = set(d.arcs())
+    codes = d.arc_codes()[1]
     for u, w in d.arcs():
-        if (perm[u], perm[w]) not in arcs:
+        if perm[u] * d.n + perm[w] not in codes:
             return f"{name} maps arc {u} -> {w} to {perm[u]} -> {perm[w]}, not an arc"
     return f"{name} maps every arc to an arc, but not one to one"
 
@@ -456,9 +457,7 @@ def extensions(d: Digraph, pins: dict):
 
 
 class UHReport(
-    namedtuple(
-        "UHReport", "passed aut_order failures direct_checked detail", defaults=("",)
-    )
+    namedtuple("UHReport", "passed aut_order failures direct_checked detail")
 ):
     __slots__ = ()
 
@@ -504,7 +503,7 @@ def verify_c4uh(d: Digraph, cycles) -> UHReport:
     notes = []
     if len(cycles) != 126:
         notes.append(f"{len(cycles)} oriented 4-cycles, expected 126")
-    cover_ok, bad = cycle_arc_cover(d, cycles)
+    cover_ok, bad, _ = cycle_arc_cover(d, cycles)
     if not cover_ok:
         notes.append(f"cycles do not partition the arcs ({len(bad)} witnesses)")
     if notes:

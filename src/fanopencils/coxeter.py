@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations
 
-from .digraph import Digraph, arc_label, bfs, image_rows
+from .digraph import Digraph, arc_label, bfs, dot, image_rows
 from .fano import line_index, lines_avoiding
 from .pencils import DVertex, Pencil, enumerate_vertices
 
@@ -213,10 +213,5 @@ def to_json_dict(g: Digraph) -> dict:
 
 
 def to_dot(g: Digraph) -> str:
-    lines = ["graph coxeter {"]
-    for i, v in enumerate(cox_vertices()):
-        lines.append(f'  {i} [label="{v.label()}"];')
-    for u, w in edges(g):
-        lines.append(f"  {u} -- {w};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = (v.label() for v in cox_vertices())
+    return dot("graph coxeter", labels, (f"{u} -- {w}" for u, w in edges(g)))

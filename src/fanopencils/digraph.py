@@ -26,11 +26,6 @@ def _images(v) -> tuple[tuple[int, tuple[int, int, int]], ...]:
     return (x, (a, y, z)), (y, (x, b, z)), (z, (x, y, c))
 
 
-def step(v: DVertex, label: int) -> DVertex:
-    """The unique out-neighbor of v along the arc with the given label."""
-    return DVertex(*_images(v)[LABELS.index(label)])
-
-
 def image_rows(pencils, index) -> list[tuple[int, int, int]]:
     """Row i holds index[image] for the out-neighbours of pencils[i], in
     slot order; an image missing from `index` raises ValueError naming
@@ -86,7 +81,7 @@ class Digraph:
                         f"vertex {u} has out-neighbour {w}, outside 0..{self.n - 1}"
                     )
                 incoming[w].append(u)
-        self.inn = tuple(tuple(sorted(r)) for r in incoming)
+        self.inn = tuple(map(tuple, incoming))
         self._codes = None
 
     def arc_codes(self):
@@ -285,8 +280,9 @@ def step_orbit_cycles(d: Digraph) -> dict[int, tuple[tuple[int, ...], ...]]:
 def cycle_arc_cover(d: Digraph, cycles):
     """How often each arc is used by the given cycles.
 
-    Returns (ok, witnesses): ok iff every arc of d is used exactly once
-    and no cycle uses a non-arc; witnesses lists offending arcs.
+    Returns (ok, witnesses, counts): ok iff every arc of d is used
+    exactly once and no cycle uses a non-arc; witnesses lists offending
+    arcs, and counts maps each arc of d to its number of uses.
     """
     counts = {arc: 0 for arc in d.arcs()}
     bad = []
@@ -298,7 +294,7 @@ def cycle_arc_cover(d: Digraph, cycles):
             else:
                 bad.append(arc)
     bad.extend(arc for arc, c in counts.items() if c != 1)
-    return (not bad), sorted(set(bad))
+    return (not bad), sorted(set(bad)), counts
 
 
 def _base_rows(d: Digraph):
@@ -346,12 +342,21 @@ def to_json_dict(d: Digraph) -> dict:
     return {"vertices": syms, "arcs": arcs, "cycles": cycles}
 
 
-def to_dot(d: Digraph) -> str:
-    lines = ["digraph pencils {"]
-    for i, sym in enumerate(vertex_table()):
-        lines.append(f'  {i} [label="{sym}"];')
-    for u, row in enumerate(d.out):
-        for k, w in enumerate(row):
-            lines.append(f"  {u} -> {w} [label={LABELS[k]}];")
+def dot(header: str, labels, edges) -> str:
+    """Graphviz text: `header` opens the graph, vertex i is labelled
+    labels[i], and each of `edges` is one statement, such as
+    "0 -> 1 [label=2]"."""
+    lines = [f"{header} {{"]
+    lines += (f'  {i} [label="{label}"];' for i, label in enumerate(labels))
+    lines += (f"  {e};" for e in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def to_dot(d: Digraph) -> str:
+    arcs = (
+        f"{u} -> {w} [label={LABELS[k]}]"
+        for u, row in enumerate(d.out)
+        for k, w in enumerate(row)
+    )
+    return dot("digraph pencils", vertex_table(), arcs)

@@ -11,6 +11,9 @@ import itertools
 
 POINTS = tuple(range(7))
 
+# x -> x + 1, a collineation of order 7
+TRANSLATION = (1, 2, 3, 4, 5, 6, 0)
+
 
 class NotALine(ValueError):
     """A 3-set of points that is not one of the seven lines."""

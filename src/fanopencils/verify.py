@@ -11,15 +11,14 @@ import time
 from collections import namedtuple
 
 from . import autos, coxeter, digraph, golden, voltage
+from .fano import TRANSLATION
 from .pencils import format_long, parse_compact, symbol_grid, vertex_index
 
 
 CheckResult = namedtuple("CheckResult", "name passed detail ms")
 
 
-class VerificationReport(
-    namedtuple("VerificationReport", "selector checks uh_report", defaults=(None,))
-):
+class VerificationReport(namedtuple("VerificationReport", "selector checks uh_report")):
     __slots__ = ()
 
     @property
@@ -75,17 +74,20 @@ class Artifacts:
     `d` and `cox` substitute prebuilt graphs for the built ones."""
 
     def __init__(self, d: digraph.Digraph | None, cox: digraph.Digraph | None):
-        self._d = d
-        self._cox = cox
-        self._built: dict[str, tuple[bool, object]] = {}
+        given = (("d", d), ("cox", cox))
+        self._built = {name: (True, g) for name, g in given if g is not None}
 
     @_built_once
     def d(self) -> digraph.Digraph:
-        return self._d if self._d is not None else digraph.build_d()
+        return digraph.build_d()
 
     @_built_once
     def cycles(self):
         return digraph.enumerate_4cycles(self.d)
+
+    @_built_once
+    def cover(self):
+        return digraph.cycle_arc_cover(self.d, self.cycles)
 
     @_built_once
     def group(self) -> autos.AutGroup:
@@ -105,7 +107,7 @@ class Artifacts:
 
     @_built_once
     def cox(self) -> digraph.Digraph:
-        return self._cox if self._cox is not None else coxeter.build_coxeter()
+        return coxeter.build_coxeter()
 
 
 def _check_digraph_counts(a: Artifacts):
@@ -146,7 +148,7 @@ def _check_digraph_golden(a: Artifacts):
         shown = "; ".join(f"{s} slot {p}: {e} != {g}" for s, p, e, g in diffs[:6])
         detail = f"{len(diffs)} mismatches: {shown}"
         if a.d.n < 24:
-            first = golden.ROW_ORDER[a.d.n]
+            first = list(golden.ADJACENCY_ROWS)[a.d.n]
             detail = f"{a.d.n} vertices, so rows from {first} on are missing; {detail}"
         return False, detail
     return True, "24 base-0 rows match the embedded table"
@@ -181,11 +183,18 @@ def _check_digraph_grid(a: Artifacts):
 
 
 def _check_cycles_count(a: Artifacts):
-    return len(a.cycles) == 126, f"{len(a.cycles)} oriented 4-cycles"
+    detail = f"{len(a.cycles)} oriented 4-cycles"
+    if len(a.cycles) == 126:
+        return True, detail
+    _, bad, counts = a.cover
+    arc = next((arc for arc in bad if arc in counts), None)
+    if arc is None:
+        return False, f"{detail}; they partition all {len(counts)} arcs"
+    return False, f"{detail}; first: arc {arc[0]} -> {arc[1]} on {counts[arc]} cycles"
 
 
 def _check_cycles_partition(a: Artifacts):
-    ok, bad = digraph.cycle_arc_cover(a.d, a.cycles)
+    ok, bad, _ = a.cover
     detail = "each arc on exactly one cycle" if ok else f"witnesses: {bad[:6]}"
     return ok, detail
 
@@ -234,8 +243,7 @@ def _check_uh_order(a: Artifacts):
     )
 
 
-# x -> x + 1 and an involution: together they generate all 168 collineations
-TRANSLATION = (1, 2, 3, 4, 5, 6, 0)
+# with the translation, an involution generates all 168 collineations
 INVOLUTION = (0, 1, 4, 3, 2, 6, 5)
 
 
@@ -296,9 +304,9 @@ def _check_voltage_action(a: Artifacts):
 
 def _check_voltage_shape(a: Artifacts):
     vg = a.quotient
-    degs_ok = all(
-        vg.out_degree(i) == 3 and vg.in_degree(i) == 3 for i in range(len(vg.reps))
-    )
+    three_each = [i for i in range(len(vg.reps)) for _ in range(3)]
+    outs = sorted(r for r, _, _ in vg.arcs)
+    degs_ok = outs == three_each == sorted(r2 for _, r2, _ in vg.arcs)
     src = vg.reps.index("124_0")
     tgt = vg.reps.index("532_0")  # the representative of 165_3's orbit
     example = (src, tgt, 3) in vg.arcs
@@ -310,15 +318,19 @@ def _check_voltage_shape(a: Artifacts):
 
 
 def _check_voltage_round_trip(a: Artifacts):
-    lifted = voltage.derive_canonical(a.quotient, a.action)
-    same = lifted == a.d
-    loop = voltage.derive(voltage.VoltageGraph(("o",), ((0, 0, 1),)))
-    loop_ok = loop.out == tuple((((m + 1) % 7),) for m in range(7))
+    # one lift: the quotient and, beside it, a loop of voltage 1 at a new rep n
+    vg, n = a.quotient, a.d.n
+    loop = (len(vg.reps), len(vg.reps), 1)
+    beside = voltage.VoltageGraph(vg.reps + ("o",), vg.arcs + (loop,), vg.rep_vertices + (n,))
+    cycle = tuple(n + x for x in TRANSLATION)
+    lifted = voltage.derive_canonical(beside, a.action + cycle).out
+    same = lifted[:n] == a.d.out
+    loop_ok = lifted[n:] == tuple((w,) for w in cycle)
     ok = same and loop_ok
     detail = f"derived graph equals original {same}, single loop lifts to a 7-cycle {loop_ok}"
     if not same:
-        v = next(v for v in range(a.d.n) if lifted.out[v] != a.d.out[v])
-        detail += f"; first: vertex {v} derives {lifted.out[v]}, original {a.d.out[v]}"
+        v = next(v for v in range(n) if lifted[v] != a.d.out[v])
+        detail += f"; first: vertex {v} derives {lifted[v]}, original {a.d.out[v]}"
     return ok, detail
 
 
@@ -378,7 +390,8 @@ def _check_cox_aut(a: Artifacts):
     group = autos.automorphism_group(a.cox)
     orbits = autos.vertex_orbits(group)
     ok = group.order == 336 and len(orbits) == 1
-    return ok, f"order {group.order}, {len(orbits)} vertex orbits"
+    witness = _outside(orbits, "vertex {}".format)
+    return ok, f"order {group.order}, {len(orbits)} vertex orbits{witness}"
 
 
 def _check_cox_consistency(a: Artifacts):

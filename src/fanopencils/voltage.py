@@ -13,7 +13,8 @@ from collections import namedtuple
 from operator import getitem
 
 from .autos import Perm, arc_witness, induced_automorphism, is_automorphism
-from .digraph import Digraph, canonical_cycle, orbits
+from .digraph import Digraph, canonical_cycle, dot, orbits
+from .fano import TRANSLATION
 from .pencils import compact, enumerate_vertices
 
 
@@ -29,7 +30,7 @@ def z7_action(d: Digraph) -> Perm:
     """The translation x -> x+1 as a vertex permutation, the generator
     of the action, validated against the digraph.  The translation is a
     collineation, so it lifts through the collineation table."""
-    gen = induced_automorphism([(x + 1) % 7 for x in range(7)])
+    gen = induced_automorphism(TRANSLATION)
     validate_action(d, gen)
     return gen
 
@@ -63,22 +64,15 @@ def action_orbits(gen: Perm, n: int):
     return sorted(reps), rep_of, layer
 
 
-class VoltageGraph(
-    namedtuple("VoltageGraph", "reps arcs rep_vertices", defaults=(None,))
-):
+class VoltageGraph(namedtuple("VoltageGraph", "reps arcs rep_vertices")):
     """Quotient multidigraph with Z-valued arc voltages.
 
-    reps are display names; arcs are (from-position, to-position,
-    voltage) triples, grouped by source in slot order.
+    reps are display names and rep_vertices the representatives' ids in
+    the digraph; arcs are (from-position, to-position, voltage) triples,
+    grouped by source in slot order.
     """
 
     __slots__ = ()
-
-    def out_degree(self, i: int) -> int:
-        return sum(1 for a in self.arcs if a[0] == i)
-
-    def in_degree(self, i: int) -> int:
-        return sum(1 for a in self.arcs if a[1] == i)
 
 
 def quotient(d: Digraph, gen: Perm) -> VoltageGraph:
@@ -93,43 +87,26 @@ def quotient(d: Digraph, gen: Perm) -> VoltageGraph:
     reps, rep_of, layer = action_orbits(gen, d.n)
     pos = {r: i for i, r in enumerate(reps)}
     verts = enumerate_vertices()
-    names = tuple(compact(verts[r]) for r in reps) if d.n == len(verts) else tuple(
-        f"orbit{i}" for i in range(len(reps))
-    )
+    names = tuple(compact(verts[r]) for r in reps)
     arcs = tuple((pos[r], pos[rep_of[w]], layer[w]) for r in reps for w in d.out[r])
     return VoltageGraph(names, arcs, tuple(reps))
 
 
-def derive(vg: VoltageGraph) -> Digraph:
-    """Derived covering digraph on (rep, layer) pairs, indexed rep-major.
-
-    Each quotient arc of voltage v lifts to the arcs
-    (r, m) -> (r', m + v) for every layer m.
-    """
-    n = len(vg.reps)
-    rows: list[list[int]] = [[] for _ in range(n * ORDER)]
-    for (r, r2, v) in vg.arcs:
-        for m in range(ORDER):
-            rows[r * ORDER + m].append(r2 * ORDER + (m + v) % ORDER)
-    return Digraph(rows)
-
-
 def derive_canonical(vg: VoltageGraph, gen: Perm) -> Digraph:
-    """Lift the quotient back and relabel layers onto the original ids.
+    """The derived graph of vg, on the original vertex ids.
 
     `vg` is quotient(d, gen) and `gen` the generator z7_action returned.
-    Index (r, m) becomes the vertex reached from representative r by m
-    applications of the generator; translation commutes with every slot
-    map, so the out-list order survives and the result should equal d
-    exactly.
+    Layer m of representative r is the vertex m applications of the
+    generator carry r to, and each quotient arc (r, r2, v) lifts to the
+    arcs from layer m of r to layer m + v of r2.  Translation commutes
+    with every slot map, so the out-list order survives and the result
+    should equal d exactly.
     """
-    lifted = derive(vg)
-    ids = [
-        x for orb in orbits(vg.rep_vertices, [gen], getitem) for x in orb
-    ]
-    rows = [None] * len(gen)
-    for i, row in enumerate(lifted.out):
-        rows[ids[i]] = tuple(ids[j] for j in row)
+    layers = orbits(vg.rep_vertices, [gen], getitem)
+    rows = [[] for _ in gen]
+    for r, r2, v in vg.arcs:
+        for m, x in enumerate(layers[r]):
+            rows[x].append(layers[r2][(m + v) % ORDER])
     return Digraph(rows)
 
 
@@ -174,10 +151,5 @@ def to_json_dict(vg: VoltageGraph) -> dict:
 
 
 def to_dot(vg: VoltageGraph) -> str:
-    lines = ["digraph quotient {"]
-    for i, name in enumerate(vg.reps):
-        lines.append(f'  {i} [label="{name}"];')
-    for (r, r2, v) in vg.arcs:
-        lines.append(f"  {r} -> {r2} [label={v}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    arcs = (f"{r} -> {r2} [label={v}]" for r, r2, v in vg.arcs)
+    return dot("digraph quotient", vg.reps, arcs)

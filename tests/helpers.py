@@ -1,11 +1,12 @@
 """Graph builders and oracles the tests share: fault injection, two
-disjoint copies of a graph, the two named slot permutations, the
-adjacency matrix the numpy oracles start from, the Fano collineations
-by frame images, the full-round colour refinement that autos._refine
-must agree with, the per-edge girth, the generator-sum intersection
-numbers, the object-built Coxeter neighbours and the per-vertex
-automorphism test that the coxeter and autos routines must agree with,
-and the inverse and the closure of permutations, the group oracles."""
+disjoint copies of a graph, one step along a labelled arc, the two
+named slot permutations, the adjacency matrix the numpy oracles start
+from, the Fano collineations by frame images, the full-round colour
+refinement that autos._refine must agree with, the per-edge girth, the
+generator-sum intersection numbers, the object-built Coxeter neighbours
+and the per-vertex automorphism test that the coxeter and autos
+routines must agree with, and the inverse and the closure of
+permutations, the group oracles."""
 
 import itertools
 from collections import Counter
@@ -15,7 +16,7 @@ import numpy as np
 
 from fanopencils.autos import compose
 from fanopencils.coxeter import CoxVertex, NotDistanceRegular, edges
-from fanopencils.digraph import Digraph, bfs
+from fanopencils.digraph import LABELS, Digraph, _images, bfs
 from fanopencils.fano import LINES, POINTS, third_point
 from fanopencils.pencils import DVertex
 
@@ -30,6 +31,11 @@ def with_retargeted_arc(d: Digraph, u: int, slot: int, target: int) -> Digraph:
 def two_copies(d: Digraph) -> Digraph:
     """Two disjoint copies of d, the second on vertices d.n..2 d.n - 1."""
     return Digraph(d.out + tuple(tuple(w + d.n for w in row) for row in d.out))
+
+
+def step(v: DVertex, label: int) -> DVertex:
+    """The unique out-neighbour of v along the arc with the given label."""
+    return DVertex(*_images(v)[LABELS.index(label)])
 
 
 def rotate_slots(v: DVertex) -> DVertex:

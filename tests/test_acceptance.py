@@ -64,7 +64,7 @@ def test_criterion_04_strong_connectivity(d):
 
 def test_criterion_05_cycle_census(d, cycles):
     assert len(cycles) == 126
-    ok, witnesses = cycle_arc_cover(d, cycles)
+    ok, witnesses, _ = cycle_arc_cover(d, cycles)
     assert ok, witnesses
     per_label = step_orbit_cycles(d)
     union = sorted(c for orbs in per_label.values() for c in orbs)
@@ -198,6 +198,11 @@ def test_criterion_11_fault_injection(d, cox):
     assert counts.detail == "28 vertices, 41 edges; first one-sided pair: 3 -> 0"
     assert not align.passed
     assert align.detail == "arc 2 -> 77 aligns 3 -> 12, not an edge"
+    aut = next(c for c in rep.checks if c.name == "coxeter.automorphisms")
+    assert not aut.passed
+    assert aut.detail == (
+        "order 2, 16 vertex orbits; the first has size 1 and misses vertex 1"
+    )
     dr = next(c for c in rep.checks if c.name == "coxeter.distance_regular")
     assert not dr.passed
     assert dr.detail == (
@@ -229,6 +234,7 @@ def test_lift_checks_name_the_broken_arc(d):
         "to 38 -> 29, not an arc"
     )
     assert details["cycles.vertex_incidence"] == "counts [2, 3]; first: vertex 9 on 2 cycles"
+    assert details["cycles.count"] == "125 oriented 4-cycles; first: arc 9 -> 0 on 0 cycles"
     assert details["cycles.label_orbits"] == "label 0 maps both 9 and 142 to vertex 0"
     # the group of the damaged graph is trivial, so each orbit is one point
     assert details["uh.vertex_transitive"] == (
@@ -262,6 +268,17 @@ def test_orbit_checks_name_a_point_outside_the_first_orbit(d):
     on_d = {c.name: c.detail for c in run_verification("uh", d=d).checks}
     assert on_d["uh.vertex_transitive"] == "1 vertex orbits"
     assert on_d["uh.flag_regular"] == "1 arc orbits (arc-transitive iff 1 of size 504)"
+
+
+def test_cycle_count_says_when_the_cycles_still_partition_the_arcs(d):
+    # a directed 4-cycle beside D: one cycle too many, yet every arc lies
+    # on exactly one cycle
+    n = d.n
+    rows = d.out + ((n + 1,), (n + 2,), (n + 3,), (n,))
+    rep = run_verification("cycles", d=Digraph(rows))
+    count = next(c for c in rep.checks if c.name == "cycles.count")
+    assert not count.passed
+    assert count.detail == "127 oriented 4-cycles; they partition all 508 arcs"
 
 
 D = build_d()

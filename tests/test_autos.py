@@ -1,6 +1,7 @@
 
 import gc
 import hashlib
+import itertools
 import random
 from collections import Counter
 from itertools import islice
@@ -17,6 +18,7 @@ from fanopencils.autos import (
     _pin_map,
     _refine,
     arc_orbits,
+    arc_witness,
     automorphism_group,
     compose,
     extend_isomorphism,
@@ -102,6 +104,9 @@ def test_arc_codes_count_parallel_arcs():
     d = Digraph([[1, 1], [0]])
     assert not is_automorphism(d, (1, 0))
     assert automorphism_per_vertex(d, (1, 0)) is False
+    assert arc_witness(d, "swap", (1, 0)) == (
+        "swap maps every arc to an arc, but not one to one"
+    )
     d = Digraph([[1, 1], [0, 0]])
     assert is_automorphism(d, (1, 0)) and automorphism_per_vertex(d, (1, 0))
 
@@ -281,6 +286,56 @@ def test_symmetric_searches_keep_their_shape(group, cox_group):
     # are 168 and 6
     assert (group.nodes, group.leaves, group.base) == (11, 6, (0, 7))
     assert (cox_group.nodes, cox_group.leaves) == (8, 5)
+
+
+@given(small_digraphs, st.data())
+def test_group_and_extensions_agree_with_every_permutation(g, data):
+    # both searches against all n! maps, on digraphs with loops and
+    # parallel arcs: their failed branches are reached here
+    autos_all = [
+        p for p in itertools.permutations(range(g.n)) if automorphism_per_vertex(g, p)
+    ]
+    assert automorphism_group(g).order == len(autos_all)
+    vertex = st.integers(0, g.n - 1)
+    pins = data.draw(st.dictionaries(vertex, vertex, min_size=1, max_size=3))
+    pinned = [p for p in autos_all if all(p[u] == w for u, w in pins.items())]
+    assert sorted(extensions(g, pins)) == pinned
+
+
+def _symmetric(edge_list, n: int) -> Digraph:
+    rows = [[] for _ in range(n)]
+    for u, w in edge_list:
+        rows[u].append(w)
+        rows[w].append(u)
+    return Digraph(sorted(r) for r in rows)
+
+
+def test_search_leaves_a_branch_whose_cell_sizes_differ():
+    # C6 and two triangles: 2-regular, and every vertex lies on 6 closed
+    # 4-walks and 86 closed 8-walks, so neither the first colouring nor
+    # refinement separates the components; a branch into the other
+    # component fails on its cell sizes.  Order 12 * 72 = 864
+    g = _symmetric(
+        [(i, (i + 1) % 6) for i in range(6)]
+        + [(o + i, o + (i + 1) % 3) for o in (6, 9) for i in range(3)],
+        12,
+    )
+    assert set(_closed_walk_colours(g)) == {0}
+    grp = automorphism_group(g)
+    assert (grp.order, grp.nodes, grp.leaves) == (864, 39, 8)
+    assert len(closure(grp.generators, g.n)) == 864
+
+
+def test_search_leaves_a_subtree_without_an_automorphism():
+    # a simple digraph, in- and out-degree 2 everywhere, on which a
+    # branch passes its cell sizes but reaches no automorphism below
+    g = Digraph(
+        [(2, 5), (0, 7), (4, 6), (0, 7), (1, 2), (4, 6), (3, 5), (1, 3)]
+    )
+    grp = automorphism_group(g)
+    assert (grp.order, grp.nodes, grp.leaves) == (2, 13, 4)
+    everything = itertools.permutations(range(g.n))
+    assert sum(automorphism_per_vertex(g, p) for p in everything) == 2
 
 
 def test_empty_digraph_has_the_trivial_group():
@@ -556,6 +611,17 @@ def test_extend_fails_on_arc_to_non_arc(d):
 
 def test_extend_fails_on_collapsing_pins(d):
     assert extend_isomorphism(d, {0: 5, 1: 5}) is None
+
+
+def test_extend_fails_on_a_pin_against_a_forced_image():
+    # on a directed triangle, 0 -> 0 forces 1 -> 1, so the pin 1 -> 2 fails
+    assert list(extensions(Digraph([[1], [2], [0]]), {0: 0, 1: 2})) == []
+
+
+def test_extend_fails_on_a_mapped_neighbour_that_is_not_adjacent():
+    # 0 -> 1 with a loop at 1: mapping 0 to 1 maps the out-neighbour 1 of
+    # the image back from 0, which is not an out-neighbour of 0
+    assert list(extensions(Digraph([[1], [1]]), {0: 1})) == []
 
 
 def test_uh_report_certificate(d, cycles, group):

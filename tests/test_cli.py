@@ -6,9 +6,10 @@ import re
 import subprocess
 import sys
 
+import pytest
 
 from fanopencils.cli import main
-from fanopencils.verify import run_verification
+from fanopencils.verify import CheckResult, VerificationReport, run_verification
 
 CHECK_LINE = re.compile(r"^CHECK [a-z_]+\.[a-z_0-9]+: (PASS|FAIL) \(\d+ms\)$")
 
@@ -51,6 +52,15 @@ def test_verify_uh_exhaustive_known_answer(capsys):
 def test_verify_bad_selector_usage_error(capsys):
     assert main(["verify", "bogus"]) == 2
     capsys.readouterr()
+    with pytest.raises(ValueError, match="^unknown selector 'bogus'$"):
+        run_verification("bogus")
+
+
+def test_text_report_shows_the_detail_of_a_failed_check_only():
+    checks = (CheckResult("a.fails", False, "why", 3), CheckResult("a.holds", True, "fine", 0))
+    assert VerificationReport("a", checks, None).format_text() == (
+        "CHECK a.fails: FAIL (3ms)\n  why\nCHECK a.holds: PASS (0ms)\nOVERALL: FAIL"
+    )
 
 
 def _verify_json(argv, capsys) -> dict:
@@ -124,6 +134,21 @@ def test_table_rows_and_empty_diff(capsys):
     assert "124_0 : 165_3, 325_6, 364_5" in out
     assert "651_0 : 643_2, 253_4, 241_3" in out
     assert "diff against golden table: empty" in out
+
+
+def test_table_lists_a_nonempty_diff(monkeypatch, capsys):
+    from fanopencils import digraph
+
+    d = digraph.build_d()
+    rows = [list(r) for r in d.out]
+    rows[0][0] = 1
+    monkeypatch.setattr(digraph, "build_d", lambda: digraph.Digraph(rows))
+    assert main(["table"]) == 1
+    out = capsys.readouterr().out
+    assert "124_0 : 142_0, 325_6, 364_5" in out
+    assert out.endswith(
+        "diff against golden table (1 entries):\n  124_0 slot 0: expected 165_3, got 142_0\n"
+    )
 
 
 def test_export_digraph_json(capsys):

@@ -279,6 +279,24 @@ def test_alignment_check_reads_the_input_digraph(d):
     assert not align.passed and align.detail == "D has 3 vertices, not 168"
 
 
+def test_alignment_check_names_an_edge_no_arc_aligns(d, cox):
+    # the Coxeter graph with the extra edge 0 -- 1: D aligns 6 arcs onto
+    # every other directed edge and none onto 0 -> 1
+    rows = [list(r) for r in cox.out]
+    assert 1 not in rows[0]
+    rows[0].append(1)
+    rows[1].append(0)
+    assert coxeter.projection(d, Digraph(sorted(r) for r in rows)) == (
+        False,
+        "edge 0 -> 1 is aligned by 0 arcs, not 6",
+    )
+
+
+def test_array_names_an_unreachable_vertex():
+    with pytest.raises(NotDistanceRegular, match="^from vertex 0, vertex 2 is unreachable$"):
+        distance_regular_array(Digraph([[1], [0], [3], [2]]))
+
+
 def test_translation_is_a_graph_automorphism(cox):
     verts = cox_vertices()
     index = {v: i for i, v in enumerate(verts)}

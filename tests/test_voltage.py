@@ -3,6 +3,7 @@ import pytest
 from fanopencils import verify
 from fanopencils.autos import lift_vertex_map
 from fanopencils.digraph import Digraph, build_d
+from fanopencils.fano import TRANSLATION
 from fanopencils.pencils import enumerate_vertices, compact, parse_compact, translate, vertex_index
 from fanopencils.voltage import (
     ORDER,
@@ -10,7 +11,6 @@ from fanopencils.voltage import (
     VoltageGraph,
     action_orbits,
     cycle_orbits,
-    derive,
     derive_canonical,
     projected_voltage_sums,
     quotient,
@@ -144,9 +144,9 @@ def test_quotient_shape(d, action):
     assert len(vg.reps) == 24
     assert len(vg.arcs) == 72
     assert vg.reps == tuple(compact(v) for v in VERTS[:24])
-    for i in range(24):
-        assert vg.out_degree(i) == 3
-        assert vg.in_degree(i) == 3
+    three_each = [i for i in range(24) for _ in range(3)]
+    assert sorted(r for r, _, _ in vg.arcs) == three_each
+    assert sorted(r2 for _, r2, _ in vg.arcs) == three_each
     for (r, r2, volt) in vg.arcs:
         assert 0 <= volt < 7
 
@@ -194,25 +194,15 @@ def test_round_trip_names_first_differing_vertex(d):
     )
 
 
-def test_derive_rejects_nothing_but_matches_block_structure(d, action):
-    vg = quotient(d, action)
-    lifted = derive(vg)
-    assert lifted.n == 168
-    assert lifted.arc_count() == 504
-    # block (r, 0) row mirrors the rep's quotient arcs
-    first = [(r2 * 7 + volt) for (r, r2, volt) in vg.arcs if r == 0]
-    assert list(lifted.out[0]) == first
-
-
 def test_single_loop_lifts_to_seven_cycle():
-    vg = VoltageGraph(("o",), ((0, 0, 1),))
-    lifted = derive(vg)
+    vg = VoltageGraph(("o",), ((0, 0, 1),), (0,))
+    lifted = derive_canonical(vg, TRANSLATION)
     assert lifted.n == 7
     assert lifted.out == tuple(((m + 1) % 7,) for m in range(7))
 
 
 def test_zero_voltage_loop_lifts_to_fixed_points():
-    lifted = derive(VoltageGraph(("o",), ((0, 0, 0),)))
+    lifted = derive_canonical(VoltageGraph(("o",), ((0, 0, 0),), (0,)), TRANSLATION)
     assert lifted.out == tuple((m,) for m in range(7))
 
 
