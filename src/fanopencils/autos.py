@@ -13,7 +13,7 @@ from collections import namedtuple
 from itertools import islice, repeat, zip_longest
 from operator import add, and_, getitem, rshift
 
-from .digraph import Digraph, cycle_arc_cover, orbits
+from .digraph import Digraph, orbits
 from .fano import NotALine
 from .pencils import enumerate_vertices, vertex_index, vertex_table
 
@@ -44,11 +44,6 @@ def arc_witness(d: Digraph, name: str, perm) -> str:
         if perm[u] * d.n + perm[w] not in codes:
             return f"{name} maps arc {u} -> {w} to {perm[u]} -> {perm[w]}, not an arc"
     return f"{name} maps every arc to an arc, but not one to one"
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)[i] = p[q[i]]: apply q first."""
-    return tuple(map(p.__getitem__, q))
 
 
 def lift_vertex_map(fn) -> Perm:
@@ -481,19 +476,22 @@ def _pin_map(cycles, i: int, j: int, r: int) -> dict:
     return {c[k]: c2[(k + r) % 4] for k in range(4)}
 
 
-def verify_c4uh(d: Digraph, cycles) -> UHReport:
+def verify_c4uh(d: Digraph, cycles, cover) -> UHReport:
     """Check that every rotation-aligned map between oriented 4-cycles
     extends to an automorphism, and certify the group order.
 
-    `cycles` is the census of oriented 4-cycles of d.  The cycles
-    partition the arcs, so cycle-with-rotation pairs biject with arcs (a
-    flag is the arc it starts with) and the property is equivalent to
-    arc-transitivity.  Cycle 0 is extended onto each flag outside the
-    orbit of its first arc, the root, under the extensions found so far,
-    so every run grows that orbit until it holds every arc.
-    Automorphisms compose, so every map between two cycles then extends.
-    The runs stop at the first flag that does not extend, which is the
-    one failure reported, so there are at most as many runs as arcs.
+    `cycles` is the census of oriented 4-cycles of d and `cover` what
+    digraph.cycle_arc_cover returns for them.  The cycles must number
+    126 and partition the arcs; a failure names the first arc that is
+    not on exactly one cycle.  Then cycle-with-rotation pairs biject
+    with arcs (a flag is the arc it starts with) and the property is
+    equivalent to arc-transitivity.  Cycle 0 is extended onto each flag
+    outside the orbit of its first arc, the root, under the extensions
+    found so far, so every run grows that orbit until it holds every
+    arc.  Automorphisms compose, so every map between two cycles then
+    extends.  The runs stop at the first flag that does not extend,
+    which is the one failure reported, so there are at most as many
+    runs as arcs.
 
     Then the automorphisms that fix the root arc are enumerated, and
     orbit-stabilizer gives the order, with no help from the group search.
@@ -503,9 +501,11 @@ def verify_c4uh(d: Digraph, cycles) -> UHReport:
     notes = []
     if len(cycles) != 126:
         notes.append(f"{len(cycles)} oriented 4-cycles, expected 126")
-    cover_ok, bad, _ = cycle_arc_cover(d, cycles)
+    cover_ok, bad, _ = cover
     if not cover_ok:
-        notes.append(f"cycles do not partition the arcs ({len(bad)} witnesses)")
+        notes.append(
+            f"cycles do not partition the arcs; first: arc {bad[0][0]} -> {bad[0][1]}"
+        )
     if notes:
         return UHReport(False, 0, (), 0, "; ".join(notes))
 

@@ -1,24 +1,17 @@
-"""Vertices of the ordered-pencil digraph and their three notations.
+"""Vertices of the ordered-pencil digraph and their notation.
 
 A vertex pairs a base point with an ordered line avoiding it; the pencil
 of lines through the base is recovered by joining the base to each entry.
-Vertices render as a long pencil tuple "(x,b1c1,b2c2,b0c0)", as a compact
-symbol "yup_x", or as a row/column symbol "j_i" shared by a whole
-translation class.
+Vertices render as a compact symbol "yup_x", and each base-0 vertex
+labels its translation class by a column and a row.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
-from collections import namedtuple
 from functools import cache
 
 from .fano import POINTS, NotALine, line_index, lines_avoiding, third_point
-
-ROW_LETTERS = "abcdef"
-
-_COMPACT_RE = re.compile(r"^([0-6])([0-6])([0-6])_([0-6])$")
 
 
 class Pencil:
@@ -93,48 +86,17 @@ def vertex_index(v: DVertex) -> int:
     return pencil_index()[v.base, v.line]
 
 
-def format_long(v: DVertex) -> str:
-    body = ",".join(f"{b}{c}" for b, c in zip(v.line, v.thirds))
-    return f"({v.base},{body})"
-
-
 def compact(v: DVertex) -> str:
     return "".join(str(q) for q in v.line) + f"_{v.base}"
 
 
-def parse_compact(s: str) -> DVertex:
-    m = _COMPACT_RE.match(s.strip())
-    if not m:
-        raise ValueError(f"bad compact symbol: {s!r}")
-    y, u, p, x = (int(g) for g in m.groups())
-    return DVertex(x, (y, u, p))
-
-
-def translate(v: DVertex, t: int) -> DVertex:
-    """Shift every point of the vertex by t mod 7."""
-    return DVertex((v.base + t) % 7, tuple((q + t) % 7 for q in v.line))
-
-
-class RowColSymbol(namedtuple("RowColSymbol", "col row")):
-    """Orbit label of a translation class: column = line index of the
-    base-0 representative, row = lexicographic rank of its ordering."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"{self.col}_{self.row}"
-
-
-def rowcol(v: DVertex) -> RowColSymbol:
-    rep = translate(v, (-v.base) % 7)
-    rank = sorted(itertools.permutations(sorted(rep.line))).index(rep.line)
-    return RowColSymbol(line_index(rep.line), ROW_LETTERS[rank])
-
-
 def symbol_grid() -> dict[tuple[int, str], str]:
-    """Mapping (column, row) -> compact letters, over the 24 base-0 vertices."""
+    """Mapping (column, row) -> compact letters, over the 24 base-0
+    vertices, the representatives of the translation classes: the
+    column is the line index, and the row letter a-f the lexicographic
+    rank of the ordering among the six of its line."""
     grid = {}
     for v in enumerate_vertices()[:24]:
-        sym = rowcol(v)
-        grid[(sym.col, sym.row)] = "".join(str(q) for q in v.line)
+        rank = sorted(itertools.permutations(sorted(v.line))).index(v.line)
+        grid[line_index(v.line), "abcdef"[rank]] = "".join(str(q) for q in v.line)
     return grid

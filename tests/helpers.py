@@ -1,23 +1,26 @@
-"""Graph builders and oracles the tests share: fault injection, two
-disjoint copies of a graph, one step along a labelled arc, the two
-named slot permutations, the adjacency matrix the numpy oracles start
-from, the Fano collineations by frame images, the full-round colour
-refinement that autos._refine must agree with, the per-edge girth, the
-generator-sum intersection numbers, the object-built Coxeter neighbours
-and the per-vertex automorphism test that the coxeter and autos
-routines must agree with, and the inverse and the closure of
-permutations, the group oracles."""
+"""Graph builders, notation and oracles the tests share: fault
+injection, two disjoint copies of a graph, a fixed corpus of damaged
+inputs, one step along a labelled arc, the two named slot permutations,
+the long and row/column vertex notations and the compact-symbol parser,
+the adjacency matrix the numpy oracles start from, the Fano
+collineations by frame images, the full-round colour refinement that
+autos._refine must agree with, the per-edge girth, the generator-sum
+intersection numbers, the object-built Coxeter neighbours and the
+per-vertex automorphism test that the coxeter and autos routines must
+agree with, and the composition, inverse and closure of permutations,
+the group oracles."""
 
 import itertools
-from collections import Counter
+import random
+import re
+from collections import Counter, namedtuple
 from functools import cache
 
 import numpy as np
 
-from fanopencils.autos import compose
 from fanopencils.coxeter import CoxVertex, NotDistanceRegular, edges
 from fanopencils.digraph import LABELS, Digraph, _images, bfs
-from fanopencils.fano import LINES, POINTS, third_point
+from fanopencils.fano import LINES, POINTS, line_index, third_point
 from fanopencils.pencils import DVertex
 
 
@@ -31,6 +34,45 @@ def with_retargeted_arc(d: Digraph, u: int, slot: int, target: int) -> Digraph:
 def two_copies(d: Digraph) -> Digraph:
     """Two disjoint copies of d, the second on vertices d.n..2 d.n - 1."""
     return Digraph(d.out + tuple(tuple(w + d.n for w in row) for row in d.out))
+
+
+def damage_corpus(d: Digraph, cox: Digraph) -> list[tuple[str, dict]]:
+    """Damaged inputs, each a name and the keyword arguments that hand
+    it to run_verification: 40 single-arc retargets of d (seeds 0-39),
+    vertex 5's out-list rotated by one slot, two copies of d, the empty
+    digraph, and the Coxeter graph cox with one extra symmetric edge or
+    with one degree-preserving edge swap."""
+    corpus = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        u, slot = rng.randrange(d.n), rng.randrange(3)
+        target = rng.choice([w for w in range(d.n) if w != d.out[u][slot]])
+        broken = with_retargeted_arc(d, u, slot, target)
+        corpus.append((f"retarget {u} slot {slot} to {target}", {"d": broken}))
+    rows = [list(row) for row in d.out]
+    rows[5] = rows[5][1:] + rows[5][:1]
+    corpus.append(("vertex 5 rotated", {"d": Digraph(rows)}))
+    corpus.append(("two copies", {"d": two_copies(d)}))
+    corpus.append(("empty", {"d": Digraph([])}))
+    # the first pair of vertices that is not an edge, made one
+    pairs = itertools.combinations(range(cox.n), 2)
+    u, w = next((u, w) for u, w in pairs if w not in cox.out[u])
+    rows = [list(row) for row in cox.out]
+    rows[u].append(w)
+    rows[w].append(u)
+    corpus.append((f"coxeter plus edge {u} {w}", {"cox": Digraph(rows)}))
+    # edges a-b and c-e become a-e and c-b, every degree kept
+    a, b = edges(cox)[0]
+    c, e = next(
+        (c, e)
+        for c, e in edges(cox)
+        if not {a, b} & {c, e} and e not in cox.out[a] and b not in cox.out[c]
+    )
+    rows = [list(row) for row in cox.out]
+    for x, old, new in ((a, b, e), (b, a, c), (c, e, b), (e, c, a)):
+        rows[x][rows[x].index(old)] = new
+    corpus.append((f"coxeter swap {a}-{b} {c}-{e}", {"cox": Digraph(rows)}))
+    return corpus
 
 
 def step(v: DVertex, label: int) -> DVertex:
@@ -49,6 +91,55 @@ def swap_slots(v: DVertex) -> DVertex:
     realizes the full symmetric group on slots inside the automorphism
     group."""
     return DVertex(v.base, (v.line[0], v.line[2], v.line[1]))
+
+
+# the compact symbol "yup_x": line (y, u, p) avoiding the base x
+_COMPACT_RE = re.compile(r"^([0-6])([0-6])([0-6])_([0-6])$")
+
+
+def parse_compact(s: str) -> DVertex:
+    m = _COMPACT_RE.match(s.strip())
+    if not m:
+        raise ValueError(f"bad compact symbol: {s!r}")
+    y, u, p, x = (int(g) for g in m.groups())
+    return DVertex(x, (y, u, p))
+
+
+def format_long(v: DVertex) -> str:
+    """The long pencil tuple "(x,b1c1,b2c2,b0c0)": the base, then each
+    line entry with the third point of its line through the base."""
+    body = ",".join(f"{b}{c}" for b, c in zip(v.line, v.thirds))
+    return f"({v.base},{body})"
+
+
+# golden.EXAMPLE_CYCLE in long notation
+EXAMPLE_CYCLE_LONG = (
+    "(0,26,54,31)", "(6,20,43,15)", "(0,26,31,54)", "(6,20,15,43)",
+)
+
+
+def translate(v: DVertex, t: int) -> DVertex:
+    """Shift every point of the vertex by t mod 7."""
+    return DVertex((v.base + t) % 7, tuple((q + t) % 7 for q in v.line))
+
+
+ROW_LETTERS = "abcdef"
+
+
+class RowColSymbol(namedtuple("RowColSymbol", "col row")):
+    """Orbit label of a translation class: column = line index of the
+    base-0 representative, row = lexicographic rank of its ordering."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return f"{self.col}_{self.row}"
+
+
+def rowcol(v: DVertex) -> RowColSymbol:
+    rep = translate(v, (-v.base) % 7)
+    rank = sorted(itertools.permutations(sorted(rep.line))).index(rep.line)
+    return RowColSymbol(line_index(rep.line), ROW_LETTERS[rank])
 
 
 def adjacency_matrix(d: Digraph) -> np.ndarray:
@@ -188,6 +279,11 @@ def automorphism_per_vertex(d: Digraph, perm) -> bool:
         sorted(perm[w] for w in d.out[u]) == sorted(d.out[perm[u]])
         for u in range(d.n)
     )
+
+
+def compose(p: tuple, q: tuple) -> tuple:
+    """(p o q)[i] = p[q[i]]: apply q first."""
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: tuple) -> tuple:

@@ -25,11 +25,19 @@ from fanopencils.digraph import (
     strongly_connected,
 )
 from fanopencils.golden import ADJACENCY_ROWS, EXAMPLE_CYCLE
-from fanopencils.pencils import enumerate_vertices, parse_compact, translate, vertex_index
+from fanopencils.pencils import enumerate_vertices, vertex_index
 from fanopencils.digraph import canonical_cycle
-from fanopencils.verify import run_verification
+from fanopencils.verify import SUITES, run_verification
 from fanopencils.voltage import cycle_orbits, derive_canonical, quotient
-from helpers import closure, collineations, two_copies, with_retargeted_arc
+from helpers import (
+    closure,
+    collineations,
+    damage_corpus,
+    parse_compact,
+    translate,
+    two_copies,
+    with_retargeted_arc,
+)
 
 
 def _ok(n, name):
@@ -86,7 +94,7 @@ def test_criterion_06_step_permutation_law(d):
 
 
 def test_criterion_07_ultrahomogeneity(d, cycles, group):
-    rep = verify_c4uh(d, cycles)
+    rep = verify_c4uh(d, cycles, cycle_arc_cover(d, cycles))
     assert rep.passed
     assert len(arc_orbits(d, group)) == 1
     assert rep.failures == ()
@@ -229,9 +237,8 @@ def test_lift_checks_name_the_broken_arc(d):
     }
     assert details["voltage.action"] == "translation maps arc 9 -> 0 to 38 -> 29, not an arc"
     assert details["uh.known_subgroups"] == (
-        "0 of 3 generator lifts are automorphisms; translation and involution "
-        "generate 168 collineations; first failure: translation maps arc 9 -> 0 "
-        "to 38 -> 29, not an arc"
+        "0 of 3 generator lifts are automorphisms; first failure: translation "
+        "maps arc 9 -> 0 to 38 -> 29, not an arc"
     )
     assert details["cycles.vertex_incidence"] == "counts [2, 3]; first: vertex 9 on 2 cycles"
     assert details["cycles.count"] == "125 oriented 4-cycles; first: arc 9 -> 0 on 0 cycles"
@@ -268,6 +275,39 @@ def test_orbit_checks_name_a_point_outside_the_first_orbit(d):
     on_d = {c.name: c.detail for c in run_verification("uh", d=d).checks}
     assert on_d["uh.vertex_transitive"] == "1 vertex orbits"
     assert on_d["uh.flag_regular"] == "1 arc orbits (arc-transitive iff 1 of size 504)"
+
+
+def test_every_check_reads_its_input(d, cox):
+    # each check fails on some input of the fixed corpus, with a detail
+    # of its own rather than an exception; digraph.symbol_grid reads the
+    # notation tables only, so no input moves it. A check added later is
+    # held to the same
+    names = {name for suite in SUITES.values() for name, _ in suite}
+    failed = set()
+    raised = []
+    for label, kwargs in damage_corpus(d, cox):
+        for c in run_verification("all", **kwargs).checks:
+            if not c.passed:
+                failed.add(c.name)
+                if c.detail.startswith("raised"):
+                    raised.append((label, c.name, c.detail))
+    assert not raised
+    assert sorted(names - failed) == ["digraph.symbol_grid"]
+
+
+def test_known_example_names_the_missing_arc(d):
+    # the example cycle is (5, 152, 7, 154) by vertex ids; its arc
+    # 7 -> 154 retargeted, and the empty digraph, which lacks every arc
+    broken = with_retargeted_arc(d, 7, d.out[7].index(154), 0)
+    for g, arc in ((broken, "7 -> 154"), (Digraph([]), "5 -> 152")):
+        check = next(
+            c for c in run_verification("cycles", d=g).checks
+            if c.name == "cycles.known_example"
+        )
+        assert not check.passed
+        assert check.detail == (
+            f"known cycle (5, 152, 7, 154) absent; first missing: arc {arc}"
+        )
 
 
 def test_cycle_count_says_when_the_cycles_still_partition_the_arcs(d):

@@ -20,7 +20,6 @@ from fanopencils.autos import (
     arc_orbits,
     arc_witness,
     automorphism_group,
-    compose,
     extend_isomorphism,
     extensions,
     induced_automorphism,
@@ -40,16 +39,19 @@ from fanopencils.digraph import (
 )
 from fanopencils.fano import NotALine
 from fanopencils.golden import EXAMPLE_CYCLE
-from fanopencils.pencils import DVertex, parse_compact, translate, vertex_index
+from fanopencils.pencils import DVertex, vertex_index
 from helpers import (
     adjacency_matrix,
     automorphism_per_vertex,
     closure,
     collineations,
+    compose,
     full_round_refine,
     inverse,
+    parse_compact,
     rotate_slots,
     swap_slots,
+    translate,
     two_copies,
     with_retargeted_arc,
 )
@@ -625,7 +627,7 @@ def test_extend_fails_on_a_mapped_neighbour_that_is_not_adjacent():
 
 
 def test_uh_report_certificate(d, cycles, group):
-    rep = verify_c4uh(d, cycles)
+    rep = verify_c4uh(d, cycles, cycle_arc_cover(d, cycles))
     assert rep.passed
     assert len(arc_orbits(d, group)) == 1
     assert rep.failures == ()
@@ -645,10 +647,12 @@ def test_uh_report_certificate(d, cycles, group):
 def test_uh_detects_retargeted_arc(d):
     target = 0 if d.out[9][2] != 0 else 1
     broken = with_retargeted_arc(d, 9, 2, target)
-    rep = verify_c4uh(broken, enumerate_4cycles(broken))
+    cycles = enumerate_4cycles(broken)
+    rep = verify_c4uh(broken, cycles, cycle_arc_cover(broken, cycles))
     assert not rep.passed and rep.aut_order == 0
     assert rep.detail == (
-        "125 oriented 4-cycles, expected 126; cycles do not partition the arcs (4 witnesses)"
+        "125 oriented 4-cycles, expected 126; cycles do not partition the arcs; "
+        "first: arc 9 -> 0"
     )
 
 
@@ -656,7 +660,7 @@ def test_uh_stops_at_first_failure(monkeypatch, d, cycles):
     # with every extension failing, the runs stop at the first flag past
     # the root: cycle 0 onto itself, rotated once
     monkeypatch.setattr(autos, "extend_isomorphism", lambda d, pins: None)
-    rep = verify_c4uh(d, cycles)
+    rep = verify_c4uh(d, cycles, cycle_arc_cover(d, cycles))
     assert not rep.passed
     assert rep.failures == ((0, 0, 1),)
     assert rep.direct_checked == 1
@@ -675,7 +679,7 @@ def test_direct_checked_counts_extension_calls(monkeypatch, d, cycles):
         return extend_isomorphism(graph, pins)
 
     monkeypatch.setattr(autos, "extend_isomorphism", counted)
-    rep = verify_c4uh(d, cycles)
+    rep = verify_c4uh(d, cycles, cycle_arc_cover(d, cycles))
     assert rep.passed
     assert len(calls) == rep.direct_checked
 
@@ -694,7 +698,7 @@ def test_root_arc_stabilizer_certifies_the_order(d, cycles):
     stab = list(extensions(d, {u: u, w: w}))
     assert len(stab) == ARC_STABILIZER == 2
     assert all(is_automorphism(d, g) and g[u] == u and g[w] == w for g in stab)
-    assert verify_c4uh(d, cycles).aut_order == 1008
+    assert verify_c4uh(d, cycles, cycle_arc_cover(d, cycles)).aut_order == 1008
 
 
 def test_stabilizer_enumeration_stops_past_the_bound():
@@ -714,7 +718,7 @@ def test_certificate_incomplete_past_the_stabilizer_bound(monkeypatch, d, cycles
     # with the bound at 1, D's second root-arc automorphism is the extra
     # one: homogeneity still holds, but no order is certified
     monkeypatch.setattr(autos, "ARC_STABILIZER", 1)
-    rep = verify_c4uh(d, cycles)
+    rep = verify_c4uh(d, cycles, cycle_arc_cover(d, cycles))
     assert rep.passed and rep.aut_order == 0
     assert rep.detail.startswith(
         "2 extension runs from cycle 0 reach all 504 arcs, 0 failures; "

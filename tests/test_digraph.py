@@ -29,13 +29,18 @@ from fanopencils.pencils import (
     DVertex,
     compact,
     enumerate_vertices,
-    parse_compact,
     pencil_index,
     vertex_index,
     vertex_table,
 )
 from fanopencils.verify import run_verification
-from helpers import adjacency_matrix, step, two_copies, with_retargeted_arc
+from helpers import (
+    adjacency_matrix,
+    parse_compact,
+    step,
+    two_copies,
+    with_retargeted_arc,
+)
 
 VERTS = enumerate_vertices()
 vertices = st.sampled_from(VERTS)

@@ -5,18 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fanopencils.fano import NotALine, third_point
-from fanopencils.golden import SYMBOL_GRID
+from fanopencils.golden import EXAMPLE_CYCLE, SYMBOL_GRID
 from fanopencils.pencils import (
     DVertex,
     compact,
     enumerate_vertices,
-    format_long,
-    parse_compact,
-    rowcol,
     symbol_grid,
-    translate,
     vertex_index,
 )
+from helpers import EXAMPLE_CYCLE_LONG, format_long, parse_compact, rowcol, translate
 
 VERTS = enumerate_vertices()
 vertices = st.sampled_from(VERTS)
@@ -79,6 +76,11 @@ def test_long_form_fixed_example():
     assert format_long(v) == "(0,13,26,45)"
 
 
+def test_long_form_of_the_example_cycle():
+    long_form = tuple(format_long(parse_compact(s)) for s in EXAMPLE_CYCLE)
+    assert long_form == EXAMPLE_CYCLE_LONG
+
+
 def test_parse_errors():
     for bad in ("999_0", "12_0", "(0,13,26)", "124-0"):
         with pytest.raises(ValueError):
@@ -110,6 +112,11 @@ def test_symbol_grid_matches_expected_labels():
     assert grid == SYMBOL_GRID
     assert {col for col, _ in grid} == {0, 1, 2, 4}
     assert {row for _, row in grid} == set("abcdef")
+
+
+def test_symbol_grid_equals_the_rowcol_labels():
+    labels = {tuple(rowcol(v)): compact(v)[:3] for v in VERTS[:24]}
+    assert symbol_grid() == labels
 
 
 @given(vertices, st.integers(0, 6))
