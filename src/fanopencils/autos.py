@@ -48,7 +48,7 @@ def arc_witness(d: Digraph, name: str, perm) -> str:
 
 def lift_vertex_map(fn) -> Perm:
     """Index permutation of the 168 ordered pencils induced by a
-    DVertex -> DVertex bijection."""
+    bijection of ordered pencils (Pencil -> Pencil)."""
     return tuple(vertex_index(fn(v)) for v in enumerate_vertices())
 
 

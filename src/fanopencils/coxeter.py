@@ -18,35 +18,16 @@ from itertools import permutations
 
 from .digraph import Digraph, arc_label, bfs, dot, image_rows
 from .fano import line_index, lines_avoiding
-from .pencils import DVertex, Pencil, enumerate_vertices
-
-
-class CoxVertex(Pencil):
-    """Base point plus the (sorted) line of far entries of its pencil."""
-
-    __slots__ = ()
-
-    def __init__(self, base: int, line: tuple[int, int, int]):
-        super().__init__(base, line)
-        if line != tuple(sorted(line)):
-            raise ValueError("line must be sorted")
-
-    def pencil(self) -> tuple[tuple[int, int], ...]:
-        """The (entry, companion) pairs, sorted by entry."""
-        return tuple(zip(self.line, self.thirds))
-
-    def label(self) -> str:
-        body = ",".join(f"{b}{c}" for b, c in self.pencil())
-        return f"[{self.base},{body}]"
+from .pencils import Pencil, enumerate_vertices
 
 
 @cache
-def cox_vertices() -> tuple[CoxVertex, ...]:
-    """All 28 vertices: bases ascending, then line index ascending."""
+def cox_vertices() -> tuple[Pencil, ...]:
+    """All 28 vertices, lines sorted: bases, then line indices ascending."""
     out = []
     for base in range(7):
         for l in sorted(lines_avoiding(base), key=line_index):
-            out.append(CoxVertex(base, l))
+            out.append(Pencil(base, l))
     return tuple(out)
 
 
@@ -57,7 +38,7 @@ def _cox_index() -> dict[tuple[int, tuple[int, int, int]], int]:
     return {(v.base, t): i for i, v in verts for t in permutations(v.line)}
 
 
-def cox_adjacent(u: DVertex, w: DVertex) -> tuple[int, int] | None:
+def cox_adjacent(u: Pencil, w: Pencil) -> tuple[int, int] | None:
     """The alignment of one arc: the Coxeter indices of the unordered
     pencils of u and w when arc_label accepts u -> w, else None.
 
@@ -205,13 +186,20 @@ def distance_regular_array(g: Digraph):
 EXPECTED_ARRAY = ((3, 2, 2, 1), (1, 1, 1, 2))
 
 
+def label(v: Pencil) -> str:
+    """The name "[base,bc,...]": each entry b of the line beside its
+    companion c, in line order."""
+    body = ",".join(f"{b}{c}" for b, c in zip(v.line, v.thirds))
+    return f"[{v.base},{body}]"
+
+
 def to_json_dict(g: Digraph) -> dict:
     return {
-        "vertices": [v.label() for v in cox_vertices()],
+        "vertices": [label(v) for v in cox_vertices()],
         "edges": [[u, w] for u, w in edges(g)],
     }
 
 
 def to_dot(g: Digraph) -> str:
-    labels = (v.label() for v in cox_vertices())
+    labels = map(label, cox_vertices())
     return dot("graph coxeter", labels, (f"{u} -- {w}" for u, w in edges(g)))

@@ -13,7 +13,7 @@ from itertools import zip_longest
 from operator import getitem
 
 from .golden import ADJACENCY_ROWS
-from .pencils import DVertex, enumerate_vertices, pencil_index, vertex_table
+from .pencils import Pencil, enumerate_vertices, pencil_index, vertex_table
 
 LABELS = (1, 2, 0)
 
@@ -39,8 +39,9 @@ def image_rows(pencils, index) -> list[tuple[int, int, int]]:
     return rows
 
 
-def arc_label(u: DVertex, v: DVertex) -> int | None:
-    """The label making all seven arc equations hold, or None.
+def arc_label(u: Pencil, v: Pencil) -> int | None:
+    """The label making all seven arc equations hold between the ordered
+    pencils u and v, or None.
 
     Slot successors follow the label order 1 -> 2 -> 0 -> 1: with p the
     slot of the label, s and r are the next and previous slots.

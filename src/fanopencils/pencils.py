@@ -18,7 +18,8 @@ class Pencil:
     """A base point plus a line avoiding it, validated at construction.
     `thirds[k]` completes the line through the base and `line[k]`.
 
-    Equal only to a pencil of the same type with the same base and line.
+    The vertex of both graphs: D keeps `line` in slot order, matching the
+    arc-label order (1, 2, 0), and the Coxeter graph keeps it sorted.
     """
 
     __slots__ = ("base", "line", "thirds")
@@ -48,24 +49,15 @@ class Pencil:
         return f"{type(self).__name__}(base={self.base!r}, line={self.line!r})"
 
 
-class DVertex(Pencil):
-    """An ordered pencil: a base point plus an ordered line avoiding it.
-
-    The slot order of `line` matches the arc-label order (1, 2, 0).
-    """
-
-    __slots__ = ()
-
-
 @cache
-def enumerate_vertices() -> tuple[DVertex, ...]:
+def enumerate_vertices() -> tuple[Pencil, ...]:
     """All 168 vertices: bases ascending, lines in lexicographic order."""
     out = []
     for base in range(7):
         arrangements = sorted(
             t for l in lines_avoiding(base) for t in itertools.permutations(l)
         )
-        out.extend(DVertex(base, t) for t in arrangements)
+        out.extend(Pencil(base, t) for t in arrangements)
     return tuple(out)
 
 
@@ -82,11 +74,11 @@ def pencil_index() -> dict[tuple[int, tuple[int, int, int]], int]:
     return {(v.base, v.line): i for i, v in enumerate(enumerate_vertices())}
 
 
-def vertex_index(v: DVertex) -> int:
+def vertex_index(v: Pencil) -> int:
     return pencil_index()[v.base, v.line]
 
 
-def compact(v: DVertex) -> str:
+def compact(v: Pencil) -> str:
     return "".join(str(q) for q in v.line) + f"_{v.base}"
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from functools import cached_property
 
 from . import autos, coxeter, digraph, golden, voltage
 from .fano import TRANSLATION
@@ -46,66 +47,56 @@ class VerificationReport(namedtuple("VerificationReport", "selector checks uh_re
         return "\n".join(lines)
 
 
-class _built_once:
-    """Like functools.cached_property, but a build that raises is cached
-    too: the same exception is raised again to every later reader, so a
-    failing artifact is built once per run."""
-
-    def __init__(self, build):
-        self.build = build
-        self.name = build.__name__
-
-    def __get__(self, arts, owner=None):
-        if arts is None:
-            return self
-        if self.name not in arts._built:
-            try:
-                arts._built[self.name] = (True, self.build(arts))
-            except Exception as exc:
-                arts._built[self.name] = (False, exc)
-        ok, value = arts._built[self.name]
-        if not ok:
-            raise value
-        return value
-
-
 class Artifacts:
     """Lazily built shared objects, one instance per verification run;
     `d` and `cox` substitute prebuilt graphs for the built ones."""
 
     def __init__(self, d: digraph.Digraph | None, cox: digraph.Digraph | None):
-        given = (("d", d), ("cox", cox))
-        self._built = {name: (True, g) for name, g in given if g is not None}
+        if d is not None:
+            self.d = d
+        if cox is not None:
+            self.cox = cox
 
-    @_built_once
+    @cached_property
     def d(self) -> digraph.Digraph:
         return digraph.build_d()
 
-    @_built_once
+    @cached_property
     def cycles(self):
         return digraph.enumerate_4cycles(self.d)
 
-    @_built_once
+    @cached_property
     def cover(self):
         return digraph.cycle_arc_cover(self.d, self.cycles)
 
-    @_built_once
+    @cached_property
     def group(self) -> autos.AutGroup:
         return autos.automorphism_group(self.d)
 
-    @_built_once
+    @cached_property
     def uh(self) -> autos.UHReport:
         return autos.verify_c4uh(self.d, self.cycles, self.cover)
 
-    @_built_once
-    def action(self) -> autos.Perm:
-        return voltage.z7_action(self.d)
+    @cached_property
+    def _action(self) -> autos.Perm | voltage.InvalidAction:
+        # the one build that can fail: its error is kept, so that a
+        # failed action is built once and each later reader sees it
+        try:
+            return voltage.z7_action(self.d)
+        except voltage.InvalidAction as e:
+            return e
 
-    @_built_once
+    @property
+    def action(self) -> autos.Perm:
+        if isinstance(self._action, voltage.InvalidAction):
+            raise self._action
+        return self._action
+
+    @cached_property
     def quotient(self) -> voltage.VoltageGraph:
         return voltage.quotient(self.d, self.action)
 
-    @_built_once
+    @cached_property
     def cox(self) -> digraph.Digraph:
         return coxeter.build_coxeter()
 
@@ -459,5 +450,4 @@ def run_verification(
             ms = int(round((time.perf_counter() - t0) * 1000))
             results.append(CheckResult(name, bool(ok), detail, ms))
     # the extension report, when the uh suite built it without raising
-    built, uh = arts._built.get("uh", (False, None))
-    return VerificationReport(selector, tuple(results), uh if built else None)
+    return VerificationReport(selector, tuple(results), vars(arts).get("uh"))

@@ -50,18 +50,16 @@ def validate_action(d: Digraph, gen: Perm):
 
 
 def action_orbits(gen: Perm, n: int):
-    """Orbits as (rep, layer) data: rep is the smallest member."""
+    """Orbits as (rep, layer) data: rep is the least member, the first."""
     reps = []
     layer = [0] * n
     rep_of = [0] * n
     for orb in orbits(range(n), [gen], getitem):
-        rep = min(orb)
-        k = orb.index(rep)
         for i, y in enumerate(orb):
-            rep_of[y] = rep
-            layer[y] = (i - k) % ORDER
-        reps.append(rep)
-    return sorted(reps), rep_of, layer
+            rep_of[y] = orb[0]
+            layer[y] = i % ORDER
+        reps.append(orb[0])
+    return reps, rep_of, layer
 
 
 class VoltageGraph(namedtuple("VoltageGraph", "reps arcs rep_vertices")):

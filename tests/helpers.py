@@ -18,10 +18,10 @@ from functools import cache
 
 import numpy as np
 
-from fanopencils.coxeter import CoxVertex, NotDistanceRegular, edges
+from fanopencils.coxeter import NotDistanceRegular, edges
 from fanopencils.digraph import LABELS, Digraph, _images, bfs
 from fanopencils.fano import LINES, POINTS, line_index, third_point
-from fanopencils.pencils import DVertex
+from fanopencils.pencils import Pencil
 
 
 def with_retargeted_arc(d: Digraph, u: int, slot: int, target: int) -> Digraph:
@@ -75,37 +75,37 @@ def damage_corpus(d: Digraph, cox: Digraph) -> list[tuple[str, dict]]:
     return corpus
 
 
-def step(v: DVertex, label: int) -> DVertex:
+def step(v: Pencil, label: int) -> Pencil:
     """The unique out-neighbour of v along the arc with the given label."""
-    return DVertex(*_images(v)[LABELS.index(label)])
+    return Pencil(*_images(v)[LABELS.index(label)])
 
 
-def rotate_slots(v: DVertex) -> DVertex:
+def rotate_slots(v: Pencil) -> Pencil:
     """Cyclic shift of the written order of a pencil; an automorphism
     that rotates arc labels rather than fixing them."""
-    return DVertex(v.base, (v.line[1], v.line[2], v.line[0]))
+    return Pencil(v.base, (v.line[1], v.line[2], v.line[0]))
 
 
-def swap_slots(v: DVertex) -> DVertex:
+def swap_slots(v: Pencil) -> Pencil:
     """Transpose the last two entries; with autos.rotate_slots this
     realizes the full symmetric group on slots inside the automorphism
     group."""
-    return DVertex(v.base, (v.line[0], v.line[2], v.line[1]))
+    return Pencil(v.base, (v.line[0], v.line[2], v.line[1]))
 
 
 # the compact symbol "yup_x": line (y, u, p) avoiding the base x
 _COMPACT_RE = re.compile(r"^([0-6])([0-6])([0-6])_([0-6])$")
 
 
-def parse_compact(s: str) -> DVertex:
+def parse_compact(s: str) -> Pencil:
     m = _COMPACT_RE.match(s.strip())
     if not m:
         raise ValueError(f"bad compact symbol: {s!r}")
     y, u, p, x = (int(g) for g in m.groups())
-    return DVertex(x, (y, u, p))
+    return Pencil(x, (y, u, p))
 
 
-def format_long(v: DVertex) -> str:
+def format_long(v: Pencil) -> str:
     """The long pencil tuple "(x,b1c1,b2c2,b0c0)": the base, then each
     line entry with the third point of its line through the base."""
     body = ",".join(f"{b}{c}" for b, c in zip(v.line, v.thirds))
@@ -118,9 +118,9 @@ EXAMPLE_CYCLE_LONG = (
 )
 
 
-def translate(v: DVertex, t: int) -> DVertex:
+def translate(v: Pencil, t: int) -> Pencil:
     """Shift every point of the vertex by t mod 7."""
-    return DVertex((v.base + t) % 7, tuple((q + t) % 7 for q in v.line))
+    return Pencil((v.base + t) % 7, tuple((q + t) % 7 for q in v.line))
 
 
 ROW_LETTERS = "abcdef"
@@ -136,7 +136,7 @@ class RowColSymbol(namedtuple("RowColSymbol", "col row")):
         return f"{self.col}_{self.row}"
 
 
-def rowcol(v: DVertex) -> RowColSymbol:
+def rowcol(v: Pencil) -> RowColSymbol:
     rep = translate(v, (-v.base) % 7)
     rank = sorted(itertools.permutations(sorted(rep.line))).index(rep.line)
     return RowColSymbol(line_index(rep.line), ROW_LETTERS[rank])
@@ -260,13 +260,13 @@ def array_by_sums(g: Digraph):
     return tuple(b[:diam]), tuple(c[1:])
 
 
-def cox_neighbors(v: CoxVertex) -> tuple[CoxVertex, ...]:
+def cox_neighbors(v: Pencil) -> tuple[Pencil, ...]:
     """Closed form: each entry b hands the base to the companion of b and
     keeps b while the other entries are replaced by their companions."""
     nbr = []
     for b in v.line:
         rest = [third_point(v.base, w) for w in v.line if w != b]
-        nbr.append(CoxVertex(third_point(v.base, b), tuple(sorted([b] + rest))))
+        nbr.append(Pencil(third_point(v.base, b), tuple(sorted([b] + rest))))
     return tuple(nbr)
 
 

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fanopencils import autos as autos_mod
 from fanopencils import coxeter as cox_mod
+from fanopencils import digraph as digraph_mod
+from fanopencils import voltage as voltage_mod
 from fanopencils.autos import (
     arc_orbits,
     induced_automorphism,
@@ -293,6 +296,44 @@ def test_every_check_reads_its_input(d, cox):
                     raised.append((label, c.name, c.detail))
     assert not raised
     assert sorted(names - failed) == ["digraph.symbol_grid"]
+
+
+# the functions that build the shared artifacts of one run
+ARTIFACT_BUILDS = (
+    (digraph_mod, "build_d"),
+    (digraph_mod, "enumerate_4cycles"),
+    (digraph_mod, "cycle_arc_cover"),
+    (autos_mod, "verify_c4uh"),
+    (voltage_mod, "z7_action"),
+    (voltage_mod, "quotient"),
+    (cox_mod, "build_coxeter"),
+)
+
+
+@pytest.mark.parametrize("given", ["nothing", "retargeted d", "d and cox"])
+def test_each_artifact_is_built_at_most_once(d, cox, given, monkeypatch):
+    calls = dict.fromkeys((name for _, name in ARTIFACT_BUILDS), 0)
+    for module, name in ARTIFACT_BUILDS:
+
+        def counted(*args, build=getattr(module, name), name=name):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    broken = with_retargeted_arc(d, 4, 0, 0 if d.out[4][0] != 0 else 1)
+    kwargs = {
+        "nothing": {},
+        "retargeted d": {"d": broken},
+        "d and cox": {"d": d, "cox": cox},
+    }[given]
+    run_verification("all", **kwargs)
+    assert all(k <= 1 for k in calls.values()), calls
+    # a given graph is never rebuilt
+    assert calls["build_d"] == ("d" not in kwargs), calls
+    assert calls["build_coxeter"] == ("cox" not in kwargs), calls
+    # the retargeted d has no Z7 action, so its quotient is never built
+    assert calls["quotient"] == (given != "retargeted d"), calls
+    assert given != "nothing" or set(calls.values()) == {1}, calls
 
 
 def test_known_example_names_the_missing_arc(d):

@@ -39,7 +39,7 @@ from fanopencils.digraph import (
 )
 from fanopencils.fano import NotALine
 from fanopencils.golden import EXAMPLE_CYCLE
-from fanopencils.pencils import DVertex, vertex_index
+from fanopencils.pencils import Pencil, vertex_index
 from helpers import (
     adjacency_matrix,
     automorphism_per_vertex,
@@ -137,7 +137,7 @@ def test_collineation_lifts_are_automorphisms(d):
     # the table lookup agrees with lifting each vertex one at a time
     for s in collineations():
         one_by_one = lift_vertex_map(
-            lambda v: DVertex(s[v.base], tuple(s[q] for q in v.line))
+            lambda v: Pencil(s[v.base], tuple(s[q] for q in v.line))
         )
         assert induced_automorphism(s) == one_by_one
 

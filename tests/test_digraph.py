@@ -26,7 +26,7 @@ from fanopencils.digraph import (
 )
 from fanopencils.golden import ADJACENCY_ROWS, EXAMPLE_CYCLE
 from fanopencils.pencils import (
-    DVertex,
+    Pencil,
     compact,
     enumerate_vertices,
     pencil_index,
@@ -93,14 +93,14 @@ def test_out_lists_follow_label_order(d):
 
 def test_build_constructs_only_the_168_vertices(monkeypatch):
     built = []
-    init = DVertex.__init__
+    init = Pencil.__init__
 
     def counted(self, base, line):
         built.append((base, line))
         init(self, base, line)
 
     caches = (enumerate_vertices, vertex_table, pencil_index)
-    monkeypatch.setattr(DVertex, "__init__", counted)
+    monkeypatch.setattr(Pencil, "__init__", counted)
     for f in caches:
         f.cache_clear()
     try:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from fanopencils.fano import NotALine, third_point
 from fanopencils.golden import EXAMPLE_CYCLE, SYMBOL_GRID
 from fanopencils.pencils import (
-    DVertex,
+    Pencil,
     compact,
     enumerate_vertices,
     symbol_grid,
@@ -35,23 +35,23 @@ def test_index_round_trip():
 
 def test_vertex_validation():
     with pytest.raises(NotALine):
-        DVertex(1, (1, 2, 4))  # base on its own line
+        Pencil(1, (1, 2, 4))  # base on its own line
     with pytest.raises(NotALine):
-        DVertex(0, (1, 2, 3))  # not a line
-    with pytest.raises(ValueError):
-        DVertex(9, (1, 2, 4))
+        Pencil(0, (1, 2, 3))  # not a line
+    with pytest.raises(ValueError, match="base out of range: 9"):
+        Pencil(9, (1, 2, 4))
     with pytest.raises(TypeError):
-        DVertex(0, [1, 2, 4])  # a list, not a 3-tuple
+        Pencil(0, [1, 2, 4])  # a list, not a 3-tuple
     with pytest.raises(NotALine):
-        DVertex(0, (1, 2, 4, 1))
+        Pencil(0, (1, 2, 4, 1))
 
 
 def test_vertex_equality_hash_and_repr():
-    v = DVertex(0, (1, 2, 4))
-    assert v == DVertex(0, (1, 2, 4)) and hash(v) == hash(DVertex(0, (1, 2, 4)))
-    assert v != DVertex(0, (2, 1, 4))
+    v = Pencil(0, (1, 2, 4))
+    assert v == Pencil(0, (1, 2, 4)) and hash(v) == hash(Pencil(0, (1, 2, 4)))
+    assert v != Pencil(0, (2, 1, 4))
     assert v != (0, (1, 2, 4))
-    assert repr(v) == "DVertex(base=0, line=(1, 2, 4))"
+    assert repr(v) == "Pencil(base=0, line=(1, 2, 4))"
     assert v.thirds == (3, 6, 5)
 
 
