@@ -2,15 +2,15 @@
 
 Automorphisms here are arc-preserving vertex bijections; arc labels are
 not required to be preserved (and one generator rotates them).  The
-group search is individualization-refinement, refining colours over the
-out- and in-lists, with pruning by the automorphisms already found; the
-group is kept as generators and an order, never as a list of elements.
+group search is individualization-refinement by splitter counts of out-
+and in-neighbours, pruned by the automorphisms already found; the group
+is kept as generators and an order, never as a list of elements.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from itertools import islice, repeat, zip_longest
+from collections import deque, namedtuple
+from itertools import accumulate, islice, repeat, zip_longest
 from operator import add, and_, getitem, rshift
 
 from .digraph import Digraph, orbits
@@ -124,58 +124,63 @@ def _closed_walk_colours(d: Digraph) -> list[int]:
 
 
 def _refine(colors: list[int], d: Digraph, moved=None) -> list[int]:
-    """Stable colouring refined by neighbour colours.
+    """The coarsest equitable refinement of `colors` by splitter counts
+    (Paige & Tarjan 1987; McKay & Piperno 2014), each vertex labelled by
+    the rank of its cell's start: canonical, so that two sides of a
+    paired search stay comparable.
 
-    A vertex's signature is (colour, sorted out-neighbour colours, sorted
-    in-neighbour colours); it splits cells exactly as the in/out colour
-    counts do.  Each round's labels are the ranks of the signatures in
-    sorted order, canonical so that two sides of a paired search stay
-    comparable.
-
-    Cell mates had equal neighbour colour counts when their cell formed,
-    and a vertex's counts in all but one part of a split cell fix its
-    count in the last.  So a round re-signs only the neighbours of the
-    parts of cells that split in the last round, the largest part of each
-    left out, and the other members of a cell share one signature,
-    computed once.  The first round re-signs the neighbours of every
-    vertex, or only of `moved` when `colors` is a stable colouring that
-    gave `moved` new colours.
+    Cells keep colour order.  A splitter, taken first in first out,
+    splits each cell into parts by out- and in-neighbour counts in it,
+    in count order, the first part keeping the start; a queued cell
+    queues all its parts, any other all but the first largest.  The
+    queue starts with every cell, or with the cells of `moved`,
+    singletons new to a stable colouring.
     """
-    out, inn = d.out, d.inn
-    colors = list(colors)
-    get = colors.__getitem__
-
-    def signature(v: int) -> tuple:
-        return tuple(sorted(map(get, out[v]))), tuple(sorted(map(get, inn[v])))
-
-    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    # count key: out-count * m + in-count, m past every in-count
+    m = 1 + max(map(len, d.inn), default=0)
+    sizes = _cell_sizes(colors)
+    starts = [0, *accumulate(sizes)]
+    cells: dict[int, set[int]] = {t: set() for t, size in zip(starts, sizes) if size}
     for v, c in enumerate(colors):
-        cells[c].append(v)
-    split = range(len(colors)) if moved is None else moved
-    while True:
-        dirty = {w for v in split for w in out[v] + inn[v]}
-        hit = {colors[v] for v in dirty}
-        refined = []
-        split = []
-        for c, members in enumerate(cells):
-            if c not in hit or len(members) == 1:
-                refined.append(members)
+        cells[starts[c]].add(v)
+    # each vertex's cell start t, or ~t (negative) in a singleton, never split
+    cell = [starts[c] if sizes[c] > 1 else ~starts[c] for c in colors]
+    queue = deque(cells if moved is None else sorted({starts[colors[v]] for v in moved}))
+    queued = set(queue)
+    while queue and len(cells) < len(colors):
+        s = queue.popleft()
+        queued.discard(s)
+        count: dict[int, int] = {}
+        for nbrs, step in ((d.inn, m), (d.out, 1)):
+            for w in cells[s]:
+                for x in nbrs[w]:
+                    if cell[x] >= 0:
+                        count[x] = count.get(x, 0) + step
+        touched: dict[int, list[int]] = {}
+        for x in count:
+            touched.setdefault(cell[x], []).append(x)
+        for t in sorted(touched):
+            old = cells[t]
+            hit = touched[t]
+            parts = {0: old} if len(hit) < len(old) else {}
+            for x in hit:
+                parts.setdefault(count[x], []).append(x)
+            if len(parts) == 1:
                 continue
-            clean = [v for v in members if v not in dirty]
-            parts = {signature(clean[0]): clean} if clean else {}
-            for v in members:
-                if v in dirty:
-                    parts.setdefault(signature(v), []).append(v)
-            ordered = [parts[key] for key in sorted(parts)]
-            refined.extend(ordered)
-            largest = max(ordered, key=len)
-            split.extend(v for part in ordered if part is not largest for v in part)
-        cells = refined
-        for c, members in enumerate(cells):
-            for v in members:
-                colors[v] = c
-        if not split or len(cells) == len(colors):
-            return colors
+            old.difference_update(hit)
+            ordered = [parts[k] for k in sorted(parts)]
+            largest = None if t in queued else max(ordered, key=len)
+            for part in ordered:
+                if part is not largest and t not in queued:
+                    queue.append(t)
+                    queued.add(t)
+                if part is not old or len(part) == 1:
+                    cells[t] = part = set(part)
+                    for v in part:
+                        cell[v] = t if len(part) > 1 else ~t
+                t += len(part)
+    rank = {t: i for i, t in enumerate(sorted(cells))}
+    return [rank[t if t >= 0 else ~t] for t in cell]
 
 
 class AutGroup(namedtuple("AutGroup", "degree generators order base nodes leaves")):
@@ -344,19 +349,10 @@ def extensions(d: Digraph, pins: dict):
     # mapped vertices (ints) and (vertex, previous domain) pairs
     trail: list = []
 
-    def narrow(v: int, allowed: set, forced: list) -> bool:
-        old = dom[v]
-        new = allowed if old is None else old & allowed
-        if old is not None and len(new) == len(old):
-            return True
-        trail.append((v, old))
-        dom[v] = new
-        if len(new) == 1:
-            forced.append((v, next(iter(new))))
-        return bool(new)
-
     def assign(u: int, w: int) -> bool:
         forced = [(u, w)]
+        force = forced.append
+        log = trail.append
         while forced:
             u, w = forced.pop()
             if tgt[u] >= 0:
@@ -367,7 +363,7 @@ def extensions(d: Digraph, pins: dict):
                 return False
             tgt[u] = w
             src[w] = u
-            trail.append(u)
+            log(u)
             for xs, ys in ((out[u], out[w]), (inn[u], inn[w])):
                 if len(xs) != len(ys):
                     return False
@@ -383,7 +379,16 @@ def extensions(d: Digraph, pins: dict):
                     if t >= 0:
                         if t not in ys:
                             return False
-                    elif not narrow(q, free, forced):
+                        continue
+                    old = dom[q]
+                    new = free if old is None else old & free
+                    if old is not None and len(new) == len(old):
+                        continue
+                    log((q, old))
+                    dom[q] = new
+                    if len(new) == 1:
+                        force((q, next(iter(new))))
+                    elif not new:
                         return False
             # w is taken: only the neighbours of the preimages of w's
             # neighbours can hold it
@@ -393,9 +398,13 @@ def extensions(d: Digraph, pins: dict):
                     if p < 0:
                         continue
                     for v in nbrs[p]:
-                        s = dom[v]
-                        if s is not None and w in s and tgt[v] < 0:
-                            if not narrow(v, s - {w}, forced):
+                        old = dom[v]
+                        if old is not None and w in old and tgt[v] < 0:
+                            log((v, old))
+                            dom[v] = new = old - {w}
+                            if len(new) == 1:
+                                force((v, next(iter(new))))
+                            elif not new:
                                 return False
         return True
 
@@ -411,17 +420,19 @@ def extensions(d: Digraph, pins: dict):
     def branch():
         """The vertex to branch on and its sorted images, or (None, None)
         once every vertex is mapped."""
-        best = min(
-            (v for v in range(n) if tgt[v] < 0 and dom[v] is not None),
-            key=lambda v: len(dom[v]),
-            default=None,
-        )
-        if best is not None:
-            return best, sorted(dom[best])
-        u = next((v for v in range(n) if tgt[v] < 0), None)
-        if u is None:
+        best = None
+        fewest = n + 2
+        for v, images in enumerate(dom):
+            if tgt[v] < 0:
+                # no domain: every free image, taken only when none has one
+                k = n + 1 if images is None else len(images)
+                if k < fewest:
+                    best, fewest = v, k
+        if best is None:
             return None, None
-        return u, [x for x in range(n) if src[x] < 0]
+        if dom[best] is None:
+            return best, [x for x in range(n) if src[x] < 0]
+        return best, sorted(dom[best])
 
     if not all(assign(u, w) for u, w in pins.items()):
         return

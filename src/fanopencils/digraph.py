@@ -92,7 +92,7 @@ class Digraph:
         if self._codes is None:
             n = self.n
             arcs = [
-                (row[:i].count(w) * n, u, w)
+                (row[:i].count(w) * n if row.index(w) < i else 0, u, w)
                 for u, row in enumerate(self.out)
                 for i, w in enumerate(row)
             ]

@@ -197,9 +197,9 @@ def _check_cycles_orbits(a: Artifacts):
         return False, str(e)
     sizes = {lab: len(orbs) for lab, orbs in per_label.items()}
     all_len4 = all(len(c) == 4 for orbs in per_label.values() for c in orbs)
-    union = sorted(c for orbs in per_label.values() for c in orbs)
-    ok = all_len4 and sizes == {0: 42, 1: 42, 2: 42} and union == sorted(a.cycles)
-    return ok, f"orbit counts per label {sizes}, census agreement {union == sorted(a.cycles)}"
+    agree = sorted(c for orbs in per_label.values() for c in orbs) == sorted(a.cycles)
+    ok = all_len4 and sizes == {0: 42, 1: 42, 2: 42} and agree
+    return ok, f"orbit counts per label {sizes}, census agreement {agree}"
 
 
 def _check_cycles_example(a: Artifacts):
