@@ -79,10 +79,7 @@ def build_coxeter() -> Digraph:
     cox_vertices()[i], ascending.  Each entry b hands the base to the
     companion of b and keeps b while the other entries are replaced by
     their companions: digraph.image_rows on the sorted pencil."""
-    g = Digraph(sorted(row) for row in image_rows(cox_vertices(), _cox_index()))
-    if g.out != g.inn:
-        raise AssertionError("adjacency is not symmetric")
-    return g
+    return Digraph(sorted(row) for row in image_rows(cox_vertices(), _cox_index()))
 
 
 def edges(g: Digraph) -> list[tuple[int, int]]:
@@ -90,19 +87,23 @@ def edges(g: Digraph) -> list[tuple[int, int]]:
     return sorted((u, w) for u, w in g.arcs() if u < w)
 
 
-def _girth(g: Digraph) -> int:
-    """The girth of the simple graph under g (arcs taken both ways,
-    loops and repeats dropped), g.n + 1 if it has no cycle.
+def girth_with_witness(g: Digraph):
+    """Shortest cycle length and one witness cycle of the simple graph
+    under g (arcs taken both ways, loops and repeats dropped), or
+    (None, ()) if it has no cycle.
 
     A plain search runs from every vertex, one layer at a time: an edge
-    inside layer i closes a cycle of length at most 2i + 1, and a vertex
-    reached from two vertices of layer i one of length at most 2i + 2.
-    Layers that cannot beat the best length found are skipped.
+    inside layer i closes a walk of length 2i + 1 through the root, and
+    a vertex reached from two vertices of layer i one of length 2i + 2.
+    Each walk shorter than the best found so far is read back along the
+    parents and kept; at the minimum it is a cycle, as a repeated vertex
+    would close a shorter one.  Layers that cannot beat the best length
+    found are skipped.
     """
-    rows = [set(o).union(i) - {u} for u, (o, i) in enumerate(zip(g.out, g.inn))]
-    best = g.n + 1
+    rows = [sorted(set(o).union(i) - {u}) for u, (o, i) in enumerate(zip(g.out, g.inn))]
+    best, witness = g.n + 1, ()
     for v in range(g.n):
-        dist = [-1] * g.n
+        dist, parent = [-1] * g.n, [-1] * g.n
         dist[v] = 0
         frontier, i = [v], 0
         while frontier and 2 * i + 1 < best:
@@ -110,40 +111,17 @@ def _girth(g: Digraph) -> int:
             for u in frontier:
                 for w in rows[u]:
                     if dist[w] < 0:
-                        dist[w] = i + 1
+                        dist[w], parent[w] = i + 1, u
                         nxt.append(w)
-                    elif dist[w] >= i:
-                        best = min(best, i + dist[w] + 1)
+                    elif dist[w] >= i and i + dist[w] + 1 < best:
+                        best = i + dist[w] + 1
+                        up, down = [u], [w]
+                        for path in up, down:
+                            while path[-1] != v:
+                                path.append(parent[path[-1]])
+                        witness = tuple(up[::-1] + down[:-1])
             frontier, i = nxt, i + 1
-    return best
-
-
-def girth_with_witness(g: Digraph):
-    """Shortest cycle length and one witness cycle.
-
-    For every edge, the distance between its endpoints without that edge
-    plus one bounds the girth; the minimum over edges attains it, and the
-    witness closes at the first edge, in sorted order, that does.  Each
-    such cycle lies in the simple graph under g, so the scan stops at the
-    first edge that meets _girth, as the witness edge does on a symmetric
-    graph.
-    """
-    bound = _girth(g)
-    best = None
-    witness = ()
-    for u, w in edges(g):
-        dist, parent = bfs(g.out, u, skip_edge=(u, w))
-        if dist[w] < 0:
-            continue
-        if best is None or dist[w] + 1 < best:
-            best = dist[w] + 1
-            path = [w]
-            while path[-1] != u:
-                path.append(parent[path[-1]])
-            witness = tuple(reversed(path))
-            if best == bound:
-                break
-    return best, witness
+    return (best, witness) if witness else (None, ())
 
 
 class NotDistanceRegular(ValueError):
@@ -155,9 +133,12 @@ def distance_regular_array(g: Digraph):
 
     Raises NotDistanceRegular naming the first vertex u whose counts, as
     seen from a base vertex v, disagree with those of an earlier pair at
-    the same distance, or the first vertex v cannot reach.
+    the same distance, the first vertex v cannot reach, or a graph with
+    no vertices.
     """
-    dist = [bfs(g.out, v)[0] for v in range(g.n)]
+    if g.n == 0:
+        raise NotDistanceRegular("the graph has no vertices")
+    dist = [bfs(g.out, v) for v in range(g.n)]
     diam = max(max(row) for row in dist)
     # b_d = 0 and c_0 = 0 hold in every connected graph
     b = [None] * diam + [0]

@@ -117,27 +117,22 @@ def build_d() -> Digraph:
     return Digraph(image_rows(enumerate_vertices(), pencil_index()))
 
 
-def bfs(rows, start: int, skip_edge=None) -> tuple[list[int], list[int]]:
+def bfs(rows, start: int) -> list[int]:
     """Breadth-first search along the neighbour lists `rows` (d.out, or
-    d.inn to go against the arcs), never using skip_edge (u, w) in either
-    direction.  Returns (dist, parent): dist[v] is the number of steps
-    from start, -1 if unreached, and parent[v] the vertex v was first
-    reached from, -1 for start and the unreached."""
-    skip = (skip_edge, skip_edge[::-1]) if skip_edge else ()
+    d.inn to go against the arcs): dist[v] is the number of steps from
+    start, -1 if unreached."""
     dist = [-1] * len(rows)
-    parent = [-1] * len(rows)
     dist[start] = 0
     frontier = [start]
     while frontier:
         nxt = []
         for u in frontier:
             for w in rows[u]:
-                if dist[w] < 0 and (u, w) not in skip:
+                if dist[w] < 0:
                     dist[w] = dist[u] + 1
-                    parent[w] = u
                     nxt.append(w)
         frontier = nxt
-    return dist, parent
+    return dist
 
 
 def strongly_connected(d: Digraph) -> tuple[bool, tuple[int, int]]:
@@ -146,7 +141,7 @@ def strongly_connected(d: Digraph) -> tuple[bool, tuple[int, int]]:
     vertex 0 along and against the arcs."""
     if d.n == 0:
         return False, (0, 0)
-    reach = tuple(sum(x >= 0 for x in bfs(rows, 0)[0]) for rows in (d.out, d.inn))
+    reach = tuple(sum(x >= 0 for x in bfs(rows, 0)) for rows in (d.out, d.inn))
     return reach == (d.n, d.n), reach
 
 

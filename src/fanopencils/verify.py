@@ -354,7 +354,7 @@ def _check_cox_cubic_connected(a: Artifacts):
     return bad is None and conn, f"cubic {cubic}, connected {conn}"
 
 
-def _check_cox_girth(a: Artifacts):
+def _check_cox_shortest_cycle(a: Artifacts):
     girth, witness = coxeter.girth_with_witness(a.cox)
     return girth == 7, f"girth {girth}, witness {witness}"
 
@@ -413,7 +413,7 @@ SUITES = {
     "coxeter": [
         ("coxeter.counts", _check_cox_counts),
         ("coxeter.cubic_connected", _check_cox_cubic_connected),
-        ("coxeter.girth", _check_cox_girth),
+        ("coxeter.girth", _check_cox_shortest_cycle),
         ("coxeter.distance_regular", _check_cox_dr),
         ("coxeter.automorphisms", _check_cox_aut),
         ("coxeter.alignment_consistency", _check_cox_consistency),

@@ -41,7 +41,8 @@ def damage_corpus(d: Digraph, cox: Digraph) -> list[tuple[str, dict]]:
     it to run_verification: 40 single-arc retargets of d (seeds 0-39),
     vertex 5's out-list rotated by one slot, two copies of d, the empty
     digraph, and the Coxeter graph cox with one extra symmetric edge or
-    with one degree-preserving edge swap."""
+    with one degree-preserving edge swap, or replaced by the empty
+    digraph."""
     corpus = []
     for seed in range(40):
         rng = random.Random(seed)
@@ -72,6 +73,7 @@ def damage_corpus(d: Digraph, cox: Digraph) -> list[tuple[str, dict]]:
     for x, old, new in ((a, b, e), (b, a, c), (c, e, b), (e, c, a)):
         rows[x][rows[x].index(old)] = new
     corpus.append((f"coxeter swap {a}-{b} {c}-{e}", {"cox": Digraph(rows)}))
+    corpus.append(("empty coxeter", {"cox": Digraph([])}))
     return corpus
 
 
@@ -214,21 +216,30 @@ def full_round_refine(colors: list[int], d: Digraph) -> list[int]:
 def girth_per_edge(g: Digraph):
     """Shortest cycle length and one witness cycle, by one search per
     edge: for every edge in sorted order, the distance between its
-    endpoints without that edge plus one bounds the girth, and the
-    first edge to attain the minimum closes the witness."""
+    endpoints along g.out without that edge plus one bounds the girth,
+    and the first edge to attain the minimum closes the witness.  The
+    search is its own, with parents, so it shares no code with
+    coxeter.girth_with_witness."""
     best = None
     witness = ()
     for u, w in edges(g):
-        dist, parent = bfs(g.out, u, skip_edge=(u, w))
-        if dist[w] < 0:
+        parent = {u: u}
+        frontier = [u]
+        while frontier and w not in parent:
+            nxt = []
+            for x in frontier:
+                for y in g.out[x]:
+                    if y not in parent and {x, y} != {u, w}:
+                        parent[y] = x
+                        nxt.append(y)
+            frontier = nxt
+        if w not in parent:
             continue
-        if best is None or dist[w] + 1 < best:
-            best = dist[w] + 1
-            path = [w]
-            cur = w
-            while cur != u:
-                cur = parent[cur]
-                path.append(cur)
+        path = [w]
+        while path[-1] != u:
+            path.append(parent[path[-1]])
+        if best is None or len(path) < best:
+            best = len(path)
             witness = tuple(reversed(path))
     return best, witness
 
@@ -238,7 +249,9 @@ def array_by_sums(g: Digraph):
     counts taken by two generator sums over the out-list; raises
     NotDistanceRegular with the message coxeter.distance_regular_array
     gives."""
-    dist = [bfs(g.out, v)[0] for v in range(g.n)]
+    if g.n == 0:
+        raise NotDistanceRegular("the graph has no vertices")
+    dist = [bfs(g.out, v) for v in range(g.n)]
     diam = max(max(row) for row in dist)
     b = [None] * diam + [0]
     c = [0] + [None] * diam

@@ -298,6 +298,25 @@ def test_every_check_reads_its_input(d, cox):
     assert sorted(names - failed) == ["digraph.symbol_grid"]
 
 
+@st.composite
+def small_digraphs(draw):
+    """Digraphs on 0-7 vertices with out-degree 0-4, loops and parallel
+    arcs allowed."""
+    n = draw(st.integers(0, 7))
+    row = st.lists(st.integers(0, n - 1), max_size=4) if n else st.just([])
+    return Digraph(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@given(g=small_digraphs())
+@example(g=Digraph([]))
+def test_no_check_raises_on_small_digraphs(d, g):
+    # every check answers an arbitrary small digraph, given as D or as
+    # the Coxeter graph, with a detail of its own rather than an exception
+    for kwargs in ({"d": g}, {"d": d, "cox": g}):
+        for c in run_verification("all", **kwargs).checks:
+            assert not c.detail.startswith("raised"), (kwargs, c.name, c.detail)
+
+
 # the functions that build the shared artifacts of one run
 ARTIFACT_BUILDS = (
     (digraph_mod, "build_d"),

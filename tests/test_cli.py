@@ -259,12 +259,11 @@ def test_module_entry_point_subprocess():
 # sha256 of the `verify all --format json --seed 0` payload with every
 # check's "ms" dropped, serialized by json.dumps(..., sort_keys=True);
 # pins the report's content against refactors (--seed is ignored); last
-# re-pinned when cycles.known_example, uh.known_subgroups and
-# voltage.round_trip dropped the halves that read only constants (the
-# long-form rendering, the 168 collineations and a lifted loop), and
-# known_example began to name the cycle by vertex ids
+# re-pinned when coxeter.girth took its witness from the layered search,
+# (0, 21, 7, 16, 27, 9, 14) -> (0, 14, 9, 5, 22, 19, 25), the first
+# walk of length 7 read back along that search's parents
 VERIFY_ALL_SEED0_SHA256 = (
-    "6f0b53dc68d5b83ebda663e09b524cc313d86387ec80f75d5840946374444bc7"
+    "e6a2ad0cc9b98d3bde469728246b4d6b2b12d6741ce2d584967ea8647ebd892b"
 )
 
 

@@ -53,11 +53,12 @@ def test_counts_and_regularity(cox):
     assert len(edges(cox)) == 42
     assert all(len(r) == 3 for r in cox.out)
     assert all(len(set(r)) == 3 for r in cox.out)
+    assert cox.out == cox.inn
 
 
 def test_connected_and_diameter(cox):
     assert strongly_connected(cox)[0]
-    assert max(max(bfs(cox.out, v)[0]) for v in range(cox.n)) == 4
+    assert max(max(bfs(cox.out, v)) for v in range(cox.n)) == 4
 
 
 def test_girth_seven_with_valid_witness(cox):
@@ -99,6 +100,8 @@ HEAWOOD = simple_graph(
     [(i, (i + 1) % 14) for i in range(14)]
     + [(i, (i + 5) % 14) for i in range(0, 14, 2)],
 )
+# name: (graph, girth, intersection array or the NotDistanceRegular
+# message, None where not pinned)
 NAMED_GRAPHS = {
     "petersen": (PETERSEN, 5, ((3, 2), (1, 1))),
     "heawood": (HEAWOOD, 6, ((3, 2, 2), (1, 1, 3))),
@@ -108,13 +111,27 @@ NAMED_GRAPHS = {
         for n in range(3, 9)
     },
     "tree": (simple_graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (4, 5)]), None, None),
+    "empty": (Digraph([]), None, "the graph has no vertices"),
 }
+
+
+def check_girth(g):
+    """The girth equals the per-edge oracle's, and the witness is a cycle
+    of that length in the simple graph under g: distinct vertices, each
+    consecutive pair and the closing pair adjacent."""
+    girth, witness = girth_with_witness(g)
+    assert girth == girth_per_edge(g)[0]
+    if girth is not None:
+        assert len(witness) == len(set(witness)) == girth
+        for k, u in enumerate(witness):
+            w = witness[(k + 1) % girth]
+            assert w in g.out[u] or u in g.out[w], (witness, u, w)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
 def test_girth_and_array_equal_the_oracles_on_named_graphs(name):
     g, girth, array = NAMED_GRAPHS[name]
-    assert girth_with_witness(g) == girth_per_edge(g)
+    check_girth(g)
     assert girth_with_witness(g)[0] == girth
     if girth is None:
         assert girth_with_witness(g) == (None, ())
@@ -125,8 +142,15 @@ def test_girth_and_array_equal_the_oracles_on_named_graphs(name):
 
 
 def test_girth_and_array_equal_the_oracles_on_the_coxeter_graph(cox):
-    assert girth_with_witness(cox) == girth_per_edge(cox)
+    check_girth(cox)
     assert distance_regular_array(cox) == array_by_sums(cox) == EXPECTED_ARRAY
+
+
+def test_girth_reads_the_simple_graph_under_a_digraph():
+    # loops and parallel arcs close no cycle, and a one-way triangle is
+    # the triangle 0 - 1 - 2
+    assert girth_with_witness(Digraph([[0, 1, 1], [0, 0], [2]])) == (None, ())
+    assert girth_with_witness(Digraph([[1], [2], [0]])) == (3, (0, 1, 2))
 
 
 def damaged_coxeter_graphs(cox):
@@ -156,7 +180,7 @@ def test_girth_and_array_equal_the_oracles_on_damaged_coxeter_graphs(cox):
     graphs = list(damaged_coxeter_graphs(cox))
     assert len(graphs) == 42 + 40 + 9
     for g in graphs:
-        assert girth_with_witness(g) == girth_per_edge(g)
+        check_girth(g)
         got = array_or_message(distance_regular_array, g)
         assert got == array_or_message(array_by_sums, g)
 

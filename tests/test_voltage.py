@@ -1,7 +1,6 @@
 import pytest
 
 from fanopencils import verify
-from fanopencils.autos import lift_vertex_map
 from fanopencils.digraph import Digraph, build_d
 from fanopencils.fano import TRANSLATION
 from fanopencils.pencils import enumerate_vertices, compact, vertex_index
@@ -16,10 +15,9 @@ from fanopencils.voltage import (
     quotient,
     to_dot,
     to_json_dict,
-    validate_action,
     z7_action,
 )
-from helpers import parse_compact, rotate_slots, translate, with_retargeted_arc
+from helpers import parse_compact, translate, two_copies, with_retargeted_arc
 
 VERTS = enumerate_vertices()
 
@@ -28,7 +26,7 @@ NEEDS_ACTION = "needs the Z7 action, and voltage.action failed"
 
 
 def test_action_is_valid(d, action):
-    validate_action(d, action)  # must not raise
+    assert z7_action(d) == action  # must not raise
     assert ORDER == 7
     p = tuple(range(d.n))
     for _ in range(7):
@@ -41,33 +39,27 @@ def test_action_matches_translation(d, action):
         assert action[i] == vertex_index(translate(VERTS[i], 1))
 
 
-def test_identity_action_rejected(d):
-    with pytest.raises(InvalidAction):
-        validate_action(d, tuple(range(d.n)))
-
-
-def test_order_three_automorphism_rejected(d):
-    # the slot rotation passes the automorphism check but has order 3
-    rotation = lift_vertex_map(rotate_slots)
-    with pytest.raises(InvalidAction, match="orbit of 0 has 3 points, not 7"):
-        validate_action(d, rotation)
-
-
 def test_non_automorphism_rejected(d):
-    perm = list(range(d.n))
-    perm[0], perm[1] = 1, 0
-    with pytest.raises(InvalidAction):
-        validate_action(d, tuple(perm))
+    # D with vertices 0 and 1 exchanged: the same graph, but the
+    # translation of the pencils no longer maps its arcs onto arcs
+    swap = {0: 1, 1: 0}
+    rows = [None] * d.n
+    for u, row in enumerate(d.out):
+        rows[swap.get(u, u)] = [swap.get(w, w) for w in row]
+    with pytest.raises(InvalidAction, match="^translation maps arc "):
+        z7_action(Digraph(rows))
 
 
 def test_wrong_size_rejected(d):
-    with pytest.raises(InvalidAction):
-        validate_action(d, tuple(range(10)))
+    with pytest.raises(
+        InvalidAction, match="^translation acts on 168 vertices, the digraph has 336$"
+    ):
+        z7_action(two_copies(d))
 
 
 def test_wrong_size_names_both_counts():
     with pytest.raises(
-        InvalidAction, match="^generator acts on 168 vertices, the digraph has 3$"
+        InvalidAction, match="^translation acts on 168 vertices, the digraph has 3$"
     ):
         z7_action(Digraph([[1], [2], [0]]))
 
@@ -104,7 +96,10 @@ def test_checks_after_a_failed_action_name_it(d):
             with_retargeted_arc(d, 9, 2, 0),
             "translation maps arc 9 -> 0 to 38 -> 29, not an arc",
         ),
-        (Digraph([[1], [2], [0]]), "generator acts on 168 vertices, the digraph has 3"),
+        (
+            Digraph([[1], [2], [0]]),
+            "translation acts on 168 vertices, the digraph has 3",
+        ),
     ):
         rep = verify.run_verification("voltage", d=broken)
         assert {c.name: (c.passed, c.detail) for c in rep.checks} == {
@@ -114,19 +109,6 @@ def test_checks_after_a_failed_action_name_it(d):
             "voltage.closure": (False, NEEDS_ACTION),
             "voltage.cycle_orbits": (False, NEEDS_ACTION),
         }
-
-
-def test_verify_all_validates_the_action_once(monkeypatch):
-    # z7_action validates; quotient and derive_canonical take its result
-    calls = []
-
-    def counted(graph, gen):
-        calls.append(gen)
-        return validate_action(graph, gen)
-
-    monkeypatch.setattr(verify.voltage, "validate_action", counted)
-    assert verify.run_verification("all").passed
-    assert len(calls) == 1
 
 
 def test_orbit_structure(d, action):
@@ -215,7 +197,7 @@ def test_cycle_voltage_sums_close(d, cycles, action):
     rows = [list(r) for r in d.out]
     rows[5] = rows[5][1:] + rows[5][:1]
     rotated = Digraph(rows)
-    validate_action(rotated, action)
+    assert z7_action(rotated) == action
     assert sum(1 for s in projected_voltage_sums(rotated, cycles, action) if s) == 18
     closure = next(
         c
