@@ -151,11 +151,13 @@ def _refine(colors: list[int], d: Digraph, moved=None) -> list[int]:
         s = queue.popleft()
         queued.discard(s)
         count: dict[int, int] = {}
-        for nbrs, step in ((d.inn, m), (d.out, 1)):
-            for w in cells[s]:
-                for x in nbrs[w]:
-                    if cell[x] >= 0:
-                        count[x] = count.get(x, 0) + step
+        for w in cells[s]:
+            for x in d.inn[w]:
+                if cell[x] >= 0:
+                    count[x] = count.get(x, 0) + m
+            for x in d.out[w]:
+                if cell[x] >= 0:
+                    count[x] = count.get(x, 0) + 1
         touched: dict[int, list[int]] = {}
         for x in count:
             touched.setdefault(cell[x], []).append(x)
@@ -183,14 +185,49 @@ def _refine(colors: list[int], d: Digraph, moved=None) -> list[int]:
     return [rank[t if t >= 0 else ~t] for t in cell]
 
 
+def _derivation(d, colors, b):
+    """Breadth-first steps (x, y, rows) from b and the singletons of
+    `colors`: x is the only vertex of its colour among rows[y], rows
+    being d.out or d.inn.  None unless they reach every vertex."""
+    sizes = _cell_sizes(colors)
+    found = [b, *(v for v, c in enumerate(colors) if sizes[c] == 1)]
+    seen = set(found)
+    steps = []
+    for y in found:
+        for rows in (d.out, d.inn):
+            hues = [colors[x] for x in rows[y]]
+            for x in rows[y]:
+                if x not in seen and hues.count(colors[x]) == 1:
+                    seen.add(x)
+                    found.append(x)
+                    steps.append((x, y, rows))
+    return steps if len(seen) == d.n else None
+
+
+def _transfer(derivation, first, b, colors, w):
+    """The map taking b to w, each singleton of `first` to the vertex of
+    its colour in `colors`, then the x of each step (x, y, rows) of the
+    derivation to the one vertex of x's colour in rows[image of y]; None
+    when a step does not find exactly one."""
+    pos = {c: v for v, c in enumerate(colors)}
+    perm = [pos[c] for c in first]
+    perm[b] = w
+    for x, y, rows in derivation:
+        xs = [v for v in rows[perm[y]] if colors[v] == first[x]]
+        if len(xs) != 1:
+            return None
+        perm[x] = xs[0]
+    return tuple(perm)
+
+
 class AutGroup(namedtuple("AutGroup", "degree generators order base nodes leaves")):
     """A permutation group on range(degree), held as generators.
 
     The pointwise stabilizer of `base` is trivial, and `order` is the
     product of the basic orbit lengths: the orbit of base[i] under the
     stabilizer of base[:i].  `nodes` and `leaves` count the search-tree
-    nodes refined and the discrete leaves reached while the group was
-    found.
+    nodes visited (refined, or transferred at the last level) and the
+    discrete leaves reached while the group was found.
     """
 
     __slots__ = ()
@@ -214,6 +251,16 @@ def automorphism_group(d: Digraph) -> AutGroup:
     leaf by an automorphism fixing base[:i] and taking base[i] to that
     member.  Every kept leaf is checked by is_automorphism.  The orbits
     reached are the basic orbits, and their lengths multiply to the order.
+
+    At the last level a child's leaf is transferred, not refined: the
+    first leaf's map is rebuilt along neighbours of unique colour
+    (_derivation, _transfer) and kept if it passes the leaf's tests;
+    else the child is refined, and so is every later child in the same
+    branch, which bounds the failed transfers.  Refinement is
+    equivariant, so if an automorphism g takes the first leaf's node to
+    the child's, the refined leaf is the first moved by g and every step
+    finds g: the group and the node and leaf counts are those of
+    refining.
     """
     n = d.n
 
@@ -224,7 +271,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
     target: list[int] = []
     base: list[int] = []
 
-    def individualize(colors: list[int], level: int, v: int) -> list[int]:
+    def individualize(colors, level, v):
         nxt = list(colors)
         nxt[v] = len(sizes[level])
         return _refine(nxt, d, (v,))
@@ -240,27 +287,38 @@ def automorphism_group(d: Digraph) -> AutGroup:
     first_leaf = path[-1]
     nodes = len(path)
     leaves = 1
+    last = len(base) - 1
+    derivation = _derivation(d, path[last], base[last]) if base else None
 
-    def leaf_search(colors: list[int], level: int, want: list[int]):
-        """An automorphism at a leaf below this node taking base[:len(want)]
-        to want, or None."""
-        nonlocal nodes, leaves
+    def accepts(perm, want):
+        return [perm[b] for b in base[: len(want)]] == want and is_automorphism(d, perm)
+
+    def leaf_search(colors, level, w, want):
+        """An automorphism at a leaf below the child of this node that
+        individualizes w, taking base[:len(want)] to want, or None.  At
+        the last level the first leaf is transferred to the child, until
+        a transfer fails in this branch."""
+        nonlocal nodes, leaves, steps
         nodes += 1
+        if level == last and steps is not None:
+            perm = _transfer(steps, path[last], base[last], colors, w)
+            if perm is not None and accepts(perm, want):
+                leaves += 1
+                return perm
+            steps = None
+        colors = individualize(colors, level, w)
+        level += 1
         if _cell_sizes(colors) != sizes[level]:
             return None
         if level == len(base):
             leaves += 1
-            pos = [0] * n
-            for v, c in enumerate(colors):
-                pos[c] = v
+            pos = {c: v for v, c in enumerate(colors)}
             perm = tuple(map(pos.__getitem__, first_leaf))
-            if [perm[b] for b in base[: len(want)]] != want:
-                return None
-            return perm if is_automorphism(d, perm) else None
-        for w, c in enumerate(colors):
+            return perm if accepts(perm, want) else None
+        for u, c in enumerate(colors):
             if c != target[level]:
                 continue
-            perm = leaf_search(individualize(colors, level, w), level + 1, want)
+            perm = leaf_search(colors, level, u, want)
             if perm is not None:
                 return perm
         return None
@@ -274,7 +332,9 @@ def automorphism_group(d: Digraph) -> AutGroup:
         for w, c in enumerate(path[i]):
             if c != target[i] or w in orbit:
                 continue
-            perm = leaf_search(individualize(path[i], i, w), i + 1, base[:i] + [w])
+            # transfers are on in this branch until one fails
+            steps = derivation
+            perm = leaf_search(path[i], i, w, base[:i] + [w])
             if perm is not None:
                 gens.append(perm)
                 orbit = set(orbits([b], gens, getitem)[0])

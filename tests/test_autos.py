@@ -312,16 +312,22 @@ def _symmetric(edge_list, n: int) -> Digraph:
     return Digraph(sorted(r) for r in rows)
 
 
+# C6 and two triangles: 2-regular, and every vertex lies on 6 closed
+# 4-walks and 86 closed 8-walks, so neither the first colouring nor
+# refinement separates the components
+C6_AND_TRIANGLES = _symmetric(
+    [(i, (i + 1) % 6) for i in range(6)]
+    + [(o + i, o + (i + 1) % 3) for o in (6, 9) for i in range(3)],
+    12,
+)
+# a simple digraph, in- and out-degree 2 everywhere
+DEGREE_TWO = Digraph([(5, 6), (4, 5), (0, 7), (2, 4), (0, 1), (1, 3), (3, 7), (2, 6)])
+
+
 def test_search_leaves_a_branch_whose_cell_sizes_differ():
-    # C6 and two triangles: 2-regular, and every vertex lies on 6 closed
-    # 4-walks and 86 closed 8-walks, so neither the first colouring nor
-    # refinement separates the components; a branch into the other
-    # component fails on its cell sizes.  Order 12 * 72 = 864
-    g = _symmetric(
-        [(i, (i + 1) % 6) for i in range(6)]
-        + [(o + i, o + (i + 1) % 3) for o in (6, 9) for i in range(3)],
-        12,
-    )
+    # a branch into the other component fails on its cell sizes.  Order
+    # 12 * 72 = 864
+    g = C6_AND_TRIANGLES
     assert set(_closed_walk_colours(g)) == {0}
     grp = automorphism_group(g)
     assert (grp.order, grp.nodes, grp.leaves) == (864, 39, 8)
@@ -329,12 +335,9 @@ def test_search_leaves_a_branch_whose_cell_sizes_differ():
 
 
 def test_search_leaves_a_subtree_without_an_automorphism():
-    # a simple digraph, in- and out-degree 2 everywhere, on which a
-    # branch at level 1 passes its cell sizes but none of its leaves is
+    # a branch at level 1 passes its cell sizes but none of its leaves is
     # an automorphism
-    g = Digraph(
-        [(5, 6), (4, 5), (0, 7), (2, 4), (0, 1), (1, 3), (3, 7), (2, 6)]
-    )
+    g = DEGREE_TWO
     grp = automorphism_group(g)
     assert (grp.order, grp.nodes, grp.leaves) == (4, 16, 7)
     everything = itertools.permutations(range(g.n))
@@ -479,6 +482,127 @@ def test_refine_matches_full_rounds(d, cox):
     graphs = (d, cox, *_two_arc_swaps(d, seed=2, count=20), *SMALL)
     for seed, g in enumerate(graphs):
         _assert_refine_is_canonical(g, seed)
+
+
+# out- and in-degree 2: a map transferred at the last level is not an
+# automorphism, so the search refines that child instead
+UNTRANSFERABLE = Digraph([(5, 4), (2, 3), (3, 5), (1, 2), (0, 1), (4, 0)])
+
+
+def _recorded_transfers(monkeypatch, g) -> list:
+    """Patch autos._transfer to record, for each transfer on g, None or
+    whether the map is an automorphism."""
+    transfer = autos._transfer
+    outcomes = []
+
+    def recorded(*args):
+        perm = transfer(*args)
+        outcomes.append(perm if perm is None else is_automorphism(g, perm))
+        return perm
+
+    monkeypatch.setattr(autos, "_transfer", recorded)
+    return outcomes
+
+
+def _without_transfers(monkeypatch, g: Digraph) -> autos.AutGroup:
+    with monkeypatch.context() as m:
+        m.setattr(autos, "_transfer", lambda *args: None)
+        return automorphism_group(g)
+
+
+def test_transfer_is_exact(monkeypatch, d, group, cox, cox_group):
+    # every child at the last level refined gives the same group, base
+    # and counts as the transfers do
+    assert _without_transfers(monkeypatch, d) == group
+    assert _without_transfers(monkeypatch, cox) == cox_group
+    graphs = (
+        *_two_arc_swaps(d, seed=5, count=20),
+        *SMALL,
+        UNTRANSFERABLE,
+        C6_AND_TRIANGLES,
+        DEGREE_TWO,
+        Digraph([]),
+        Digraph([[] for _ in range(8)]),
+        _relabelled_cycle(168, 3),
+        two_copies(d),
+    )
+    for g in graphs:
+        assert _without_transfers(monkeypatch, g) == automorphism_group(g)
+
+
+# Cayley(Z_n, S): vertex-transitive, and the first leaf of most of them
+# transfers
+circulants = st.integers(2, 30).flatmap(
+    lambda n: st.sets(st.integers(1, n - 1), min_size=1, max_size=4).map(
+        lambda s: Digraph([[(v + a) % n for a in sorted(s)] for v in range(n)])
+    )
+)
+
+
+@given(circulants)
+def test_transfer_is_exact_on_circulants(monkeypatch, g):
+    assert _without_transfers(monkeypatch, g) == automorphism_group(g)
+
+
+def test_d_search_transfers_five_leaves(monkeypatch, d, group):
+    # the first leaf is refined; the other five are transferred, so the
+    # search refines 6 colourings for its 11 nodes
+    refine = autos._refine
+    refined = []
+    monkeypatch.setattr(autos, "_refine", lambda *args: refined.append(1) or refine(*args))
+    transfers = _recorded_transfers(monkeypatch, d)
+    assert automorphism_group(d) == group
+    assert (len(refined), transfers) == (6, [True] * 5)
+
+
+def test_failed_transfers_leave_the_search_unchanged(monkeypatch, d, cox):
+    # with no steps a transfer places only the child's vertex and the
+    # singletons, so here it is never an automorphism and every child is
+    # refined; after a failure the rest of its branch is not transferred:
+    # DEGREE_TWO has 4 branches that reach the last level, one of them
+    # with 3 children there
+    graphs = (DEGREE_TWO, C6_AND_TRIANGLES, d, cox)
+    expected = [automorphism_group(g) for g in graphs]
+    monkeypatch.setattr(autos, "_derivation", lambda *args: [])
+    for g, grp in zip(graphs, expected):
+        with monkeypatch.context() as m:
+            transfers = _recorded_transfers(m, g)
+            assert automorphism_group(g) == grp
+        assert transfers and not any(transfers)
+        if g is DEGREE_TWO:
+            assert len(transfers) == 4
+
+
+def test_search_refuses_a_transfer_that_misses_the_branch(monkeypatch, d, group):
+    # the identity is an automorphism, but it takes no branch's vertex
+    # where the branch wants it, so every transfer is refused
+    monkeypatch.setattr(autos, "_transfer", lambda *args: tuple(range(d.n)))
+    assert automorphism_group(d) == group
+
+
+def test_search_refines_a_child_whose_transfer_fails(monkeypatch):
+    g = UNTRANSFERABLE
+    transfers = _recorded_transfers(monkeypatch, g)
+    grp = automorphism_group(g)
+    assert False in transfers
+    everything = itertools.permutations(range(g.n))
+    assert grp.order == sum(automorphism_per_vertex(g, p) for p in everything)
+    assert all(is_automorphism(g, p) for p in grp.generators)
+
+
+def test_transfer_steps_need_one_vertex_each():
+    # the directed 3-cycle with vertex 0 singled out: from b = 1 and the
+    # singleton 0, one step finds 2 as the out-neighbour of 1
+    c3 = Digraph([[1], [2], [0]])
+    first = [0, 1, 1]
+    steps = autos._derivation(c3, first, 1)
+    assert steps == [(2, 1, c3.out)]
+    # a node coloured as the rotation moves the first: the rotation
+    assert autos._transfer(steps, first, 1, [1, 1, 0], 0) == (2, 0, 1)
+    # the out-neighbour of 1's image has the singleton's colour: no map
+    assert autos._transfer(steps, first, 1, [1, 0, 1], 0) is None
+    # with no arcs nothing but the roots is reached
+    assert autos._derivation(Digraph([[], [], []]), first, 1) is None
 
 
 def test_vertex_and_arc_transitivity(d, group):
