@@ -396,23 +396,21 @@ def extensions(d: Digraph, pins: dict):
     images (lowest index on ties), trying its images in sorted order.
     Only when no unmapped vertex has a mapped neighbour (the map has
     covered whole weak components) does the first unmapped vertex range
-    over every free image.  Mappings and domain changes share one
-    trail, so backtracking restores both.  Every complete map is
-    checked by is_automorphism before it is yielded; after each one the
-    search backtracks from the deepest branch point.
+    over every free image.  Each branch point keeps a copy of the map,
+    its inverse and the domains, and backtracking restores that copy
+    before the next image is tried.  Every complete map is checked by
+    is_automorphism before it is yielded; after each one the search
+    backtracks from the deepest branch point.
     """
     n = d.n
     out, inn = d.out, d.inn
     tgt = [-1] * n
     src = [-1] * n
     dom: list[set | None] = [None] * n
-    # mapped vertices (ints) and (vertex, previous domain) pairs
-    trail: list = []
 
     def assign(u: int, w: int) -> bool:
         forced = [(u, w)]
         force = forced.append
-        log = trail.append
         while forced:
             u, w = forced.pop()
             if tgt[u] >= 0:
@@ -423,7 +421,6 @@ def extensions(d: Digraph, pins: dict):
                 return False
             tgt[u] = w
             src[w] = u
-            log(u)
             for xs, ys in ((out[u], out[w]), (inn[u], inn[w])):
                 if len(xs) != len(ys):
                     return False
@@ -444,7 +441,6 @@ def extensions(d: Digraph, pins: dict):
                     new = free if old is None else old & free
                     if old is not None and len(new) == len(old):
                         continue
-                    log((q, old))
                     dom[q] = new
                     if len(new) == 1:
                         force((q, next(iter(new))))
@@ -460,22 +456,12 @@ def extensions(d: Digraph, pins: dict):
                     for v in nbrs[p]:
                         old = dom[v]
                         if old is not None and w in old and tgt[v] < 0:
-                            log((v, old))
                             dom[v] = new = old - {w}
                             if len(new) == 1:
                                 force((v, next(iter(new))))
                             elif not new:
                                 return False
         return True
-
-    def undo(mark: int):
-        while len(trail) > mark:
-            e = trail.pop()
-            if type(e) is int:
-                src[tgt[e]] = -1
-                tgt[e] = -1
-            else:
-                dom[e[0]] = e[1]
 
     def branch():
         """The vertex to branch on and its sorted images, or (None, None)
@@ -496,7 +482,9 @@ def extensions(d: Digraph, pins: dict):
 
     if not all(assign(u, w) for u, w in pins.items()):
         return
-    # (vertex, its untried images, trail length before its assignment)
+    # (vertex, its untried images, then copies of tgt, src and dom from
+    # before its assignment); a shallow copy of dom is enough because a
+    # domain set is only ever replaced by a new one, never changed in place
     stack = []
     while True:
         u, opts = branch()
@@ -505,12 +493,11 @@ def extensions(d: Digraph, pins: dict):
             if is_automorphism(d, perm):
                 yield perm
         else:
-            stack.append((u, iter(opts), len(trail)))
+            stack.append((u, iter(opts), tgt[:], src[:], dom[:]))
         while True:
             if not stack:
                 return
-            u, rest, mark = stack[-1]
-            undo(mark)
+            u, rest, tgt[:], src[:], dom[:] = stack[-1]
             w = next(rest, None)
             if w is None:
                 stack.pop()

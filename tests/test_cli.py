@@ -10,10 +10,21 @@ import sys
 import pytest
 
 import fanopencils
+from fanopencils import autos, cli, verify
 from fanopencils.cli import main
 from fanopencils.verify import CheckResult, VerificationReport, run_verification
 
 CHECK_LINE = re.compile(r"^CHECK [a-z_]+\.[a-z_0-9]+: (PASS|FAIL) \(\d+ms\)$")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _bench(name: str):
+    """bench/<name>.py, loaded read-only under a name of its own."""
+    path = ROOT / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_verify_digraph_text(capsys):
@@ -49,6 +60,18 @@ def test_verify_uh_exhaustive_known_answer(capsys):
     assert main(["verify", "uh", "--sample", "0", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"pass": True, "aut_order": 1008, "failures": []}
+
+
+def test_verify_uh_json_falls_back_when_the_extension_check_raises(
+    monkeypatch, capsys
+):
+    def boom(*args):
+        raise RuntimeError("no certificate")
+
+    monkeypatch.setattr(autos, "verify_c4uh", boom)
+    assert main(["verify", "uh", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"pass": False, "aut_order": 0, "failures": []}
 
 
 def test_verify_bad_selector_usage_error(capsys):
@@ -93,26 +116,45 @@ def test_benchmark_check_names_match_the_suites():
     # bench/workloads.CHECK_NAMES is the known answer every benchmark
     # verdict is held to; a check renamed, added or moved here must
     # change it too
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     names = tuple(c.name for c in run_verification("all").checks)
-    assert workloads.CHECK_NAMES == names
+    assert _bench("workloads").CHECK_NAMES == names
 
 
 def test_benchmark_traced_names_exist():
     # bench/spans.LAYERS names the functions the benchmark's tracer wraps;
     # Tracer.install looks each up by name and raises AttributeError on one
     # that was renamed or deleted
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    for mod, funcs in spans.LAYERS.items():
+    for mod, funcs in _bench("spans").LAYERS.items():
         module = importlib.import_module(f"fanopencils.{mod}")
         missing = [f for f in funcs if not callable(getattr(module, f, None))]
         assert not missing, (mod, missing)
+
+
+@pytest.mark.parametrize("workload", ["verify_all", "uh_exhaustive", "fault_injection"])
+def test_benchmark_traced_verdict_passes_its_cross_checks(workload, d, capsys):
+    # one traced verdict as bench/child.py runs it, held to the same known
+    # answer and span-count cross-checks; those need the uh report on
+    # VerificationReport and each traced function called under a name that
+    # Tracer.install wraps, including names one module imports from another
+    spans, workloads = _bench("spans"), _bench("workloads")
+    code = None
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        if workload == "fault_injection":
+            faults = _bench("faults")
+            swapped = faults.apply_swap(d, faults.swap_batch(0, 1, d)[0])
+            payload = verify.run_verification("all", d=swapped).to_json_dict()
+        else:
+            code = cli.main(workloads.cli_argv(workload, 1))
+            payload = json.loads(capsys.readouterr().out)
+    finally:
+        tracer.restore()
+    assert workloads.wrong_answer(workload, code, payload) is None
+    report = tracer.last.get("verify.run_verification")
+    uh = getattr(report, "uh_report", None)
+    direct_checked = uh.direct_checked if uh is not None else None
+    assert workloads.call_count_errors(workload, tracer.calls, direct_checked) == []
 
 
 def test_every_public_definition_in_src_has_a_user():
@@ -120,16 +162,11 @@ def test_every_public_definition_in_src_has_a_user():
     # src, exported by fanopencils.__all__, or traced by bench/spans.LAYERS;
     # what only the tests use belongs in tests/helpers.py.
     # autos.lift_vertex_map passes only because LAYERS traces it
-    root = pathlib.Path(__file__).resolve().parents[1]
-    path = root / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     allowed = set(fanopencils.__all__)
-    allowed.update(fn for fns in spans.LAYERS.values() for fn in fns)
+    allowed.update(fn for fns in _bench("spans").LAYERS.values() for fn in fns)
     defined = []
     used = set()
-    for path in sorted((root / "src" / "fanopencils").glob("*.py")):
+    for path in sorted((ROOT / "src" / "fanopencils").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             own = getattr(stmt, "name", None)
             public = own is not None and not own.startswith("_")
@@ -319,7 +356,7 @@ def test_import_leaves_out_dataclasses_inspect_and_typing():
     # (about 10 ms together, and json about 3.5 ms more, which only the
     # JSON outputs need); -S leaves out site .pth files, which may import
     # typing before the package does
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     script = (
         f"import sys; sys.path[:0] = [{src!r}]; import fanopencils.cli; "
         "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} & set(sys.modules)))"
