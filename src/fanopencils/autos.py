@@ -225,9 +225,9 @@ class AutGroup(namedtuple("AutGroup", "degree generators order base nodes leaves
 
     The pointwise stabilizer of `base` is trivial, and `order` is the
     product of the basic orbit lengths: the orbit of base[i] under the
-    stabilizer of base[:i].  `nodes` and `leaves` count the search-tree
-    nodes visited (refined, or transferred at the last level) and the
-    discrete leaves reached while the group was found.
+    stabilizer of base[:i].  `nodes` counts the search-tree nodes
+    visited (refined, or transferred at the last level) and `leaves` the
+    discrete leaves refined and the transfers that yield a map.
     """
 
     __slots__ = ()
@@ -252,15 +252,14 @@ def automorphism_group(d: Digraph) -> AutGroup:
     member.  Every kept leaf is checked by is_automorphism.  The orbits
     reached are the basic orbits, and their lengths multiply to the order.
 
-    At the last level a child's leaf is transferred, not refined: the
-    first leaf's map is rebuilt along neighbours of unique colour
-    (_derivation, _transfer) and kept if it passes the leaf's tests;
-    else the child is refined, and so is every later child in the same
-    branch, which bounds the failed transfers.  Refinement is
-    equivariant, so if an automorphism g takes the first leaf's node to
-    the child's, the refined leaf is the first moved by g and every step
-    finds g: the group and the node and leaf counts are those of
-    refining.
+    At the last level a child is transferred, not refined, when the
+    first leaf's map can be rebuilt along neighbours of unique colour
+    (_derivation, _transfer); the map is a leaf, kept if it passes the
+    same tests, and a failed transfer rules the child out.  Refinement
+    is equivariant with canonical labels, so an automorphism taking the
+    first leaf's node to the child's takes the first leaf to the child's
+    refined leaf, each step finds its image, and only such a map can be
+    kept: the group is that of refining.
     """
     n = d.n
 
@@ -290,37 +289,34 @@ def automorphism_group(d: Digraph) -> AutGroup:
     last = len(base) - 1
     derivation = _derivation(d, path[last], base[last]) if base else None
 
-    def accepts(perm, want):
-        return [perm[b] for b in base[: len(want)]] == want and is_automorphism(d, perm)
-
     def leaf_search(colors, level, w, want):
         """An automorphism at a leaf below the child of this node that
         individualizes w, taking base[:len(want)] to want, or None.  At
-        the last level the first leaf is transferred to the child, until
-        a transfer fails in this branch."""
-        nonlocal nodes, leaves, steps
+        the last level, when there is a derivation, the first leaf is
+        transferred to the child and the child is not refined."""
+        nonlocal nodes, leaves
         nodes += 1
-        if level == last and steps is not None:
-            perm = _transfer(steps, path[last], base[last], colors, w)
-            if perm is not None and accepts(perm, want):
-                leaves += 1
-                return perm
-            steps = None
-        colors = individualize(colors, level, w)
-        level += 1
-        if _cell_sizes(colors) != sizes[level]:
-            return None
-        if level == len(base):
-            leaves += 1
+        if level == last and derivation is not None:
+            perm = _transfer(derivation, path[last], base[last], colors, w)
+            if perm is None:
+                return None
+        else:
+            colors = individualize(colors, level, w)
+            level += 1
+            if _cell_sizes(colors) != sizes[level]:
+                return None
+            if level < len(base):
+                for u, c in enumerate(colors):
+                    if c == target[level]:
+                        perm = leaf_search(colors, level, u, want)
+                        if perm is not None:
+                            return perm
+                return None
             pos = {c: v for v, c in enumerate(colors)}
             perm = tuple(map(pos.__getitem__, first_leaf))
-            return perm if accepts(perm, want) else None
-        for u, c in enumerate(colors):
-            if c != target[level]:
-                continue
-            perm = leaf_search(colors, level, u, want)
-            if perm is not None:
-                return perm
+        leaves += 1
+        if [perm[b] for b in base[: len(want)]] == want and is_automorphism(d, perm):
+            return perm
         return None
 
     gens: list[Perm] = []
@@ -332,8 +328,6 @@ def automorphism_group(d: Digraph) -> AutGroup:
         for w, c in enumerate(path[i]):
             if c != target[i] or w in orbit:
                 continue
-            # transfers are on in this branch until one fails
-            steps = derivation
             perm = leaf_search(path[i], i, w, base[:i] + [w])
             if perm is not None:
                 gens.append(perm)
@@ -400,9 +394,13 @@ def extensions(d: Digraph, pins: dict):
     its inverse and the domains, and backtracking restores that copy
     before the next image is tried.  Every complete map is checked by
     is_automorphism before it is yielded; after each one the search
-    backtracks from the deepest branch point.
+    backtracks from the deepest branch point.  A pin outside range(d.n)
+    raises ValueError before the search starts.
     """
     n = d.n
+    for u, w in pins.items():
+        if not (0 <= u < n and 0 <= w < n):
+            raise ValueError(f"pin {u} -> {w} is not in 0..{n - 1}")
     out, inn = d.out, d.inn
     tgt = [-1] * n
     src = [-1] * n

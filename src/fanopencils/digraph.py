@@ -65,21 +65,21 @@ def arc_label(u: Pencil, v: Pencil) -> int | None:
 class Digraph:
     """Immutable adjacency structure: ordered out-lists, derived in-lists.
 
-    Every target must be a vertex 0..n-1; anything else raises
-    ValueError naming the vertex and the entry.
+    Every target must be an int 0..n-1 (not a bool); anything else
+    raises ValueError naming the vertex and the entry.
     """
 
     __slots__ = ("n", "out", "inn", "_codes")
 
     def __init__(self, out_lists):
         self.out = tuple(tuple(row) for row in out_lists)
-        self.n = len(self.out)
-        incoming = [[] for _ in range(self.n)]
+        self.n = n = len(self.out)
+        incoming = [[] for _ in range(n)]
         for u, row in enumerate(self.out):
             for w in row:
-                if not 0 <= w < self.n:
+                if type(w) is not int or not 0 <= w < n:
                     raise ValueError(
-                        f"vertex {u} has out-neighbour {w}, outside 0..{self.n - 1}"
+                        f"vertex {u} has out-neighbour {w!r}, not a vertex 0..{n - 1}"
                     )
                 incoming[w].append(u)
         self.inn = tuple(map(tuple, incoming))

@@ -486,7 +486,7 @@ def test_refine_matches_full_rounds(d, cox):
 
 
 # out- and in-degree 2: a map transferred at the last level is not an
-# automorphism, so the search refines that child instead
+# automorphism, so the search rules that child out without refining it
 UNTRANSFERABLE = Digraph([(5, 4), (2, 3), (3, 5), (1, 2), (0, 1), (4, 0)])
 
 
@@ -506,14 +506,17 @@ def _recorded_transfers(monkeypatch, g) -> list:
 
 
 def _without_transfers(monkeypatch, g: Digraph) -> autos.AutGroup:
+    """The group search on g refining every child at the last level, as
+    it does when there is no derivation (the Coxeter graph)."""
     with monkeypatch.context() as m:
-        m.setattr(autos, "_transfer", lambda *args: None)
+        m.setattr(autos, "_derivation", lambda *args: None)
         return automorphism_group(g)
 
 
 def test_transfer_is_exact(monkeypatch, d, group, cox, cox_group):
     # every child at the last level refined gives the same group, base
-    # and counts as the transfers do
+    # and counts as the transfers do: a failed transfer rules out only a
+    # child whose refined leaf would not be kept
     assert _without_transfers(monkeypatch, d) == group
     assert _without_transfers(monkeypatch, cox) == cox_group
     graphs = (
@@ -556,36 +559,26 @@ def test_d_search_transfers_five_leaves(monkeypatch, d, group):
     assert (len(refined), transfers) == (6, [True] * 5)
 
 
-def test_failed_transfers_leave_the_search_unchanged(monkeypatch, d, cox):
-    # with no steps a transfer places only the child's vertex and the
-    # singletons, so here it is never an automorphism and every child is
-    # refined; after a failure the rest of its branch is not transferred:
-    # DEGREE_TWO has 4 branches that reach the last level, one of them
-    # with 3 children there
-    graphs = (DEGREE_TWO, C6_AND_TRIANGLES, d, cox)
-    expected = [automorphism_group(g) for g in graphs]
-    monkeypatch.setattr(autos, "_derivation", lambda *args: [])
-    for g, grp in zip(graphs, expected):
-        with monkeypatch.context() as m:
-            transfers = _recorded_transfers(m, g)
-            assert automorphism_group(g) == grp
-        assert transfers and not any(transfers)
-        if g is DEGREE_TWO:
-            assert len(transfers) == 4
-
-
-def test_search_refuses_a_transfer_that_misses_the_branch(monkeypatch, d, group):
+def test_search_refuses_a_transfer_that_misses_the_branch(monkeypatch, d):
     # the identity is an automorphism, but it takes no branch's vertex
-    # where the branch wants it, so every transfer is refused
+    # where the branch wants it, so every transfer is refused, and a
+    # refused transfer rules its child out: no generator is found
     monkeypatch.setattr(autos, "_transfer", lambda *args: tuple(range(d.n)))
-    assert automorphism_group(d) == group
+    grp = automorphism_group(d)
+    assert (grp.order, grp.generators) == (1, ())
 
 
-def test_search_refines_a_child_whose_transfer_fails(monkeypatch):
+def test_search_rules_out_a_child_whose_transfer_fails(monkeypatch):
+    # only the first path is refined: every other child reaches the last
+    # level and is transferred, and the two that are no automorphism are
+    # not refined
     g = UNTRANSFERABLE
+    refine = autos._refine
+    refined = []
+    monkeypatch.setattr(autos, "_refine", lambda *args: refined.append(1) or refine(*args))
     transfers = _recorded_transfers(monkeypatch, g)
     grp = automorphism_group(g)
-    assert False in transfers
+    assert (len(refined), transfers) == (2, [False, False, True])
     everything = itertools.permutations(range(g.n))
     assert grp.order == sum(automorphism_per_vertex(g, p) for p in everything)
     assert all(is_automorphism(g, p) for p in grp.generators)
@@ -778,6 +771,19 @@ def test_extend_fails_on_arc_to_non_arc(d):
 
 def test_extend_fails_on_collapsing_pins(d):
     assert extend_isomorphism(d, {0: 5, 1: 5}) is None
+
+
+@pytest.mark.parametrize(
+    "pins, bad",
+    [({-1: 0}, "-1 -> 0"), ({0: -1}, "0 -> -1"), ({0: 3}, "0 -> 3"), ({0: 1, 4: 9, 5: 0}, "4 -> 9")],
+)
+def test_extend_rejects_pins_outside_the_vertices(pins, bad):
+    # a negative pin must not be read from the end, nor a large one raise
+    # IndexError; the error names the first bad pin
+    c3 = Digraph([[1], [2], [0]])
+    with pytest.raises(ValueError, match=f"pin {bad} is not in 0..2"):
+        next(extensions(c3, pins))
+    assert list(extensions(c3, {0: 2})) == [(2, 0, 1)]
 
 
 def test_extend_fails_on_a_pin_against_a_forced_image():

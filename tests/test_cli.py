@@ -180,6 +180,18 @@ def test_every_public_definition_in_src_has_a_user():
     assert not unused
 
 
+def test_src_parses_as_the_declared_minimum_python():
+    # tier-1 may run a later Python than pyproject.toml's requires-python,
+    # so every module is parsed with the grammar of that minimum
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    minimum = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    assert minimum == (3, 10)
+    for path in sorted((ROOT / "src" / "fanopencils").glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=minimum)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=minimum)
+
+
 def test_verify_output_file(tmp_path, capsys):
     path = tmp_path / "report.txt"
     assert main(["verify", "voltage", "--output", str(path)]) == 0

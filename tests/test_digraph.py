@@ -1,3 +1,4 @@
+import re
 from operator import getitem
 
 import numpy as np
@@ -337,8 +338,9 @@ def test_digraph_equality_semantics(d):
     assert d != with_retargeted_arc(d, 0, 0, d.out[1][0])
 
 
-@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("bad", [-1, 3, 1.0, "1", None, True])
 def test_out_of_range_target_rejected(bad):
-    # a negative entry must not be read as an index from the end
-    with pytest.raises(ValueError, match=f"vertex 0 has out-neighbour {bad}"):
+    # a negative entry must not be read as an index from the end, nor a
+    # float, string or bool as the vertex it equals
+    with pytest.raises(ValueError, match=f"vertex 0 has out-neighbour {re.escape(repr(bad))},"):
         Digraph([[1, bad], [0], []])
