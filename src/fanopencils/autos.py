@@ -10,40 +10,14 @@ is kept as generators and an order, never as a list of elements.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from itertools import accumulate, islice, repeat, zip_longest
-from operator import add, and_, getitem, rshift
+from itertools import accumulate, islice
+from operator import getitem
 
-from .digraph import Digraph, orbits
+from .digraph import Digraph, arc_image, closed_walks, is_automorphism, orbits
 from .fano import NotALine
 from .pencils import enumerate_vertices, vertex_index, vertex_table
 
 Perm = tuple[int, ...]
-
-
-def is_automorphism(d: Digraph, perm) -> bool:
-    """Whether perm permutes range(d.n) and carries the arcs onto the
-    arcs, parallel arcs counted.  A vertex permutation maps the codes of
-    Digraph.arc_codes one to one, so it does iff the image
-    (k * n + perm[u]) * n + perm[w] of each code is again a code; the
-    pass stops at the first image that is not."""
-    n = d.n
-    if sorted(perm) != list(range(n)):
-        return False
-    arcs, codes = d.arc_codes()
-    return codes.issuperset((k + perm[u]) * n + perm[w] for k, u, w in arcs)
-
-
-def arc_witness(d: Digraph, name: str, perm) -> str:
-    """Why `perm`, called `name`, is not an automorphism of d: a length
-    other than d.n, or else the first arc whose image, coded u * n + w
-    as in Digraph.arc_codes, is not an arc."""
-    if len(perm) != d.n:
-        return f"{name} acts on {len(perm)} vertices, the digraph has {d.n}"
-    codes = d.arc_codes()[1]
-    for u, w in d.arcs():
-        if perm[u] * d.n + perm[w] not in codes:
-            return f"{name} maps arc {u} -> {w} to {perm[u]} -> {perm[w]}, not an arc"
-    return f"{name} maps every arc to an arc, but not one to one"
 
 
 def lift_vertex_map(fn) -> Perm:
@@ -93,32 +67,15 @@ def _cell_sizes(colors: list[int]) -> list[int]:
 
 def _closed_walk_colours(d: Digraph) -> list[int]:
     """Colour each vertex by its numbers of closed walks of length 4 and
-    of length 8, diag(A^4) and diag(A^8), ranked to 0..k-1.
+    of length 8 (digraph.closed_walks), ranked to 0..k-1.
 
     Automorphisms preserve both counts, so the colouring can seed the
     search.  The 4-walks split off the vertices near a damaged 4-cycle;
     the 8-walks also split a two-arc swap inside one 4-cycle, which
     trades the cycle for two 2-circuits and leaves every vertex on three
-    closed 4-walks.  Row v of A^k is one int whose field u counts the
-    k-walks from v to u, and A^(k+1) sums the rows of A^k over
-    out-neighbours, one out-list slot at a time (the zero row n past the
-    end of a short list).  A field holds maxdeg^8, so no count of walks
-    of length 8 or less carries into the next field.
+    closed 4-walks.
     """
-    slots = list(zip_longest(*d.out, fillvalue=d.n))
-    width = 8 * len(slots).bit_length() + 1
-    mask = (1 << width) - 1
-    shifts = range(0, d.n * width, width)
-    rows = [1 << shift for shift in shifts]
-    diagonals = []
-    for k in range(1, 9):
-        get = (rows + [0]).__getitem__
-        rows = [0] * d.n
-        for slot in slots:
-            rows = list(map(add, rows, map(get, slot)))
-        if k in (4, 8):
-            diagonals.append(list(map(and_, map(rshift, rows, shifts), repeat(mask))))
-    keys = list(zip(*diagonals))
+    keys = list(zip(*closed_walks(d, (4, 8))))
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [rank[key] for key in keys]
 
@@ -351,11 +308,6 @@ def vertex_orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def arc_image(g: Perm, arc):
-    """The image of the arc (u, w) under the vertex permutation g."""
-    return g[arc[0]], g[arc[1]]
-
-
 def arc_orbits(d: Digraph, group: AutGroup) -> tuple[tuple, ...]:
     return tuple(
         tuple(sorted(o)) for o in orbits(d.arcs(), group.generators, arc_image)
@@ -394,13 +346,13 @@ def extensions(d: Digraph, pins: dict):
     its inverse and the domains, and backtracking restores that copy
     before the next image is tried.  Every complete map is checked by
     is_automorphism before it is yielded; after each one the search
-    backtracks from the deepest branch point.  A pin outside range(d.n)
-    raises ValueError before the search starts.
+    backtracks from the deepest branch point.  A pin not an int in
+    range(d.n) (a bool is not one) raises ValueError before it searches.
     """
     n = d.n
     for u, w in pins.items():
-        if not (0 <= u < n and 0 <= w < n):
-            raise ValueError(f"pin {u} -> {w} is not in 0..{n - 1}")
+        if not all(type(x) is int and 0 <= x < n for x in (u, w)):
+            raise ValueError(f"pin {u!r} -> {w!r} is not in 0..{n - 1}")
     out, inn = d.out, d.inn
     tgt = [-1] * n
     src = [-1] * n

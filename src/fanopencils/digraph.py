@@ -9,8 +9,8 @@ the arc with label LABELS[k].
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from operator import getitem
+from itertools import repeat, zip_longest
+from operator import add, and_, getitem, rshift
 
 from .golden import ADJACENCY_ROWS
 from .pencils import Pencil, enumerate_vertices, pencil_index, vertex_table
@@ -85,7 +85,7 @@ class Digraph:
         self.inn = tuple(map(tuple, incoming))
         self._codes = None
 
-    def arc_codes(self):
+    def _arc_codes(self):
         """(arcs, codes), built on the first call: (k * n, u, w) for the
         k-th of the parallel arcs u -> w, k from 0, and the set of their
         codes (k * n + u) * n + w."""
@@ -115,6 +115,41 @@ def build_d() -> Digraph:
     """The full digraph on the 168 canonical vertices, each image looked
     up by (base, line) in pencils.pencil_index."""
     return Digraph(image_rows(enumerate_vertices(), pencil_index()))
+
+
+def is_automorphism(d: Digraph, perm) -> bool:
+    """Whether perm permutes range(d.n) and carries the arcs onto the
+    arcs, parallel arcs counted.  A vertex permutation maps the arc
+    codes one to one, so it does iff the image
+    (k * n + perm[u]) * n + perm[w] of each code is again a code; the
+    pass stops at the first image that is not."""
+    n = d.n
+    if sorted(perm) != list(range(n)):
+        return False
+    arcs, codes = d._arc_codes()
+    return codes.issuperset((k + perm[u]) * n + perm[w] for k, u, w in arcs)
+
+
+def arc_witness(d: Digraph, name: str, perm) -> str:
+    """Why `perm`, called `name`, is not an automorphism of d: a length
+    other than d.n, else the first arc copy whose coded image is not a
+    code (copy k + 1 of the parallel arcs u -> w, named from k = 1),
+    else that perm does not permute range(d.n)."""
+    n = d.n
+    if len(perm) != n:
+        return f"{name} acts on {len(perm)} vertices, the digraph has {n}"
+    arcs, codes = d._arc_codes()
+    for k, u, w in arcs:
+        if (k + perm[u]) * n + perm[w] not in codes:
+            copy = f"copy {k // n + 1} of " if k else ""
+            image = f"{copy}{perm[u]} -> {perm[w]}"
+            return f"{name} maps {copy}arc {u} -> {w} to {image}, not an arc"
+    return f"{name} is not a permutation of 0..{n - 1}"
+
+
+def arc_image(g, arc):
+    """The image of the arc (u, w) under the vertex permutation g."""
+    return g[arc[0]], g[arc[1]]
 
 
 def bfs(rows, start: int) -> list[int]:
@@ -160,29 +195,40 @@ def check_no_short_circuits(d: Digraph) -> tuple[bool, tuple[int, ...]]:
     return True, ()
 
 
+def closed_walks(d: Digraph, lengths) -> list[list[int]]:
+    """diag(A^k) for each k in the ascending `lengths`, A the 0/1
+    adjacency matrix of d (a parallel arc sets its entry once): entry v
+    of each counts the closed walks of length k through v.
+
+    Row v of A^k is one int whose field u counts the k-walks from v to
+    u, and A^(k+1) sums the rows of A^k over out-neighbours, one slot of
+    the deduplicated out-lists at a time (the zero row n past the end of
+    a short list).  A field holds maxdeg^k for the largest k, so no
+    count carries into the next field.
+    """
+    slots = list(zip_longest(*map(set, d.out), fillvalue=d.n))
+    width = lengths[-1] * len(slots).bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = range(0, d.n * width, width)
+    rows = [1 << shift for shift in shifts]
+    diagonals = []
+    for k in range(1, lengths[-1] + 1):
+        get = (rows + [0]).__getitem__
+        rows = [0] * d.n
+        for slot in slots:
+            rows = list(map(add, rows, map(get, slot)))
+        if k in lengths:
+            diagonals.append(list(map(and_, map(rshift, rows, shifts), repeat(mask))))
+    return diagonals
+
+
 def short_circuit_matrix_check(d: Digraph) -> tuple[bool, tuple[int, int, int]]:
     """Independent oracle: (ok, (tr A, tr A^2, tr A^3)), ok iff the
     traces of the first three powers of the 0/1 adjacency matrix A
-    vanish.
-
-    Row u of A is an int with bit w set for each arc u -> w, and column
-    u one with bit v set for each arc v -> u; a parallel arc sets its
-    bit once.  tr A counts the loops, tr A^2 sums |row u & column u|,
-    and tr A^3 sums |row w & column u| over the arcs u -> w, the closed
-    3-walks through each arc, by int.bit_count.  No path is searched, so
-    this shares no code with check_no_short_circuits.
+    vanish, each the sum of a diagonal from closed_walks.  No path is
+    searched, so this shares no code with check_no_short_circuits.
     """
-    rows = [sum(1 << w for w in set(out)) for out in d.out]
-    cols = [sum(1 << v for v in set(inn)) for inn in d.inn]
-    traces = (
-        sum(row >> u & 1 for u, row in enumerate(rows)),
-        sum((row & col).bit_count() for row, col in zip(rows, cols)),
-        sum(
-            (rows[w] & cols[u]).bit_count()
-            for u, out in enumerate(d.out)
-            for w in set(out)
-        ),
-    )
+    traces = tuple(map(sum, closed_walks(d, (1, 2, 3))))
     return traces == (0, 0, 0), traces
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import getitem
 
-from .autos import Perm, arc_witness, induced_automorphism, is_automorphism
-from .digraph import Digraph, canonical_cycle, dot, orbits
+from .autos import Perm, induced_automorphism
+from .digraph import Digraph, arc_witness, canonical_cycle, dot, is_automorphism, orbits
 from .fano import TRANSLATION
 from .pencils import compact, enumerate_vertices
 
@@ -28,7 +28,7 @@ class InvalidAction(Exception):
 
 def z7_action(d: Digraph) -> Perm:
     """The translation x -> x+1 as a vertex permutation, the generator
-    of the action; raises InvalidAction with autos.arc_witness's reason
+    of the action; raises InvalidAction with digraph.arc_witness's reason
     unless it is an automorphism of d.  The translation is a
     collineation, so it lifts through the collineation table."""
     gen = induced_automorphism(TRANSLATION)

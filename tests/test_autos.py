@@ -18,12 +18,10 @@ from fanopencils.autos import (
     _pin_map,
     _refine,
     arc_orbits,
-    arc_witness,
     automorphism_group,
     extend_isomorphism,
     extensions,
     induced_automorphism,
-    is_automorphism,
     lift_vertex_map,
     slot_rotation,
     verify_c4uh,
@@ -31,10 +29,12 @@ from fanopencils.autos import (
 )
 from fanopencils.digraph import (
     Digraph,
+    arc_witness,
     build_d,
     canonical_cycle,
     cycle_arc_cover,
     enumerate_4cycles,
+    is_automorphism,
     orbits,
 )
 from fanopencils.fano import NotALine
@@ -102,15 +102,20 @@ def test_one_digraph_answers_several_maps_in_a_row(d, data):
 
 def test_arc_codes_count_parallel_arcs():
     # 0 -> 1 twice against 1 -> 0 once: swapping 0 and 1 maps every arc
-    # to an arc, but not the multiset of arcs onto itself
+    # to an arc, but not the multiset of arcs onto itself; the witness is
+    # the second copy of 0 -> 1, whose image has no second copy
     d = Digraph([[1, 1], [0]])
     assert not is_automorphism(d, (1, 0))
     assert automorphism_per_vertex(d, (1, 0)) is False
     assert arc_witness(d, "swap", (1, 0)) == (
-        "swap maps every arc to an arc, but not one to one"
+        "swap maps copy 2 of arc 0 -> 1 to copy 2 of 1 -> 0, not an arc"
     )
     d = Digraph([[1, 1], [0, 0]])
     assert is_automorphism(d, (1, 0)) and automorphism_per_vertex(d, (1, 0))
+    # with no arc to miss, only a map that does not permute is left
+    assert arc_witness(Digraph([[], []]), "fold", (0, 0)) == (
+        "fold is not a permutation of 0..1"
+    )
 
 
 def test_arc_codes_agree_on_d(d, group):
@@ -376,7 +381,9 @@ def test_closed_walk_colours_match_matrix_powers(d):
     wide = Digraph([d.out[0] + tuple(extra), *d.out[1:]])
     # out-degrees 0 to 5: short out-lists read the zero row past their end
     uneven = Digraph([range(1, 1 + k) for k in range(6)] + [[0, 2, 4]])
-    graphs = (Digraph([]), Digraph([[]] * 5), uneven, d, wide)
+    # a loop at 2 and parallel arcs, each counted once, as in the oracle
+    multi = Digraph([[1, 1], [0, 0], [2, 1]])
+    graphs = (Digraph([]), Digraph([[]] * 5), uneven, multi, d, wide)
     for g in (*graphs, *_two_arc_swaps(d, seed=1, count=3)):
         a = adjacency_matrix(g)
         walks = np.stack(
@@ -775,11 +782,19 @@ def test_extend_fails_on_collapsing_pins(d):
 
 @pytest.mark.parametrize(
     "pins, bad",
-    [({-1: 0}, "-1 -> 0"), ({0: -1}, "0 -> -1"), ({0: 3}, "0 -> 3"), ({0: 1, 4: 9, 5: 0}, "4 -> 9")],
+    [
+        ({-1: 0}, "-1 -> 0"),
+        ({0: -1}, "0 -> -1"),
+        ({0: 3}, "0 -> 3"),
+        ({0: 1, 4: 9, 5: 0}, "4 -> 9"),
+        ({True: 2}, "True -> 2"),
+        ({1.0: 2}, "1.0 -> 2"),
+    ],
 )
 def test_extend_rejects_pins_outside_the_vertices(pins, bad):
     # a negative pin must not be read from the end, nor a large one raise
-    # IndexError; the error names the first bad pin
+    # IndexError, nor a bool be read as 0 or 1, nor a float reach list
+    # indexing; the error names the first bad pin
     c3 = Digraph([[1], [2], [0]])
     with pytest.raises(ValueError, match=f"pin {bad} is not in 0..2"):
         next(extensions(c3, pins))

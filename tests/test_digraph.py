@@ -13,6 +13,7 @@ from fanopencils.digraph import (
     build_d,
     canonical_cycle,
     check_no_short_circuits,
+    closed_walks,
     cycle_arc_cover,
     format_table,
     golden_sublist_diff,
@@ -189,6 +190,22 @@ def test_trace_oracle_counts_three_circuits(d):
     assert traces == _integer_power_traces(broken)
 
 
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, max(n - 1, 0)), max_size=4), min_size=n, max_size=n
+        ).map(Digraph)
+    ),
+    st.sets(st.integers(1, 9), min_size=1).map(sorted),
+)
+def test_closed_walks_are_diagonals_of_matrix_powers(g, lengths):
+    # loops, parallel arcs (counted once) and empty out-lists; a length
+    # list that skips powers returns only the asked diagonals
+    a = adjacency_matrix(g)
+    want = [np.diag(np.linalg.matrix_power(a, k)).tolist() for k in lengths]
+    assert closed_walks(g, lengths) == want
+
+
 def test_trace_oracle_counts_past_int8():
     # the complete digraph on 40 vertices: n(n-1) closed 2-walks and
     # n(n-1)(n-2) closed 3-walks, far past what an int8 count can hold
@@ -213,7 +230,7 @@ retargets = st.lists(
 @settings(max_examples=20)
 @given(retargets)
 def test_trace_oracle_matches_integer_powers(d, retargets):
-    # the bitset traces against exact int64 matrix powers
+    # the packed-row traces against exact int64 matrix powers
     g = d
     for u, slot, target in retargets:
         g = with_retargeted_arc(g, u, slot, target)
