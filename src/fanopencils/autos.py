@@ -15,43 +15,38 @@ from operator import getitem
 
 from .digraph import Digraph, arc_image, closed_walks, is_automorphism, orbits
 from .fano import NotALine
-from .pencils import enumerate_vertices, vertex_index, vertex_table
+from .pencils import pencil_index
 
 Perm = tuple[int, ...]
 
 
 def lift_vertex_map(fn) -> Perm:
-    """Index permutation of the 168 ordered pencils induced by a
-    bijection of ordered pencils (Pencil -> Pencil)."""
-    return tuple(vertex_index(fn(v)) for v in enumerate_vertices())
+    """Index permutation of the 168 vertices induced by a bijection of
+    ordered pencils, fn(base, line) -> (base, line); raises NotALine
+    naming the first image that is not a vertex."""
+    index = pencil_index()
+    images = [fn(b, line) for b, line in index]
+    perm = tuple(map(index.get, images))
+    if None in perm:
+        raise NotALine(f"{images[perm.index(None)]} is not a vertex")
+    return perm
 
 
 def induced_automorphism(point_perm) -> Perm:
-    """Lift a permutation of the 7 points (a collineation) to vertices.
-
-    The compact symbols of all 168 vertices are relabelled at once by
-    str.translate and each image is looked up in pencils.vertex_table;
+    """Lift a permutation of the 7 points (a collineation) to vertices;
     raises NotALine when point_perm is not a permutation of the 7 points
     or some image is not a vertex, i.e. point_perm is not a collineation.
     """
     s = tuple(point_perm)
-    if sorted(s) != list(range(7)):
+    if any(type(x) is not int for x in s) or sorted(s) != list(range(7)):
         raise NotALine(f"{s} is not a permutation of the 7 points")
-    table = vertex_table()
-    relabel = str.maketrans("0123456", "".join(map(str, s)))
-    images = " ".join(table).translate(relabel).split()
-    try:
-        return tuple(map(table.__getitem__, images))
-    except KeyError:
-        raise NotALine(f"{s} is not a collineation") from None
+    return lift_vertex_map(lambda b, l: (s[b], (s[l[0]], s[l[1]], s[l[2]])))
 
 
 def slot_rotation() -> Perm:
     """The cyclic shift of the written order of every pencil, an
-    automorphism that rotates arc labels rather than fixing them, lifted
-    by table: the vertex with compact symbol yup_x goes to upy_x."""
-    table = vertex_table()
-    return tuple(table[s[1:3] + s[0] + s[3:]] for s in table)
+    automorphism that rotates arc labels rather than fixing them."""
+    return lift_vertex_map(lambda b, l: (b, (l[1], l[2], l[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +215,10 @@ def automorphism_group(d: Digraph) -> AutGroup:
     """
     n = d.n
 
-    # the first path: colourings and cell sizes by level, target cell
-    # labels, base
+    # the first path: colourings and cell sizes by level, base; the
+    # target cell at level i is path[i][base[i]]
     path = [_refine(_closed_walk_colours(d), d)]
     sizes = [_cell_sizes(path[0])]
-    target: list[int] = []
     base: list[int] = []
 
     def individualize(colors, level, v):
@@ -235,10 +229,8 @@ def automorphism_group(d: Digraph) -> AutGroup:
     while max(sizes[-1], default=0) > 1:
         # the largest cell, the lowest label on ties
         c = sizes[-1].index(max(sizes[-1]))
-        v = path[-1].index(c)
-        target.append(c)
-        base.append(v)
-        path.append(individualize(path[-1], len(base) - 1, v))
+        base.append(path[-1].index(c))
+        path.append(individualize(path[-1], len(base) - 1, base[-1]))
         sizes.append(_cell_sizes(path[-1]))
     first_leaf = path[-1]
     nodes = len(path)
@@ -264,7 +256,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
                 return None
             if level < len(base):
                 for u, c in enumerate(colors):
-                    if c == target[level]:
+                    if c == path[level][base[level]]:
                         perm = leaf_search(colors, level, u, want)
                         if perm is not None:
                             return perm
@@ -283,7 +275,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
         # the orbit of b under the generators found so far
         orbit = set(orbits([b], gens, getitem)[0])
         for w, c in enumerate(path[i]):
-            if c != target[i] or w in orbit:
+            if c != path[i][b] or w in orbit:
                 continue
             perm = leaf_search(path[i], i, w, base[:i] + [w])
             if perm is not None:

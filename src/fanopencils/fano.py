@@ -38,8 +38,16 @@ for _l in LINES:
         _THIRD[(_p, _q)] = sum(_l) - _p - _q
 
 
+def _check_points(points, error):
+    # by type, so that a bool or a float is never read as the point it equals
+    for x in points:
+        if type(x) is not int or x not in POINTS:
+            raise error(f"{x!r} is not a point")
+
+
 def line_index(points) -> int:
     """Index j of the given line; raises NotALine otherwise."""
+    _check_points(points, NotALine)
     try:
         return _LINE_INDEX[tuple(sorted(points))]
     except KeyError:
@@ -47,10 +55,13 @@ def line_index(points) -> int:
 
 
 def third_point(p: int, q: int) -> int:
-    """The third point on the unique line through two distinct points."""
-    if p == q:
+    """The third point on the unique line through two distinct points;
+    _THIRD holds every such pair, so two points it lacks coincide."""
+    r = _THIRD.get((p, q)) if type(p) is int is type(q) else None
+    if r is None:
+        _check_points((p, q), ValueError)
         raise DegeneratePair(f"points coincide: {p}")
-    return _THIRD[(p, q)]
+    return r
 
 
 def lines_avoiding(p: int) -> tuple[tuple[int, int, int], ...]:

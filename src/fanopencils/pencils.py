@@ -25,11 +25,11 @@ class Pencil:
     __slots__ = ("base", "line", "thirds")
 
     def __init__(self, base: int, line: tuple[int, int, int]):
-        if base not in POINTS:
-            raise ValueError(f"base out of range: {base}")
+        if type(base) is not int or base not in POINTS:
+            raise ValueError(f"base out of range: {base!r}")
         if type(line) is not tuple:
             raise TypeError(f"line must be a 3-tuple, not {line!r}")
-        line_index(line)  # raises NotALine for junk
+        line_index(line)  # raises NotALine for junk, naming a non-point
         if base in line:
             raise NotALine(f"base {base} lies on its own line {line}")
         self.base = base
@@ -72,10 +72,6 @@ def vertex_table() -> dict[str, int]:
 def pencil_index() -> dict[tuple[int, tuple[int, int, int]], int]:
     """(base, ordered line) -> vertex index, over all 168 vertices."""
     return {(v.base, v.line): i for i, v in enumerate(enumerate_vertices())}
-
-
-def vertex_index(v: Pencil) -> int:
-    return pencil_index()[v.base, v.line]
 
 
 def compact(v: Pencil) -> str:

@@ -1,14 +1,15 @@
 """Graph builders, notation and oracles the tests share: fault
 injection, two disjoint copies of a graph, a fixed corpus of damaged
 inputs, one step along a labelled arc, the two named slot permutations,
-the long and row/column vertex notations and the compact-symbol parser,
-the adjacency matrix the numpy oracles start from, the Fano
-collineations by frame images, the full-round colour refinement that
-autos._refine must agree with, the per-edge girth, the generator-sum
-intersection numbers, the object-built Coxeter neighbours and the
-per-vertex automorphism test that the coxeter and autos routines must
-agree with, and the composition, inverse and closure of permutations,
-the group oracles."""
+the vertex index of a pencil and the one-by-one lift of a pencil map
+(the oracle of autos.lift_vertex_map), the long and row/column vertex
+notations and the compact-symbol parser, the adjacency matrix the
+numpy oracles start from, the Fano collineations by frame images, the
+full-round colour refinement that autos._refine must agree with, the
+per-edge girth, the generator-sum intersection numbers, the
+object-built Coxeter neighbours and the per-vertex automorphism test
+that the coxeter and autos routines must agree with, and the
+composition, inverse and closure of permutations, the group oracles."""
 
 import itertools
 import random
@@ -21,7 +22,7 @@ import numpy as np
 from fanopencils.coxeter import NotDistanceRegular, edges
 from fanopencils.digraph import LABELS, Digraph, _images, bfs
 from fanopencils.fano import LINES, POINTS, line_index, third_point
-from fanopencils.pencils import Pencil
+from fanopencils.pencils import Pencil, enumerate_vertices, pencil_index
 
 
 def with_retargeted_arc(d: Digraph, u: int, slot: int, target: int) -> Digraph:
@@ -89,10 +90,20 @@ def rotate_slots(v: Pencil) -> Pencil:
 
 
 def swap_slots(v: Pencil) -> Pencil:
-    """Transpose the last two entries; with autos.rotate_slots this
+    """Transpose the last two entries; with rotate_slots this
     realizes the full symmetric group on slots inside the automorphism
     group."""
     return Pencil(v.base, (v.line[0], v.line[2], v.line[1]))
+
+
+def vertex_index(v: Pencil) -> int:
+    return pencil_index()[v.base, v.line]
+
+
+def lift_pencil_map(fn) -> tuple[int, ...]:
+    """Index permutation of the 168 vertices induced by a bijection of
+    ordered pencils (Pencil -> Pencil), lifted one vertex at a time."""
+    return tuple(vertex_index(fn(v)) for v in enumerate_vertices())
 
 
 # the compact symbol "yup_x": line (y, u, p) avoiding the base x

@@ -13,7 +13,6 @@ from fanopencils import voltage as voltage_mod
 from fanopencils.autos import (
     arc_orbits,
     induced_automorphism,
-    lift_vertex_map,
     verify_c4uh,
 )
 from fanopencils.digraph import (
@@ -28,7 +27,7 @@ from fanopencils.digraph import (
     strongly_connected,
 )
 from fanopencils.golden import ADJACENCY_ROWS, EXAMPLE_CYCLE
-from fanopencils.pencils import enumerate_vertices, vertex_index
+from fanopencils.pencils import enumerate_vertices
 from fanopencils.digraph import canonical_cycle
 from fanopencils.verify import SUITES, run_verification
 from fanopencils.voltage import cycle_orbits, derive_canonical, quotient
@@ -36,9 +35,11 @@ from helpers import (
     closure,
     collineations,
     damage_corpus,
+    lift_pencil_map,
     parse_compact,
     translate,
     two_copies,
+    vertex_index,
     with_retargeted_arc,
 )
 
@@ -113,7 +114,7 @@ def test_criterion_08_symmetry_floor(d, group):
     for s in collineations():
         assert induced_automorphism(s) in elements
     for t in range(7):
-        assert lift_vertex_map(lambda v: translate(v, t)) in elements
+        assert lift_pencil_map(lambda v: translate(v, t)) in elements
     _ok(8, f"|Aut| = {group.order}, with all known lifts")
 
 

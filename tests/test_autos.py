@@ -39,7 +39,7 @@ from fanopencils.digraph import (
 )
 from fanopencils.fano import NotALine
 from fanopencils.golden import EXAMPLE_CYCLE
-from fanopencils.pencils import Pencil, vertex_index
+from fanopencils.pencils import Pencil
 from helpers import (
     adjacency_matrix,
     automorphism_per_vertex,
@@ -48,11 +48,13 @@ from helpers import (
     compose,
     full_round_refine,
     inverse,
+    lift_pencil_map,
     parse_compact,
     rotate_slots,
     swap_slots,
     translate,
     two_copies,
+    vertex_index,
     with_retargeted_arc,
 )
 
@@ -126,7 +128,18 @@ def test_arc_codes_agree_on_d(d, group):
 
 
 def test_slot_rotation_by_table_equals_the_one_by_one_lift():
-    assert slot_rotation() == lift_vertex_map(rotate_slots)
+    assert slot_rotation() == lift_pencil_map(rotate_slots)
+    # the slot swap is one lift_vertex_map call too
+    swap = lift_vertex_map(lambda b, line: (b, line[:1] + line[:0:-1]))
+    assert swap == lift_pencil_map(swap_slots)
+
+
+def test_lift_names_an_image_that_is_not_a_vertex():
+    with pytest.raises(NotALine, match=r"^\(0, \(1, 2\)\) is not a vertex$"):
+        lift_vertex_map(lambda b, line: (b, line[:2]))
+    # the first pencil, 124_0, is the first to go onto its own line
+    with pytest.raises(NotALine, match=r"^\(1, \(1, 2, 4\)\) is not a vertex$"):
+        lift_vertex_map(lambda b, line: (line[0], line))
 
 
 def test_compose_inverse():
@@ -139,9 +152,9 @@ def test_compose_inverse():
 def test_collineation_lifts_are_automorphisms(d):
     for s in collineations()[:25]:
         assert is_automorphism(d, induced_automorphism(s))
-    # the table lookup agrees with lifting each vertex one at a time
+    # the lift agrees with lifting each vertex one at a time
     for s in collineations():
-        one_by_one = lift_vertex_map(
+        one_by_one = lift_pencil_map(
             lambda v: Pencil(s[v.base], tuple(s[q] for q in v.line))
         )
         assert induced_automorphism(s) == one_by_one
@@ -150,17 +163,22 @@ def test_collineation_lifts_are_automorphisms(d):
 def test_bad_lifts_are_rejected():
     not_collineation = (1, 0, 2, 3, 4, 5, 6)
     assert not_collineation not in collineations()
-    with pytest.raises(NotALine):
+    # the first vertex, 124_0, goes to base 1 and 024, not a line
+    with pytest.raises(NotALine, match=r"^\(1, \(0, 2, 4\)\) is not a vertex$"):
         induced_automorphism(not_collineation)
     with pytest.raises(NotALine):
         induced_automorphism((0, 0, 1, 2, 3, 4, 5))
     with pytest.raises(NotALine):
         induced_automorphism(collineations()[0] + (7,))
+    # a point is an int: False and 0.0 equal 0 but are not read as it
+    for bad in ((1, 2, 3, 4, 5, 6, False), (1, 2, 3, 4, 5, 6, 0.0)):
+        with pytest.raises(NotALine, match="is not a permutation of the 7 points"):
+            induced_automorphism(bad)
 
 
 def test_slot_maps_are_automorphisms(d):
-    rot = lift_vertex_map(rotate_slots)
-    swp = lift_vertex_map(swap_slots)
+    rot = lift_pencil_map(rotate_slots)
+    swp = lift_pencil_map(swap_slots)
     assert is_automorphism(d, rot)
     assert is_automorphism(d, swp)
     assert compose(rot, compose(rot, rot)) == tuple(range(d.n))
@@ -184,8 +202,8 @@ def _small_point_generators():
 def test_group_order_cross_checked_by_known_generators(d, group):
     # lower bound built from named automorphisms, independent of the search
     lifted = [induced_automorphism(s) for s in _small_point_generators()]
-    lifted.append(lift_vertex_map(rotate_slots))
-    lifted.append(lift_vertex_map(swap_slots))
+    lifted.append(lift_pencil_map(rotate_slots))
+    lifted.append(lift_pencil_map(swap_slots))
     known = closure(lifted, d.n)
     assert len(known) == 1008
     assert len(known) == group.order
@@ -220,9 +238,9 @@ def test_membership_rejects_non_automorphisms(d, group, elements):
     # the group agrees with the direct arc check on the named automorphisms
     lifts = [induced_automorphism(s) for s in collineations()]
     named = lifts + [
-        lift_vertex_map(lambda v, t=t: translate(v, t)) for t in range(7)
+        lift_pencil_map(lambda v, t=t: translate(v, t)) for t in range(7)
     ]
-    named += [lift_vertex_map(rotate_slots), lift_vertex_map(swap_slots)]
+    named += [lift_pencil_map(rotate_slots), lift_pencil_map(swap_slots)]
     for perm in named:
         assert is_automorphism(d, perm)
         assert perm in elements
@@ -633,7 +651,7 @@ def test_extend_translation_between_cycle_and_its_shift(d, cycles):
     idx = tuple(vertex_index(parse_compact(s)) for s in EXAMPLE_CYCLE)
     cyc = canonical_cycle(idx)
     assert cyc in set(cycles)
-    shift = lift_vertex_map(lambda v: translate(v, 1))
+    shift = lift_pencil_map(lambda v: translate(v, 1))
     pins = {cyc[k]: shift[cyc[k]] for k in range(4)}
     perm = extend_isomorphism(d, pins)
     assert perm is not None

@@ -161,7 +161,6 @@ def test_every_public_definition_in_src_has_a_user():
     # a public top-level function or class is referenced elsewhere in
     # src, exported by fanopencils.__all__, or traced by bench/spans.LAYERS;
     # what only the tests use belongs in tests/helpers.py.
-    # autos.lift_vertex_map passes only because LAYERS traces it
     allowed = set(fanopencils.__all__)
     allowed.update(fn for fns in _bench("spans").LAYERS.values() for fn in fns)
     defined = []

@@ -32,7 +32,6 @@ from fanopencils.pencils import (
     compact,
     enumerate_vertices,
     pencil_index,
-    vertex_index,
     vertex_table,
 )
 from fanopencils.verify import run_verification
@@ -41,6 +40,7 @@ from helpers import (
     parse_compact,
     step,
     two_copies,
+    vertex_index,
     with_retargeted_arc,
 )
 

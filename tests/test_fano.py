@@ -41,6 +41,10 @@ def test_line_index_round_trip():
         assert line_index(line(j)) == j
     with pytest.raises(NotALine):
         line_index((0, 1, 2))
+    # not read as (1, 2, 4), line 0
+    for bad, name in ((True, 2, 4), "True"), ((1.0, 2, 4), "1.0"), ((1, 2, 9), "9"):
+        with pytest.raises(NotALine, match=f"^{name} is not a point$"):
+            line_index(bad)
 
 
 @given(st.integers(0, 6), st.integers(0, 6))
@@ -53,6 +57,13 @@ def test_third_point_symmetry_and_membership(p, q):
     assert r == third_point(q, p)
     assert tuple(sorted((p, q, r))) in LINES
     assert r not in (p, q)
+
+
+def test_third_point_rejects_non_points():
+    # True and 2 would otherwise give 4, and (0, 9) a bare KeyError
+    for p, q, name in (True, 2, "True"), (0, 9, "9"), (-1, 3, "-1"), (1, 2.0, "2.0"):
+        with pytest.raises(ValueError, match=f"^{name} is not a point$"):
+            third_point(p, q)
 
 
 def test_pencil_sizes():

@@ -11,9 +11,15 @@ from fanopencils.pencils import (
     compact,
     enumerate_vertices,
     symbol_grid,
+)
+from helpers import (
+    EXAMPLE_CYCLE_LONG,
+    format_long,
+    parse_compact,
+    rowcol,
+    translate,
     vertex_index,
 )
-from helpers import EXAMPLE_CYCLE_LONG, format_long, parse_compact, rowcol, translate
 
 VERTS = enumerate_vertices()
 vertices = st.sampled_from(VERTS)
@@ -44,6 +50,16 @@ def test_vertex_validation():
         Pencil(0, [1, 2, 4])  # a list, not a 3-tuple
     with pytest.raises(NotALine):
         Pencil(0, (1, 2, 4, 1))
+    # a point is an int in 0..6: a float or a bool equal to one is
+    # rejected, named by its repr, not read as that point
+    with pytest.raises(ValueError, match="base out of range: 0.0"):
+        Pencil(0.0, (1, 2, 4))
+    with pytest.raises(ValueError, match="base out of range: True"):
+        Pencil(True, (1, 2, 4))
+    with pytest.raises(NotALine, match="1.0 is not a point"):
+        Pencil(0, (1.0, 2, 4))
+    with pytest.raises(NotALine, match="False is not a point"):
+        Pencil(2, (False, 1, 3))
 
 
 def test_vertex_equality_hash_and_repr():

@@ -3,7 +3,7 @@ import pytest
 from fanopencils import verify
 from fanopencils.digraph import Digraph, build_d
 from fanopencils.fano import TRANSLATION
-from fanopencils.pencils import enumerate_vertices, compact, vertex_index
+from fanopencils.pencils import enumerate_vertices, compact
 from fanopencils.voltage import (
     ORDER,
     InvalidAction,
@@ -17,7 +17,13 @@ from fanopencils.voltage import (
     to_json_dict,
     z7_action,
 )
-from helpers import parse_compact, translate, two_copies, with_retargeted_arc
+from helpers import (
+    parse_compact,
+    translate,
+    two_copies,
+    vertex_index,
+    with_retargeted_arc,
+)
 
 VERTS = enumerate_vertices()
 
