@@ -23,12 +23,16 @@ Perm = tuple[int, ...]
 def lift_vertex_map(fn) -> Perm:
     """Index permutation of the 168 vertices induced by a bijection of
     ordered pencils, fn(base, line) -> (base, line); raises NotALine
-    naming the first image that is not a vertex."""
+    naming the first image that is not a vertex or has a non-int entry."""
     index = pencil_index()
     images = [fn(b, line) for b, line in index]
     perm = tuple(map(index.get, images))
     if None in perm:
         raise NotALine(f"{images[perm.index(None)]} is not a vertex")
+    for image in images:  # 1.0 and True equal the point 1 and match it
+        base, (p, q, r) = image
+        if not type(base) is type(p) is type(q) is type(r) is int:
+            raise NotALine(f"{image} is not a vertex")
     return perm
 
 

@@ -140,6 +140,11 @@ def test_lift_names_an_image_that_is_not_a_vertex():
     # the first pencil, 124_0, is the first to go onto its own line
     with pytest.raises(NotALine, match=r"^\(1, \(1, 2, 4\)\) is not a vertex$"):
         lift_vertex_map(lambda b, line: (line[0], line))
+    # an entry equal to a point without being an int does not name it
+    with pytest.raises(NotALine, match=r"^\(0\.0, \(1, 2, 4\)\) is not a vertex$"):
+        lift_vertex_map(lambda b, line: (float(b), line))
+    with pytest.raises(NotALine, match=r"^\(0, \(True, 2, 4\)\) is not a vertex$"):
+        lift_vertex_map(lambda b, line: (b, (line[0] == 1 or line[0], *line[1:])))
 
 
 def test_compose_inverse():
