@@ -412,16 +412,11 @@ def extensions(d: Digraph, pins: dict):
     def branch():
         """The vertex to branch on and its sorted images, or (None, None)
         once every vertex is mapped."""
-        best = None
-        fewest = n + 2
-        for v, images in enumerate(dom):
-            if tgt[v] < 0:
-                # no domain: every free image, taken only when none has one
-                k = n + 1 if images is None else len(images)
-                if k < fewest:
-                    best, fewest = v, k
-        if best is None:
+        free = [v for v in range(n) if tgt[v] < 0]
+        if not free:
             return None, None
+        # no domain: every free image, taken only when none has one
+        best = min(free, key=lambda v: n + 1 if dom[v] is None else len(dom[v]))
         if dom[best] is None:
             return best, [x for x in range(n) if src[x] < 0]
         return best, sorted(dom[best])
@@ -485,33 +480,29 @@ def verify_c4uh(d: Digraph, cycles, cover) -> UHReport:
     extends to an automorphism, and certify the group order.
 
     `cycles` is the census of oriented 4-cycles of d and `cover` what
-    digraph.cycle_arc_cover returns for them.  The cycles must number
-    126 and partition the arcs; a failure names the first arc that is
-    not on exactly one cycle.  Then cycle-with-rotation pairs biject
-    with arcs (a flag is the arc it starts with) and the property is
-    equivalent to arc-transitivity.  Cycle 0 is extended onto each flag
-    outside the orbit of its first arc, the root, under the extensions
-    found so far, so every run grows that orbit until it holds every
-    arc.  Automorphisms compose, so every map between two cycles then
-    extends.  The runs stop at the first flag that does not extend,
-    which is the one failure reported, so there are at most as many
-    runs as arcs.
+    digraph.cycle_arc_cover returns for them.  There must be a cycle,
+    and the cycles must partition the arcs, however many there are; a
+    failure names the first arc that is not on exactly one cycle.  Then
+    cycle-with-rotation pairs biject with arcs (a flag is the arc it
+    starts with) and the property is equivalent to arc-transitivity.
+    Cycle 0 is extended onto each flag outside the orbit of its first
+    arc, the root, under the extensions found so far, so every run grows
+    that orbit until it holds every arc.  Automorphisms compose, so
+    every map between two cycles then extends.  The runs stop at the
+    first flag that does not extend, which is the one failure reported,
+    so there are at most as many runs as arcs.
 
     Then the automorphisms that fix the root arc are enumerated, and
     orbit-stabilizer gives the order, with no help from the group search.
     The enumeration stops at the first solution past ARC_STABILIZER;
     `aut_order` is 0 whenever the certificate is incomplete.
     """
-    notes = []
-    if len(cycles) != 126:
-        notes.append(f"{len(cycles)} oriented 4-cycles, expected 126")
     cover_ok, bad, _ = cover
     if not cover_ok:
-        notes.append(
-            f"cycles do not partition the arcs; first: arc {bad[0][0]} -> {bad[0][1]}"
-        )
-    if notes:
-        return UHReport(False, 0, (), 0, "; ".join(notes))
+        detail = f"cycles do not partition the arcs; first: arc {bad[0][0]} -> {bad[0][1]}"
+        return UHReport(False, 0, (), 0, detail)
+    if not cycles:
+        return UHReport(False, 0, (), 0, "no oriented 4-cycles")
 
     u, w = root = (cycles[0][0], cycles[0][1])
     # the orbit of the root arc under the automorphisms found so far

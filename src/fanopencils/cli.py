@@ -5,7 +5,6 @@ from __future__ import annotations
 import sys
 
 from . import coxeter, digraph, voltage
-from .autos import UHReport
 from .verify import SELECTORS, run_verification
 
 
@@ -181,13 +180,12 @@ def _json(payload: dict) -> str:
 def _cmd_verify(args) -> int:
     report = run_verification(args["selector"])
     if args["format"] == "json":
-        if args["selector"] == "uh":
-            uh = report.uh_report or UHReport(
-                False, 0, (), 0, "extension check did not run"
-            )
-            payload = uh.to_json_dict()
-        else:
+        if args["selector"] != "uh":
             payload = report.to_json_dict()
+        elif report.uh_report is not None:
+            payload = report.uh_report.to_json_dict()
+        else:  # the extension check raised
+            payload = {"pass": False, "aut_order": 0, "failures": []}
         text = _json(payload)
     else:
         text = report.format_text() + "\n"

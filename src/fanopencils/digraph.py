@@ -117,34 +117,30 @@ def build_d() -> Digraph:
     return Digraph(image_rows(enumerate_vertices(), pencil_index()))
 
 
-def is_automorphism(d: Digraph, perm) -> bool:
-    """Whether perm permutes range(d.n) and carries the arcs onto the
-    arcs, parallel arcs counted.  A vertex permutation maps the arc
-    codes one to one, so it does iff the image
-    (k * n + perm[u]) * n + perm[w] of each code is again a code; the
-    pass stops at the first image that is not."""
-    n = d.n
-    if sorted(perm) != list(range(n)):
-        return False
-    arcs, codes = d._arc_codes()
-    return codes.issuperset((k + perm[u]) * n + perm[w] for k, u, w in arcs)
-
-
-def arc_witness(d: Digraph, name: str, perm) -> str:
-    """Why `perm`, called `name`, is not an automorphism of d: a length
-    other than d.n, else the first arc copy whose coded image is not a
-    code (copy k + 1 of the parallel arcs u -> w, named from k = 1),
-    else that perm does not permute range(d.n)."""
+def arc_witness(d: Digraph, perm) -> str | None:
+    """None when perm is an automorphism of d, parallel arcs counted, else
+    why not, worded to follow the map's name: a length other than d.n,
+    else entries not the ints 0..n-1 once each (a float or a bool is not
+    an int), else the first arc copy whose coded image is not a code
+    (copy k + 1 of the parallel arcs u -> w, named from k = 1).  A vertex
+    permutation maps the codes one to one, so it is an automorphism iff
+    every image (k + perm[u]) * n + perm[w] is again a code."""
     n = d.n
     if len(perm) != n:
-        return f"{name} acts on {len(perm)} vertices, the digraph has {n}"
+        return f"acts on {len(perm)} vertices, the digraph has {n}"
+    if not {int}.issuperset(map(type, perm)) or sorted(perm) != list(range(n)):
+        return f"is not a permutation of 0..{n - 1}"
     arcs, codes = d._arc_codes()
     for k, u, w in arcs:
         if (k + perm[u]) * n + perm[w] not in codes:
             copy = f"copy {k // n + 1} of " if k else ""
             image = f"{copy}{perm[u]} -> {perm[w]}"
-            return f"{name} maps {copy}arc {u} -> {w} to {image}, not an arc"
-    return f"{name} is not a permutation of 0..{n - 1}"
+            return f"maps {copy}arc {u} -> {w} to {image}, not an arc"
+    return None
+
+
+def is_automorphism(d: Digraph, perm) -> bool:
+    return arc_witness(d, perm) is None
 
 
 def arc_image(g, arc):

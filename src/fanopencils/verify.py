@@ -248,10 +248,11 @@ def _check_uh_lifts(a: Artifacts):
         f"involution {INVOLUTION}": autos.induced_automorphism(INVOLUTION),
         "slot rotation": autos.slot_rotation(),
     }
-    bad = [name for name, p in lifts.items() if not digraph.is_automorphism(a.d, p)]
+    why = ((name, digraph.arc_witness(a.d, p)) for name, p in lifts.items())
+    bad = [f"{name} {reason}" for name, reason in why if reason is not None]
     detail = f"{3 - len(bad)} of 3 generator lifts are automorphisms"
     if bad:
-        detail += f"; first failure: {digraph.arc_witness(a.d, bad[0], lifts[bad[0]])}"
+        detail += f"; first failure: {bad[0]}"
     return not bad, detail
 
 

@@ -33,7 +33,7 @@ def z7_action(d: Digraph) -> Perm:
     collineation, so it lifts through the collineation table."""
     gen = induced_automorphism(TRANSLATION)
     if not is_automorphism(d, gen):
-        raise InvalidAction(arc_witness(d, "translation", gen))
+        raise InvalidAction(f"translation {arc_witness(d, gen)}")
     return gen
 
 

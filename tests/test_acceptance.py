@@ -187,6 +187,8 @@ def test_criterion_11_fault_injection(d, cox):
     assert order.detail == (
         "automorphism group order 1 by search, 0 by certificate, expected 1008"
     )
+    ext = next(c for c in rep.checks if c.name == "uh.extensions")
+    assert not ext.passed and ext.detail == "no oriented 4-cycles"
     assert not any(c.detail.startswith("raised") for c in rep.checks)
 
     rep = run_verification("voltage", d=broken)

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 from collections import Counter
 from itertools import islice
 
@@ -72,6 +73,11 @@ def test_identity_and_junk_permutations(d):
     swapped[0], swapped[1] = 1, 0
     assert not is_automorphism(d, tuple(swapped))
     assert not is_automorphism(d, ident[:-1])
+    # entries equal to the ints 0..n-1 but not ints are refused by type:
+    # 1.0 == 1 and True == 1, so both maps would pass the arc test
+    for g, perm in ((d, tuple(map(float, ident))), (Digraph([[1], [0]]), (False, True))):
+        assert not is_automorphism(g, perm)
+        assert arc_witness(g, perm) == f"is not a permutation of 0..{g.n - 1}"
 
 
 # small digraphs with loops, parallel arcs and uneven out-lists, and
@@ -92,6 +98,7 @@ def test_arc_codes_agree_with_the_per_vertex_test(d, data):
         )
     )
     assert is_automorphism(d, perm) == automorphism_per_vertex(d, perm)
+    assert is_automorphism(d, perm) == (arc_witness(d, perm) is None)
 
 
 @given(small_digraphs, st.data())
@@ -109,15 +116,15 @@ def test_arc_codes_count_parallel_arcs():
     d = Digraph([[1, 1], [0]])
     assert not is_automorphism(d, (1, 0))
     assert automorphism_per_vertex(d, (1, 0)) is False
-    assert arc_witness(d, "swap", (1, 0)) == (
-        "swap maps copy 2 of arc 0 -> 1 to copy 2 of 1 -> 0, not an arc"
+    assert arc_witness(d, (1, 0)) == (
+        "maps copy 2 of arc 0 -> 1 to copy 2 of 1 -> 0, not an arc"
     )
     d = Digraph([[1, 1], [0, 0]])
     assert is_automorphism(d, (1, 0)) and automorphism_per_vertex(d, (1, 0))
-    # with no arc to miss, only a map that does not permute is left
-    assert arc_witness(Digraph([[], []]), "fold", (0, 0)) == (
-        "fold is not a permutation of 0..1"
-    )
+    assert arc_witness(d, (1, 0)) is None
+    # a map that does not permute is named before any arc is looked at
+    assert arc_witness(Digraph([[], []]), (0, 0)) == "is not a permutation of 0..1"
+    assert arc_witness(d, (0, 0)) == "is not a permutation of 0..1"
 
 
 def test_arc_codes_agree_on_d(d, group):
@@ -723,6 +730,28 @@ def test_extension_search_order_is_pinned(d, cycles):
     assert digest == SEED1_EXTENSIONS_SHA256
 
 
+def test_certificate_search_stays_pruned(d, cycles):
+    # calls of the search's two closures over D's certificate: 49 of
+    # assign and 25 of branch.  Deleting the taken-image pruning in
+    # assign (its "w is taken" block) keeps every answer and the pinned
+    # order above, but raises them to 324 and 166; the bounds are twice
+    # 49 and 25
+    codes = {c.co_name: c for c in extensions.__code__.co_consts if hasattr(c, "co_name")}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in (codes["assign"], codes["branch"]):
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        rep = verify_c4uh(d, cycles, cycle_arc_cover(d, cycles))
+    finally:
+        sys.setprofile(None)
+    assert rep.aut_order == 1008
+    assert 0 < calls["assign"] <= 98 and 0 < calls["branch"] <= 50
+
+
 def test_extension_frees_its_state_on_return(d, cycles):
     # the search keeps no reference cycle, so its domains and the copies
     # kept at its branch points go when the call returns, not at the next
@@ -859,9 +888,20 @@ def test_uh_detects_retargeted_arc(d):
     cycles = enumerate_4cycles(broken)
     rep = verify_c4uh(broken, cycles, cycle_arc_cover(broken, cycles))
     assert not rep.passed and rep.aut_order == 0
-    assert rep.detail == (
-        "125 oriented 4-cycles, expected 126; cycles do not partition the arcs; "
-        "first: arc 9 -> 0"
+    # the count, 125, is the cycles.count check's to report
+    assert rep.detail == "cycles do not partition the arcs; first: arc 9 -> 0"
+
+
+def test_uh_gate_does_not_count_the_cycles(d):
+    # two copies of D: 252 cycles partition the arcs, and the union is
+    # C4-ultrahomogeneous, but more than 2 automorphisms fix an arc
+    g = two_copies(d)
+    cycles = enumerate_4cycles(g)
+    rep = verify_c4uh(g, cycles, cycle_arc_cover(g, cycles))
+    assert rep.passed and rep.aut_order == 0
+    assert rep.detail.startswith(
+        "3 extension runs from cycle 0 reach all 1008 arcs, 0 failures; "
+        "more than 2 automorphisms fix arc 0 -> 79"
     )
 
 
