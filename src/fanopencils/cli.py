@@ -234,6 +234,3 @@ def main(argv=None) -> int:
         return _cmd_table(args)
     return _cmd_export(args)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,18 +17,14 @@ from functools import cache
 from itertools import permutations
 
 from .digraph import Digraph, arc_label, bfs, dot, image_rows
-from .fano import line_index, lines_avoiding
+from .fano import lines_avoiding
 from .pencils import Pencil, enumerate_vertices
 
 
 @cache
 def cox_vertices() -> tuple[Pencil, ...]:
     """All 28 vertices, lines sorted: bases, then line indices ascending."""
-    out = []
-    for base in range(7):
-        for l in sorted(lines_avoiding(base), key=line_index):
-            out.append(Pencil(base, l))
-    return tuple(out)
+    return tuple(Pencil(b, l) for b in range(7) for l in lines_avoiding(b))
 
 
 @cache

@@ -65,23 +65,26 @@ def arc_label(u: Pencil, v: Pencil) -> int | None:
 class Digraph:
     """Immutable adjacency structure: ordered out-lists, derived in-lists.
 
-    Every target must be an int 0..n-1 (not a bool); anything else
-    raises ValueError naming the vertex and the entry.
+    Each out-list must be a list or tuple of ints 0..n-1 (not bools);
+    anything else raises ValueError naming the vertex and the entry.
     """
 
     __slots__ = ("n", "out", "inn", "_codes")
 
     def __init__(self, out_lists):
-        self.out = tuple(tuple(row) for row in out_lists)
-        self.n = n = len(self.out)
+        rows = tuple(out_lists)
+        self.n = n = len(rows)
         incoming = [[] for _ in range(n)]
-        for u, row in enumerate(self.out):
+        for u, row in enumerate(rows):
+            if type(row) not in (list, tuple):
+                raise ValueError(f"vertex {u} has out-list {row!r}, not a list or tuple")
             for w in row:
                 if type(w) is not int or not 0 <= w < n:
                     raise ValueError(
                         f"vertex {u} has out-neighbour {w!r}, not a vertex 0..{n - 1}"
                     )
                 incoming[w].append(u)
+        self.out = tuple(map(tuple, rows))
         self.inn = tuple(map(tuple, incoming))
         self._codes = None
 

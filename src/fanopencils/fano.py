@@ -65,4 +65,5 @@ def third_point(p: int, q: int) -> int:
 
 
 def lines_avoiding(p: int) -> tuple[tuple[int, int, int], ...]:
+    """The lines that miss p, in index order."""
     return tuple(l for l in LINES if p not in l)

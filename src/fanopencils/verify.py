@@ -306,7 +306,7 @@ def _check_voltage_shape(a: Artifacts):
 
 
 def _check_voltage_round_trip(a: Artifacts):
-    lifted = voltage.derive_canonical(a.quotient, a.action).out
+    lifted = voltage.derive_canonical(a.quotient).out
     if lifted == a.d.out:
         return True, "derived graph equals original"
     v = next(v for v, row in enumerate(lifted) if row != a.d.out[v])
@@ -317,7 +317,7 @@ def _check_voltage_round_trip(a: Artifacts):
 
 
 def _check_voltage_sums(a: Artifacts):
-    sums = voltage.projected_voltage_sums(a.d, a.cycles, a.action)
+    sums = voltage.projected_voltage_sums(a.d, a.cycles, a.quotient)
     bad = [i for i, s in enumerate(sums) if s != 0]
     if not bad:
         return True, "all 126 projected cycles close at voltage 0"

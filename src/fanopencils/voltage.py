@@ -1,8 +1,8 @@
 """Z7 quotient of the ordered-pencil digraph and the voltage-graph lift.
 
 The translation x -> x+1 of the point set acts freely on the 168
-vertices with 24 orbits of size 7.  Labelling each orbit by its base-0
-representative and each orbit member by its translation layer turns the
+vertices with 24 fibres of size 7.  Labelling each fibre by its base-0
+representative and each fibre member by its translation layer turns the
 quotient into a voltage graph over Z7 whose derived graph is the
 original digraph, vertex for vertex and slot for slot.
 """
@@ -37,82 +37,69 @@ def z7_action(d: Digraph) -> Perm:
     return gen
 
 
-def action_orbits(gen: Perm, n: int):
-    """Orbits as (rep, layer) data: rep is the least member, the first."""
-    reps = []
-    layer = [0] * n
-    rep_of = [0] * n
-    for orb in orbits(range(n), [gen], getitem):
-        for i, y in enumerate(orb):
-            rep_of[y] = orb[0]
-            layer[y] = i % ORDER
-        reps.append(orb[0])
-    return reps, rep_of, layer
+def _places(fibres):
+    """Each vertex's (fibre position, layer) in the fibres."""
+    return {w: (i, m) for i, fibre in enumerate(fibres) for m, w in enumerate(fibre)}
 
 
-class VoltageGraph(namedtuple("VoltageGraph", "reps arcs rep_vertices")):
+class VoltageGraph(namedtuple("VoltageGraph", "reps arcs fibres")):
     """Quotient multidigraph with Z-valued arc voltages.
 
-    reps are display names and rep_vertices the representatives' ids in
-    the digraph; arcs are (from-position, to-position, voltage) triples,
-    grouped by source in slot order.
+    reps are display names; fibres[i] lists the digraph's vertices over
+    reps[i] by layer, from the representative, its least vertex; arcs
+    are (from-position, to-position, voltage) triples, grouped by source
+    in slot order.
     """
 
     __slots__ = ()
 
 
 def quotient(d: Digraph, gen: Perm) -> VoltageGraph:
-    """Project d onto orbit representatives.
-
-    `gen` is the generator z7_action returned, already validated
-    against d; it is not checked again here.  The voltage of the arc
-    leaving a representative in slot k is the layer of the arc's target,
-    i.e. the translation carrying the target orbit's representative onto
-    the target.
+    """Project d onto its fibres, the orbits of `gen`, the generator
+    z7_action returned, already validated against d.  Layer m of a fibre
+    is its representative moved m times by gen.  The arc leaving a
+    representative in slot k becomes an arc to its target's fibre, whose
+    voltage is the target's layer.
     """
-    reps, rep_of, layer = action_orbits(gen, d.n)
-    pos = {r: i for i, r in enumerate(reps)}
+    fibres = tuple(orbits(range(d.n), [gen], getitem))
+    place = _places(fibres)
     verts = enumerate_vertices()
-    names = tuple(compact(verts[r]) for r in reps)
-    arcs = tuple((pos[r], pos[rep_of[w]], layer[w]) for r in reps for w in d.out[r])
-    return VoltageGraph(names, arcs, tuple(reps))
+    names = tuple(compact(verts[fibre[0]]) for fibre in fibres)
+    arcs = tuple((i, *place[w]) for i, fibre in enumerate(fibres) for w in d.out[fibre[0]])
+    return VoltageGraph(names, arcs, fibres)
 
 
-def derive_canonical(vg: VoltageGraph, gen: Perm) -> Digraph:
-    """The derived graph of vg, on the original vertex ids.
+def derive_canonical(vg: VoltageGraph) -> Digraph:
+    """The derived graph of vg, on the vertex ids its fibres list.
 
-    `vg` is quotient(d, gen) and `gen` the generator z7_action returned.
-    Layer m of representative r is the vertex m applications of the
-    generator carry r to, and each quotient arc (r, r2, v) lifts to the
-    arcs from layer m of r to layer m + v of r2.  Translation commutes
-    with every slot map, so the out-list order survives and the result
-    should equal d exactly.
+    Each quotient arc (r, r2, v) lifts to the arcs from layer m of
+    fibre r to layer m + v of fibre r2.  Translation commutes with every
+    slot map, so for vg = quotient(d, gen) the out-list order survives
+    and the result should equal d exactly.
     """
-    layers = orbits(vg.rep_vertices, [gen], getitem)
-    rows = [[] for _ in gen]
+    rows = [[] for fibre in vg.fibres for _ in fibre]
     for r, r2, v in vg.arcs:
-        for m, x in enumerate(layers[r]):
-            rows[x].append(layers[r2][(m + v) % ORDER])
+        for m, x in enumerate(vg.fibres[r]):
+            rows[x].append(vg.fibres[r2][(m + v) % ORDER])
     return Digraph(rows)
 
 
-def projected_voltage_sums(d: Digraph, cycles, gen: Perm):
-    """Voltage sum mod ORDER of each cycle's projected walk.
-
-    The arc u -> w projects to the quotient arc that leaves the orbit of
-    u in the slot w holds in d.out[u]; its voltage is the layer of the
-    target of that slot at the orbit's representative.  When the action
+def projected_voltage_sums(d: Digraph, cycles, vg: VoltageGraph):
+    """Voltage sum mod ORDER of each cycle's projected walk in vg, the
+    quotient of d.  The arc u -> w projects to the quotient arc leaving
+    u's fibre in the slot w holds in d.out[u], whose voltage is the layer
+    of that slot's target at the fibre's representative.  When the action
     carries each out-list onto its image slot for slot, as on D, every
-    sum is 0; an out-list reordered within an orbit shows up as a
-    nonzero sum.
+    sum is 0; an out-list reordered within a fibre gives a nonzero sum.
     """
-    _, rep_of, layer = action_orbits(gen, d.n)
+    place = _places(vg.fibres)
     sums = []
     for cyc in cycles:
         s = 0
         for k, u in enumerate(cyc):
             w = cyc[(k + 1) % len(cyc)]
-            s += layer[d.out[rep_of[u]][d.out[u].index(w)]]
+            rep = vg.fibres[place[u][0]][0]
+            s += place[d.out[rep][d.out[u].index(w)]][1]
         sums.append(s % ORDER)
     return tuple(sums)
 

@@ -410,7 +410,7 @@ def test_closed_walk_colours_match_matrix_powers(d):
     extra = [w for w in range(1, d.n) if w not in d.out[0]][:2]
     wide = Digraph([d.out[0] + tuple(extra), *d.out[1:]])
     # out-degrees 0 to 5: short out-lists read the zero row past their end
-    uneven = Digraph([range(1, 1 + k) for k in range(6)] + [[0, 2, 4]])
+    uneven = Digraph([list(range(1, 1 + k)) for k in range(6)] + [[0, 2, 4]])
     # a loop at 2 and parallel arcs, each counted once, as in the oracle
     multi = Digraph([[1, 1], [0, 0], [2, 1]])
     graphs = (Digraph([]), Digraph([[]] * 5), uneven, multi, d, wide)
@@ -599,10 +599,16 @@ def test_d_search_transfers_five_leaves(monkeypatch, d, group):
 def test_search_refuses_a_transfer_that_misses_the_branch(monkeypatch, d):
     # the identity is an automorphism, but it takes no branch's vertex
     # where the branch wants it, so every transfer is refused, and a
-    # refused transfer rules its child out: no generator is found
-    monkeypatch.setattr(autos, "_transfer", lambda *args: tuple(range(d.n)))
-    grp = automorphism_group(d)
-    assert (grp.order, grp.generators) == (1, ())
+    # refused transfer rules its child out: no generator is found.  A
+    # transfer that stops at a step rules its child out too, and the
+    # child is not counted as a leaf; refining it instead finds all 1008
+    for transfer, leaves in (
+        (lambda *args: tuple(range(d.n)), 1008),
+        (lambda *args: None, 1),
+    ):
+        monkeypatch.setattr(autos, "_transfer", transfer)
+        grp = automorphism_group(d)
+        assert (grp.order, grp.generators, grp.nodes, grp.leaves) == (1, (), 1177, leaves)
 
 
 def test_search_rules_out_a_child_whose_transfer_fails(monkeypatch):

@@ -361,3 +361,13 @@ def test_out_of_range_target_rejected(bad):
     # float, string or bool as the vertex it equals
     with pytest.raises(ValueError, match=f"vertex 0 has out-neighbour {re.escape(repr(bad))},"):
         Digraph([[1, bad], [0], []])
+
+
+@pytest.mark.parametrize("bad", [{0: "x"}, {0, 2}, None, 5, "0"])
+def test_out_list_that_is_no_list_or_tuple_rejected(bad):
+    # a dict row must not be read as its keys, a set's iteration order
+    # as slot order, or a string as its characters
+    with pytest.raises(
+        ValueError, match=f"^vertex 1 has out-list {re.escape(repr(bad))}, not a list or tuple$"
+    ):
+        Digraph([[1], bad, [0]])

@@ -2,13 +2,11 @@ import pytest
 
 from fanopencils import verify
 from fanopencils.digraph import Digraph, build_d
-from fanopencils.fano import TRANSLATION
 from fanopencils.pencils import enumerate_vertices, compact
 from fanopencils.voltage import (
     ORDER,
     InvalidAction,
     VoltageGraph,
-    action_orbits,
     cycle_orbits,
     derive_canonical,
     projected_voltage_sums,
@@ -118,13 +116,14 @@ def test_checks_after_a_failed_action_name_it(d):
 
 
 def test_orbit_structure(d, action):
-    reps, rep_of, layer = action_orbits(action, d.n)
-    assert len(reps) == 24
-    assert reps == list(range(24))  # base-0 vertices come first canonically
-    assert all(layer[r] == 0 for r in reps)
-    for v in range(d.n):
-        assert layer[v] == VERTS[v].base
-        assert VERTS[rep_of[v]] == translate(VERTS[v], (-VERTS[v].base) % 7)
+    fibres = quotient(d, action).fibres
+    assert len(fibres) == 24
+    assert [f[0] for f in fibres] == list(range(24))  # base-0 vertices come first
+    assert sorted(v for f in fibres for v in f) == list(range(d.n))
+    for fibre in fibres:
+        for layer, v in enumerate(fibre):
+            assert layer == VERTS[v].base
+            assert VERTS[fibre[0]] == translate(VERTS[v], (-VERTS[v].base) % 7)
 
 
 def test_quotient_shape(d, action):
@@ -164,7 +163,7 @@ def test_published_example_arc(d, action):
 
 
 def test_round_trip_exact(d, action):
-    assert derive_canonical(quotient(d, action), action) == d
+    assert derive_canonical(quotient(d, action)) == d
 
 
 def test_round_trip_names_first_differing_vertex(d):
@@ -183,19 +182,19 @@ def test_round_trip_names_first_differing_vertex(d):
 
 
 def test_single_loop_lifts_to_seven_cycle():
-    vg = VoltageGraph(("o",), ((0, 0, 1),), (0,))
-    lifted = derive_canonical(vg, TRANSLATION)
+    vg = VoltageGraph(("o",), ((0, 0, 1),), (tuple(range(7)),))
+    lifted = derive_canonical(vg)
     assert lifted.n == 7
     assert lifted.out == tuple(((m + 1) % 7,) for m in range(7))
 
 
 def test_zero_voltage_loop_lifts_to_fixed_points():
-    lifted = derive_canonical(VoltageGraph(("o",), ((0, 0, 0),), (0,)), TRANSLATION)
+    lifted = derive_canonical(VoltageGraph(("o",), ((0, 0, 0),), (tuple(range(7)),)))
     assert lifted.out == tuple((m,) for m in range(7))
 
 
 def test_cycle_voltage_sums_close(d, cycles, action):
-    sums = projected_voltage_sums(d, cycles, action)
+    sums = projected_voltage_sums(d, cycles, quotient(d, action))
     assert len(sums) == 126
     assert set(sums) == {0}
     # vertex 5's out-list rotated by one slot: the arc set and so the
@@ -204,7 +203,7 @@ def test_cycle_voltage_sums_close(d, cycles, action):
     rows[5] = rows[5][1:] + rows[5][:1]
     rotated = Digraph(rows)
     assert z7_action(rotated) == action
-    assert sum(1 for s in projected_voltage_sums(rotated, cycles, action) if s) == 18
+    assert sum(1 for s in projected_voltage_sums(rotated, cycles, quotient(rotated, action)) if s) == 18
     closure = next(
         c
         for c in verify.run_verification("voltage", d=rotated).checks
