@@ -26,7 +26,14 @@ def lift_vertex_map(fn) -> Perm:
     naming the first image that is not a vertex or has a non-int entry."""
     index = pencil_index()
     images = [fn(b, line) for b, line in index]
-    perm = tuple(map(index.get, images))
+
+    def find(image):
+        try:
+            return index.get(image)
+        except TypeError:  # unhashable, so not a vertex
+            return None
+
+    perm = tuple(map(find, images))
     if None in perm:
         raise NotALine(f"{images[perm.index(None)]} is not a vertex")
     for image in images:  # 1.0 and True equal the point 1 and match it
@@ -402,11 +409,10 @@ def extensions(d: Digraph, pins: dict):
                     for v in nbrs[p]:
                         old = dom[v]
                         if old is not None and w in old and tgt[v] < 0:
+                            # not empty: a domain {w} forced (v, w) when made, which now fails
                             dom[v] = new = old - {w}
                             if len(new) == 1:
                                 force((v, next(iter(new))))
-                            elif not new:
-                                return False
         return True
 
     def branch():
@@ -450,20 +456,7 @@ def extensions(d: Digraph, pins: dict):
 # oriented-4-cycle homogeneity
 
 
-class UHReport(
-    namedtuple("UHReport", "passed aut_order failures direct_checked detail")
-):
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "aut_order": self.aut_order,
-            "failures": [
-                {"cycle": c, "cycle2": c2, "rotation": r}
-                for (c, c2, r) in self.failures
-            ],
-        }
+UHReport = namedtuple("UHReport", "passed aut_order failures direct_checked detail")
 
 
 # |Aut D| / 504: the automorphisms of D that fix an arc

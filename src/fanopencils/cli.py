@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 
-from . import coxeter, digraph, voltage
+from . import autos, coxeter, digraph, voltage
 from .verify import SELECTORS, run_verification
 
 
@@ -179,16 +179,14 @@ def _json(payload: dict) -> str:
 
 def _cmd_verify(args) -> int:
     report = run_verification(args["selector"])
-    if args["format"] == "json":
-        if args["selector"] != "uh":
-            payload = report.to_json_dict()
-        elif report.uh_report is not None:
-            payload = report.uh_report.to_json_dict()
-        else:  # the extension check raised
-            payload = {"pass": False, "aut_order": 0, "failures": []}
-        text = _json(payload)
-    else:
+    if args["format"] == "text":
         text = report.format_text() + "\n"
+    elif args["selector"] != "uh":
+        text = _json(report.to_json_dict())
+    else:  # the certificate, or an empty one when the extension check raised
+        uh = report.uh_report or autos.UHReport(False, 0, (), 0, "")
+        failures = [{"cycle": c, "cycle2": c2, "rotation": r} for c, c2, r in uh.failures]
+        text = _json({"pass": uh.passed, "aut_order": uh.aut_order, "failures": failures})
     code = _emit(text, args["output"])
     return code or (0 if report.passed else 1)
 

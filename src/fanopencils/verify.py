@@ -380,48 +380,39 @@ def _check_cox_consistency(a: Artifacts):
     return coxeter.projection(a.d, a.cox)
 
 
-SUITES = {
-    "digraph": [
-        ("digraph.counts", _check_digraph_counts),
-        ("digraph.degrees", _check_digraph_degrees),
-        ("digraph.golden_rows", _check_digraph_golden),
-        ("digraph.strongly_connected", _check_digraph_connected),
-        ("digraph.no_short_circuits", _check_digraph_short),
-        ("digraph.trace_oracle", _check_digraph_trace),
-        ("digraph.symbol_grid", _check_digraph_grid),
-    ],
-    "cycles": [
-        ("cycles.count", _check_cycles_count),
-        ("cycles.arc_partition", _check_cycles_partition),
-        ("cycles.label_orbits", _check_cycles_orbits),
-        ("cycles.known_example", _check_cycles_example),
-        ("cycles.vertex_incidence", _check_cycles_incidence),
-    ],
-    "uh": [
-        ("uh.aut_order", _check_uh_order),
-        ("uh.known_subgroups", _check_uh_lifts),
-        ("uh.vertex_transitive", _check_uh_vertex_transitive),
-        ("uh.flag_regular", _check_uh_flags),
-        ("uh.extensions", _check_uh_extensions),
-    ],
-    "voltage": [
-        ("voltage.action", _check_voltage_action),
-        ("voltage.quotient_shape", _check_voltage_shape),
-        ("voltage.round_trip", _check_voltage_round_trip),
-        ("voltage.closure", _check_voltage_sums),
-        ("voltage.cycle_orbits", _check_voltage_orbits),
-    ],
-    "coxeter": [
-        ("coxeter.counts", _check_cox_counts),
-        ("coxeter.cubic_connected", _check_cox_cubic_connected),
-        ("coxeter.girth", _check_cox_shortest_cycle),
-        ("coxeter.distance_regular", _check_cox_dr),
-        ("coxeter.automorphisms", _check_cox_aut),
-        ("coxeter.alignment_consistency", _check_cox_consistency),
-    ],
-}
+# a check's suite is the prefix of its name, before the dot
+CHECKS = (
+    ("digraph.counts", _check_digraph_counts),
+    ("digraph.degrees", _check_digraph_degrees),
+    ("digraph.golden_rows", _check_digraph_golden),
+    ("digraph.strongly_connected", _check_digraph_connected),
+    ("digraph.no_short_circuits", _check_digraph_short),
+    ("digraph.trace_oracle", _check_digraph_trace),
+    ("digraph.symbol_grid", _check_digraph_grid),
+    ("cycles.count", _check_cycles_count),
+    ("cycles.arc_partition", _check_cycles_partition),
+    ("cycles.label_orbits", _check_cycles_orbits),
+    ("cycles.known_example", _check_cycles_example),
+    ("cycles.vertex_incidence", _check_cycles_incidence),
+    ("uh.aut_order", _check_uh_order),
+    ("uh.known_subgroups", _check_uh_lifts),
+    ("uh.vertex_transitive", _check_uh_vertex_transitive),
+    ("uh.flag_regular", _check_uh_flags),
+    ("uh.extensions", _check_uh_extensions),
+    ("voltage.action", _check_voltage_action),
+    ("voltage.quotient_shape", _check_voltage_shape),
+    ("voltage.round_trip", _check_voltage_round_trip),
+    ("voltage.closure", _check_voltage_sums),
+    ("voltage.cycle_orbits", _check_voltage_orbits),
+    ("coxeter.counts", _check_cox_counts),
+    ("coxeter.cubic_connected", _check_cox_cubic_connected),
+    ("coxeter.girth", _check_cox_shortest_cycle),
+    ("coxeter.distance_regular", _check_cox_dr),
+    ("coxeter.automorphisms", _check_cox_aut),
+    ("coxeter.alignment_consistency", _check_cox_consistency),
+)
 
-SELECTORS = ("all", *SUITES)
+SELECTORS = ("all", *dict.fromkeys(name.split(".")[0] for name, _ in CHECKS))
 
 
 def run_verification(
@@ -436,11 +427,10 @@ def run_verification(
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
-    names = SUITES if selector == "all" else (selector,)
     arts = Artifacts(d, cox)
     results = []
-    for suite in names:
-        for name, fn in SUITES[suite]:
+    for name, fn in CHECKS:
+        if selector in ("all", name.split(".")[0]):
             t0 = time.perf_counter()
             try:
                 ok, detail = fn(arts)

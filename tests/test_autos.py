@@ -152,6 +152,11 @@ def test_lift_names_an_image_that_is_not_a_vertex():
         lift_vertex_map(lambda b, line: (float(b), line))
     with pytest.raises(NotALine, match=r"^\(0, \(True, 2, 4\)\) is not a vertex$"):
         lift_vertex_map(lambda b, line: (b, (line[0] == 1 or line[0], *line[1:])))
+    # an unhashable image is not a vertex either
+    with pytest.raises(NotALine, match=r"^\(0, \[1, 2, 4\]\) is not a vertex$"):
+        lift_vertex_map(lambda b, line: (b, list(line)))
+    with pytest.raises(NotALine, match=r"^\[0, \(1, 2, 4\)\] is not a vertex$"):
+        lift_vertex_map(lambda b, line: [b, line])
 
 
 def test_compose_inverse():
@@ -882,10 +887,6 @@ def test_uh_report_certificate(d, cycles, group):
         "2 automorphisms fix arc 0 -> 79, so the order is 504 x 2 = 1008"
     )
     assert rep.aut_order == group.order
-    payload = rep.to_json_dict()
-    assert set(payload) == {"pass", "aut_order", "failures"}
-    assert payload["pass"] is True
-    assert payload["failures"] == []
 
 
 def test_uh_detects_retargeted_arc(d):

@@ -74,6 +74,18 @@ def test_verify_uh_json_falls_back_when_the_extension_check_raises(
     assert payload == {"pass": False, "aut_order": 0, "failures": []}
 
 
+def test_verify_uh_json_names_the_first_flag_that_does_not_extend(monkeypatch, capsys):
+    # with no extension found, cycle 0 onto itself rotated once is the
+    # first flag outside the root arc's orbit, and the one failure
+    monkeypatch.setattr(autos, "extend_isomorphism", lambda d, pins: None)
+    assert main(["verify", "uh", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "pass": False,
+        "aut_order": 0,
+        "failures": [{"cycle": 0, "cycle2": 0, "rotation": 1}],
+    }
+
+
 def test_verify_bad_selector_usage_error(capsys):
     assert main(["verify", "bogus"]) == 2
     capsys.readouterr()
@@ -118,6 +130,15 @@ def test_benchmark_check_names_match_the_suites():
     # change it too
     names = tuple(c.name for c in run_verification("all").checks)
     assert _bench("workloads").CHECK_NAMES == names
+
+
+def test_selectors_are_the_check_name_prefixes():
+    # a check's suite is written once, as the prefix of its name
+    assert tuple(name for name, _ in verify.CHECKS) == _bench("workloads").CHECK_NAMES
+    assert verify.SELECTORS == ("all", "digraph", "cycles", "uh", "voltage", "coxeter")
+    for selector in verify.SELECTORS[1:]:
+        names = [c.name for c in run_verification(selector).checks]
+        assert names == [n for n, _ in verify.CHECKS if n.startswith(selector + ".")]
 
 
 def test_benchmark_traced_names_exist():
