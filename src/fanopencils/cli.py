@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 
 from . import autos, coxeter, digraph, voltage
+from .pencils import vertex_table
 from .verify import SELECTORS, run_verification
 
 
@@ -207,16 +208,43 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args["target"] == "digraph":
-        module, graph = digraph, digraph.build_d()
-    elif args["target"] == "coxeter":
-        module, graph = coxeter, coxeter.build_coxeter()
+    """One graph as JSON or as Graphviz text, from its vertex names and
+    its edges, (u, w, label) triples with label None on the undirected
+    Coxeter graph."""
+    if args["target"] == "coxeter":
+        head = "graph coxeter"
+        # "[base,bc,...]": each entry b of the line beside its companion c
+        names = [
+            f"[{v.base},{','.join(f'{b}{c}' for b, c in zip(v.line, v.thirds))}]"
+            for v in coxeter.cox_vertices()
+        ]
+        edges = [(u, w, None) for u, w in coxeter.edges(coxeter.build_coxeter())]
+        payload = {"vertices": names, "edges": [[u, w] for u, w, _ in edges]}
+    elif args["target"] == "digraph":
+        head, d, names = "digraph pencils", digraph.build_d(), list(vertex_table())
+        # each out-list of D holds its three arcs in label order
+        edges = [(u, w, k) for (u, w), k in zip(d.arcs(), digraph.LABELS * d.n)]
+        payload = {
+            "vertices": names,
+            "arcs": [{"from": u, "to": w, "label": k} for u, w, k in edges],
+            "cycles": [[names[v] for v in cyc] for cyc in digraph.enumerate_4cycles(d)],
+        }
     else:
-        d = digraph.build_d()
-        module, graph = voltage, voltage.quotient(d, voltage.z7_action(d))
-    if args["format"] == "dot":
-        return _emit(module.to_dot(graph), args["output"])
-    return _emit(_json(module.to_json_dict(graph)), args["output"])
+        d, syms = digraph.build_d(), list(vertex_table())
+        vg = voltage.quotient(d, voltage.z7_action(d))
+        head, edges = "digraph quotient", vg.arcs
+        names = [syms[fibre[0]] for fibre in vg.fibres]
+        payload = {
+            "reps": names,
+            "arcs": [{"from": u, "to": w, "voltage": v} for u, w, v in edges],
+        }
+    if args["format"] == "json":
+        return _emit(_json(payload), args["output"])
+    lines = [f"{head} {{"]
+    lines += (f'  {i} [label="{name}"];' for i, name in enumerate(names))
+    for u, w, k in edges:
+        lines.append(f"  {u} -- {w};" if k is None else f"  {u} -> {w} [label={k}];")
+    return _emit("\n".join(lines) + "\n}\n", args["output"])
 
 
 def main(argv=None) -> int:

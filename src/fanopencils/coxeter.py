@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations
 
-from .digraph import Digraph, arc_label, bfs, dot, image_rows
+from .digraph import Digraph, arc_label, bfs, image_rows
 from .fano import lines_avoiding
 from .pencils import Pencil, enumerate_vertices
 
@@ -161,22 +161,3 @@ def distance_regular_array(g: Digraph):
 
 
 EXPECTED_ARRAY = ((3, 2, 2, 1), (1, 1, 1, 2))
-
-
-def label(v: Pencil) -> str:
-    """The name "[base,bc,...]": each entry b of the line beside its
-    companion c, in line order."""
-    body = ",".join(f"{b}{c}" for b, c in zip(v.line, v.thirds))
-    return f"[{v.base},{body}]"
-
-
-def to_json_dict(g: Digraph) -> dict:
-    return {
-        "vertices": [label(v) for v in cox_vertices()],
-        "edges": [[u, w] for u, w in edges(g)],
-    }
-
-
-def to_dot(g: Digraph) -> str:
-    labels = map(label, cox_vertices())
-    return dot("graph coxeter", labels, (f"{u} -- {w}" for u, w in edges(g)))

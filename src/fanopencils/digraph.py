@@ -369,35 +369,3 @@ def golden_sublist_diff(d: Digraph):
 def format_table(d: Digraph) -> str:
     """The base-0 adjacency rows rendered one per line."""
     return "\n".join(f"{sym} : {', '.join(entries)}" for sym, entries in _base_rows(d))
-
-
-def to_json_dict(d: Digraph) -> dict:
-    """JSON form: compact vertex symbols, labeled arcs, the 4-cycle census."""
-    syms = list(vertex_table())
-    arcs = [
-        {"from": u, "to": w, "label": LABELS[k]}
-        for u, row in enumerate(d.out)
-        for k, w in enumerate(row)
-    ]
-    cycles = [[syms[v] for v in cyc] for cyc in enumerate_4cycles(d)]
-    return {"vertices": syms, "arcs": arcs, "cycles": cycles}
-
-
-def dot(header: str, labels, edges) -> str:
-    """Graphviz text: `header` opens the graph, vertex i is labelled
-    labels[i], and each of `edges` is one statement, such as
-    "0 -> 1 [label=2]"."""
-    lines = [f"{header} {{"]
-    lines += (f'  {i} [label="{label}"];' for i, label in enumerate(labels))
-    lines += (f"  {e};" for e in edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def to_dot(d: Digraph) -> str:
-    arcs = (
-        f"{u} -> {w} [label={LABELS[k]}]"
-        for u, row in enumerate(d.out)
-        for k, w in enumerate(row)
-    )
-    return dot("digraph pencils", vertex_table(), arcs)

@@ -40,7 +40,7 @@ class VerificationReport(namedtuple("VerificationReport", "selector checks uh_re
         lines = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            lines.append(f"CHECK {c.name}: {status} ({c.ms}ms)")
+            lines.append(f"CHECK {c.name}: {status} ({c.ms:.2f}ms)")
             if not c.passed and c.detail:
                 lines.append(f"  {c.detail}")
         lines.append(f"OVERALL: {'PASS' if self.passed else 'FAIL'}")
@@ -292,15 +292,16 @@ def _check_voltage_action(a: Artifacts):
 
 def _check_voltage_shape(a: Artifacts):
     vg = a.quotient
-    three_each = [i for i in range(len(vg.reps)) for _ in range(3)]
+    reps = [fibre[0] for fibre in vg.fibres]
+    three_each = [i for i in range(len(reps)) for _ in range(3)]
     outs = sorted(r for r, _, _ in vg.arcs)
     degs_ok = outs == three_each == sorted(r2 for _, r2, _ in vg.arcs)
-    src = vg.reps.index("124_0")
-    tgt = vg.reps.index("532_0")  # the representative of 165_3's orbit
+    src = reps.index(vertex_table()["124_0"])
+    tgt = reps.index(vertex_table()["532_0"])  # the representative of 165_3's orbit
     example = (src, tgt, 3) in vg.arcs
-    ok = len(vg.reps) == 24 and len(vg.arcs) == 72 and degs_ok and example
+    ok = len(reps) == 24 and len(vg.arcs) == 72 and degs_ok and example
     return ok, (
-        f"{len(vg.reps)} reps, {len(vg.arcs)} arcs, regular {degs_ok}, "
+        f"{len(reps)} reps, {len(vg.arcs)} arcs, regular {degs_ok}, "
         f"arc 124_0 -> orbit of 165_3 at voltage 3: {example}"
     )
 
@@ -438,7 +439,7 @@ def run_verification(
                 ok, detail = False, "needs the Z7 action, and voltage.action failed"
             except Exception as e:
                 ok, detail = False, f"raised {type(e).__name__}: {e}"
-            ms = int(round((time.perf_counter() - t0) * 1000))
+            ms = round((time.perf_counter() - t0) * 1000, 2)
             results.append(CheckResult(name, bool(ok), detail, ms))
     # the extension report, when the uh suite built it without raising
     return VerificationReport(selector, tuple(results), vars(arts).get("uh"))

@@ -13,9 +13,8 @@ from collections import namedtuple
 from operator import getitem
 
 from .autos import Perm, induced_automorphism
-from .digraph import Digraph, arc_witness, canonical_cycle, dot, is_automorphism, orbits
+from .digraph import Digraph, arc_witness, canonical_cycle, is_automorphism, orbits
 from .fano import TRANSLATION
-from .pencils import compact, enumerate_vertices
 
 
 # the order of every cyclic action here: translation generates Z7
@@ -42,13 +41,13 @@ def _places(fibres):
     return {w: (i, m) for i, fibre in enumerate(fibres) for m, w in enumerate(fibre)}
 
 
-class VoltageGraph(namedtuple("VoltageGraph", "reps arcs fibres")):
+class VoltageGraph(namedtuple("VoltageGraph", "arcs fibres")):
     """Quotient multidigraph with Z-valued arc voltages.
 
-    reps are display names; fibres[i] lists the digraph's vertices over
-    reps[i] by layer, from the representative, its least vertex; arcs
-    are (from-position, to-position, voltage) triples, grouped by source
-    in slot order.
+    fibres[i] lists the digraph's vertices over quotient vertex i by
+    layer, from the representative, its least vertex; arcs are
+    (from-position, to-position, voltage) triples, grouped by source in
+    slot order.
     """
 
     __slots__ = ()
@@ -63,10 +62,8 @@ def quotient(d: Digraph, gen: Perm) -> VoltageGraph:
     """
     fibres = tuple(orbits(range(d.n), [gen], getitem))
     place = _places(fibres)
-    verts = enumerate_vertices()
-    names = tuple(compact(verts[fibre[0]]) for fibre in fibres)
     arcs = tuple((i, *place[w]) for i, fibre in enumerate(fibres) for w in d.out[fibre[0]])
-    return VoltageGraph(names, arcs, fibres)
+    return VoltageGraph(arcs, fibres)
 
 
 def derive_canonical(vg: VoltageGraph) -> Digraph:
@@ -112,17 +109,3 @@ def cycle_orbits(cycles, gen: Perm):
     return tuple(
         tuple(sorted(o)) for o in orbits(cycles, [gen], act)
     )
-
-
-def to_json_dict(vg: VoltageGraph) -> dict:
-    return {
-        "reps": list(vg.reps),
-        "arcs": [
-            {"from": r, "to": r2, "voltage": v} for (r, r2, v) in vg.arcs
-        ],
-    }
-
-
-def to_dot(vg: VoltageGraph) -> str:
-    arcs = (f"{r} -> {r2} [label={v}]" for r, r2, v in vg.arcs)
-    return dot("digraph quotient", vg.reps, arcs)

@@ -119,7 +119,7 @@ def test_criterion_08_symmetry_floor(d, group):
 
 def test_criterion_09_voltage_round_trip(d, cycles, action):
     vg = quotient(d, action)
-    assert len(vg.reps) == 24
+    assert len(vg.fibres) == 24
     assert len(vg.arcs) == 72
     assert derive_canonical(vg) == d
     orbs = cycle_orbits(cycles, action)

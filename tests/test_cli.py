@@ -14,7 +14,7 @@ from fanopencils import autos, cli, verify
 from fanopencils.cli import main
 from fanopencils.verify import CheckResult, VerificationReport, run_verification
 
-CHECK_LINE = re.compile(r"^CHECK [a-z_]+\.[a-z_0-9]+: (PASS|FAIL) \(\d+ms\)$")
+CHECK_LINE = re.compile(r"^CHECK [a-z_]+\.[a-z_0-9]+: (PASS|FAIL) \(\d+\.\d\dms\)$")
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -45,6 +45,8 @@ def test_verify_cycles_json(capsys):
     assert payload["pass"] is True
     assert len(payload["checks"]) == 5
     assert all(c["pass"] for c in payload["checks"])
+    # each time is kept to 0.01 ms
+    assert all(c["ms"] == round(c["ms"], 2) for c in payload["checks"])
 
 
 def test_verify_uh_json_schema(capsys):
@@ -94,9 +96,13 @@ def test_verify_bad_selector_usage_error(capsys):
 
 
 def test_text_report_shows_the_detail_of_a_failed_check_only():
-    checks = (CheckResult("a.fails", False, "why", 3), CheckResult("a.holds", True, "fine", 0))
+    # times are kept to 0.01 ms and printed with two decimals
+    checks = (
+        CheckResult("a.fails", False, "why", 3.1),
+        CheckResult("a.holds", True, "fine", 0.21),
+    )
     assert VerificationReport("a", checks, None).format_text() == (
-        "CHECK a.fails: FAIL (3ms)\n  why\nCHECK a.holds: PASS (0ms)\nOVERALL: FAIL"
+        "CHECK a.fails: FAIL (3.10ms)\n  why\nCHECK a.holds: PASS (0.21ms)\nOVERALL: FAIL"
     )
 
 
@@ -302,6 +308,10 @@ def test_export_deterministic_bytes(tmp_path, capsys):
     for argv, digest in EXPORT_SHA256.items():
         assert main([*argv, "--output", str(a)]) == 0
         assert hashlib.sha256(a.read_bytes()).hexdigest() == digest, argv
+        # without --output the same bytes go to stdout
+        assert capsys.readouterr().out == ""
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out.encode() == a.read_bytes(), argv
 
 
 def test_export_unwritable_path(capsys):

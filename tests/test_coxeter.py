@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
 
 from fanopencils import coxeter, verify
+from fanopencils.cli import main
 from fanopencils.coxeter import (
     EXPECTED_ARRAY,
     NotDistanceRegular,
@@ -14,8 +16,6 @@ from fanopencils.coxeter import (
     distance_regular_array,
     edges,
     girth_with_witness,
-    to_dot,
-    to_json_dict,
 )
 from fanopencils.digraph import Digraph, arc_label, bfs, strongly_connected
 from fanopencils.pencils import Pencil, enumerate_vertices
@@ -44,8 +44,22 @@ def test_vertex_universe():
         assert v.line == tuple(sorted(v.line))
 
 
-def test_pencil_and_label():
-    assert coxeter.label(Pencil(0, (1, 2, 4))) == "[0,13,26,45]"
+def _export(capsys, fmt: str) -> str:
+    assert main(["export", "coxeter", "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_pencil_and_label(capsys):
+    # a vertex is named "[base,bc,...]": each entry b of the line beside
+    # its companion c, the third point of the line through the base and b
+    names = json.loads(_export(capsys, "json"))["vertices"]
+    assert len(names) == 28
+    assert cox_vertices()[0] == Pencil(0, (1, 2, 4))
+    assert names[0] == "[0,13,26,45]"
+    for v, name in zip(cox_vertices(), names):
+        base, *pairs = name.strip("[]").split(",")
+        assert int(base) == v.base
+        assert [(int(b), int(c)) for b, c in pairs] == list(zip(v.line, v.thirds))
 
 
 def test_counts_and_regularity(cox):
@@ -337,12 +351,13 @@ def test_validation_locates_retargeted_edge(cox):
     assert [c for c in report.checks if not c.passed]
 
 
-def test_exports(cox):
-    payload = to_json_dict(cox)
+def test_exports(cox, capsys):
+    payload = json.loads(_export(capsys, "json"))
     assert len(payload["vertices"]) == 28
     assert len(payload["edges"]) == 42
-    assert payload["vertices"][0] == "[0,13,26,45]"
-    dot = to_dot(cox)
+    assert "[0,13,26,45]" in payload["vertices"]
+    assert payload["edges"] == [list(e) for e in edges(cox)]
+    dot = _export(capsys, "dot")
     assert dot.startswith("graph coxeter")
     assert dot.count(" -- ") == 42
-    assert payload == to_json_dict(build_coxeter())
+    assert json.loads(_export(capsys, "json")) == payload

@@ -1,3 +1,4 @@
+import json
 import re
 from operator import getitem
 
@@ -23,9 +24,8 @@ from fanopencils.digraph import (
     short_circuit_matrix_check,
     step_orbit_cycles,
     strongly_connected,
-    to_dot,
-    to_json_dict,
 )
+from fanopencils.cli import main
 from fanopencils.golden import ADJACENCY_ROWS, EXAMPLE_CYCLE
 from fanopencils.pencils import (
     Pencil,
@@ -333,21 +333,29 @@ def test_retargeted_arc_located_by_golden_diff(d):
     assert (f"{''.join(map(str, verts[5].line))}_0", 1) in syms
 
 
-def test_json_export_round_trips(d):
-    payload = to_json_dict(d)
+def _export(capsys, fmt: str) -> str:
+    assert main(["export", "digraph", "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_json_export_round_trips(d, capsys):
+    payload = json.loads(_export(capsys, "json"))
+    assert payload["vertices"] == list(vertex_table())
     assert len(payload["vertices"]) == 168
     assert len(payload["arcs"]) == 504
     assert len(payload["cycles"]) == 126
     assert payload["arcs"][0].keys() == {"from", "to", "label"}
+    assert [(a["from"], a["to"]) for a in payload["arcs"]] == list(d.arcs())
+    assert [a["label"] for a in payload["arcs"]] == list(LABELS) * 168
     # byte determinism is pinned by test_cli.EXPORT_SHA256
-    assert payload == to_json_dict(build_d())
+    assert json.loads(_export(capsys, "json")) == payload
 
 
-def test_dot_export(d):
-    text = to_dot(d)
+def test_dot_export(capsys):
+    text = _export(capsys, "dot")
     assert text.startswith("digraph")
     assert text.count("->") == 504
-    assert to_dot(d) == to_dot(build_d())
+    assert _export(capsys, "dot") == text
 
 
 def test_digraph_equality_semantics(d):

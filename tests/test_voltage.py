@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from fanopencils import verify
+from fanopencils.cli import main
 from fanopencils.digraph import Digraph, build_d
 from fanopencils.pencils import enumerate_vertices, compact
 from fanopencils.voltage import (
@@ -11,8 +14,6 @@ from fanopencils.voltage import (
     derive_canonical,
     projected_voltage_sums,
     quotient,
-    to_dot,
-    to_json_dict,
     z7_action,
 )
 from helpers import (
@@ -128,9 +129,9 @@ def test_orbit_structure(d, action):
 
 def test_quotient_shape(d, action):
     vg = quotient(d, action)
-    assert len(vg.reps) == 24
+    assert len(vg.fibres) == 24
     assert len(vg.arcs) == 72
-    assert vg.reps == tuple(compact(v) for v in VERTS[:24])
+    assert [f[0] for f in vg.fibres] == list(range(24))  # the base-0 vertices
     three_each = [i for i in range(24) for _ in range(3)]
     assert sorted(r for r, _, _ in vg.arcs) == three_each
     assert sorted(r2 for _, r2, _ in vg.arcs) == three_each
@@ -146,7 +147,7 @@ def test_quotient_voltages_read_off_target_bases(d, action):
             r, r2, volt = vg.arcs[k]
             assert r == i
             assert volt == VERTS[w].base
-            assert vg.reps[r2] == compact(translate(VERTS[w], (-VERTS[w].base) % 7))
+            assert VERTS[vg.fibres[r2][0]] == translate(VERTS[w], (-VERTS[w].base) % 7)
             k += 1
 
 
@@ -154,12 +155,13 @@ def test_published_example_arc(d, action):
     # the arc leaving 124_0 toward the vertex written 165_3 projects to
     # a quotient arc of voltage 3 ending at that vertex's representative
     vg = quotient(d, action)
-    src = vg.reps.index("124_0")
+    reps = [f[0] for f in vg.fibres]
+    src = vertex_index(parse_compact("124_0"))
     w = parse_compact("165_3")
-    assert vertex_index(w) in d.out[vertex_index(parse_compact("124_0"))]
-    tgt_rep = compact(translate(w, (-w.base) % 7))
-    assert tgt_rep == "532_0"
-    assert (src, vg.reps.index(tgt_rep), 3) in vg.arcs
+    assert vertex_index(w) in d.out[src]
+    tgt_rep = translate(w, (-w.base) % 7)
+    assert compact(tgt_rep) == "532_0"
+    assert (reps.index(src), reps.index(vertex_index(tgt_rep)), 3) in vg.arcs
 
 
 def test_round_trip_exact(d, action):
@@ -182,14 +184,14 @@ def test_round_trip_names_first_differing_vertex(d):
 
 
 def test_single_loop_lifts_to_seven_cycle():
-    vg = VoltageGraph(("o",), ((0, 0, 1),), (tuple(range(7)),))
+    vg = VoltageGraph(((0, 0, 1),), (tuple(range(7)),))
     lifted = derive_canonical(vg)
     assert lifted.n == 7
     assert lifted.out == tuple(((m + 1) % 7,) for m in range(7))
 
 
 def test_zero_voltage_loop_lifts_to_fixed_points():
-    lifted = derive_canonical(VoltageGraph(("o",), ((0, 0, 0),), (tuple(range(7)),)))
+    lifted = derive_canonical(VoltageGraph(((0, 0, 0),), (tuple(range(7)),)))
     assert lifted.out == tuple((m,) for m in range(7))
 
 
@@ -222,19 +224,24 @@ def test_cycle_orbits_18_by_7(cycles, action):
     assert sorted(c for o in orbs for c in o) == sorted(cycles)
 
 
-def test_json_export(d, action):
+def _export(capsys, fmt: str) -> str:
+    assert main(["export", "quotient", "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_json_export(d, action, capsys):
     vg = quotient(d, action)
-    payload = to_json_dict(vg)
+    payload = json.loads(_export(capsys, "json"))
     assert set(payload) == {"reps", "arcs"}
-    assert len(payload["reps"]) == 24
+    # each quotient vertex is named by its representative, a base-0 vertex
+    assert payload["reps"] == [compact(v) for v in VERTS[:24]]
     assert len(payload["arcs"]) == 72
     assert payload["arcs"][0].keys() == {"from", "to", "voltage"}
-    fresh = build_d()
-    assert payload == to_json_dict(quotient(fresh, z7_action(fresh)))
+    assert [tuple(a.values()) for a in payload["arcs"]] == list(vg.arcs)
+    assert json.loads(_export(capsys, "json")) == payload
 
 
-def test_dot_export(d, action):
-    vg = quotient(d, action)
-    dot = to_dot(vg)
+def test_dot_export(capsys):
+    dot = _export(capsys, "dot")
     assert dot.startswith("digraph quotient")
     assert dot.count("->") == 72
