@@ -25,22 +25,19 @@ def lift_vertex_map(fn) -> Perm:
     ordered pencils, fn(base, line) -> (base, line); raises NotALine
     naming the first image that is not a vertex or has a non-int entry."""
     index = pencil_index()
-    images = [fn(b, line) for b, line in index]
-
-    def find(image):
+    perm = []
+    for b, line in index:
+        image = fn(b, line)
         try:
-            return index.get(image)
-        except TypeError:  # unhashable, so not a vertex
-            return None
-
-    perm = tuple(map(find, images))
-    if None in perm:
-        raise NotALine(f"{images[perm.index(None)]} is not a vertex")
-    for image in images:  # 1.0 and True equal the point 1 and match it
-        base, (p, q, r) = image
-        if not type(base) is type(p) is type(q) is type(r) is int:
-            raise NotALine(f"{image} is not a vertex")
-    return perm
+            base, (p, q, r) = image
+            # 1.0 and True equal the point 1 and would match it
+            if type(base) is type(p) is type(q) is type(r) is int:
+                perm.append(index[image])
+                continue
+        except (KeyError, TypeError, ValueError):  # no vertex, unhashable, wrong shape
+            pass
+        raise NotALine(f"{image} is not a vertex")
+    return tuple(perm)
 
 
 def induced_automorphism(point_perm) -> Perm:

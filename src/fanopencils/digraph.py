@@ -65,8 +65,8 @@ def arc_label(u: Pencil, v: Pencil) -> int | None:
 class Digraph:
     """Immutable adjacency structure: ordered out-lists, derived in-lists.
 
-    Each out-list must be a list or tuple of ints 0..n-1 (not bools);
-    anything else raises ValueError naming the vertex and the entry.
+    Each out-list must be a list or tuple of distinct ints 0..n-1 (not
+    bools); anything else raises ValueError naming the vertex and entry.
     """
 
     __slots__ = ("n", "out", "inn", "_codes")
@@ -83,23 +83,19 @@ class Digraph:
                     raise ValueError(
                         f"vertex {u} has out-neighbour {w!r}, not a vertex 0..{n - 1}"
                     )
+                if incoming[w] and incoming[w][-1] == u:
+                    raise ValueError(f"vertex {u} lists out-neighbour {w} twice")
                 incoming[w].append(u)
         self.out = tuple(map(tuple, rows))
         self.inn = tuple(map(tuple, incoming))
         self._codes = None
 
     def _arc_codes(self):
-        """(arcs, codes), built on the first call: (k * n, u, w) for the
-        k-th of the parallel arcs u -> w, k from 0, and the set of their
-        codes (k * n + u) * n + w."""
+        """(arcs, codes), built on the first call: the arcs (u, w) and the
+        set of their codes u * n + w."""
         if self._codes is None:
-            n = self.n
-            arcs = [
-                (row[:i].count(w) * n if row.index(w) < i else 0, u, w)
-                for u, row in enumerate(self.out)
-                for i, w in enumerate(row)
-            ]
-            self._codes = arcs, {(k + u) * n + w for k, u, w in arcs}
+            arcs = list(self.arcs())
+            self._codes = arcs, {u * self.n + w for u, w in arcs}
         return self._codes
 
     def arcs(self):
@@ -121,24 +117,21 @@ def build_d() -> Digraph:
 
 
 def arc_witness(d: Digraph, perm) -> str | None:
-    """None when perm is an automorphism of d, parallel arcs counted, else
-    why not, worded to follow the map's name: a length other than d.n,
-    else entries not the ints 0..n-1 once each (a float or a bool is not
-    an int), else the first arc copy whose coded image is not a code
-    (copy k + 1 of the parallel arcs u -> w, named from k = 1).  A vertex
-    permutation maps the codes one to one, so it is an automorphism iff
-    every image (k + perm[u]) * n + perm[w] is again a code."""
+    """None when perm is an automorphism of d, else why not, worded to
+    follow the map's name: a length other than d.n, else entries not the
+    ints 0..n-1 once each (a float or a bool is not an int), else the
+    first arc whose coded image is not a code.  A vertex permutation
+    maps the codes one to one, so it is an automorphism iff every image
+    perm[u] * n + perm[w] is again a code."""
     n = d.n
     if len(perm) != n:
         return f"acts on {len(perm)} vertices, the digraph has {n}"
     if not {int}.issuperset(map(type, perm)) or sorted(perm) != list(range(n)):
         return f"is not a permutation of 0..{n - 1}"
     arcs, codes = d._arc_codes()
-    for k, u, w in arcs:
-        if (k + perm[u]) * n + perm[w] not in codes:
-            copy = f"copy {k // n + 1} of " if k else ""
-            image = f"{copy}{perm[u]} -> {perm[w]}"
-            return f"maps {copy}arc {u} -> {w} to {image}, not an arc"
+    for u, w in arcs:
+        if perm[u] * n + perm[w] not in codes:
+            return f"maps arc {u} -> {w} to {perm[u]} -> {perm[w]}, not an arc"
     return None
 
 
@@ -196,16 +189,16 @@ def check_no_short_circuits(d: Digraph) -> tuple[bool, tuple[int, ...]]:
 
 def closed_walks(d: Digraph, lengths) -> list[list[int]]:
     """diag(A^k) for each k in the ascending `lengths`, A the 0/1
-    adjacency matrix of d (a parallel arc sets its entry once): entry v
-    of each counts the closed walks of length k through v.
+    adjacency matrix of d: entry v of each counts the closed walks of
+    length k through v.
 
     Row v of A^k is one int whose field u counts the k-walks from v to
     u, and A^(k+1) sums the rows of A^k over out-neighbours, one slot of
-    the deduplicated out-lists at a time (the zero row n past the end of
-    a short list).  A field holds maxdeg^k for the largest k, so no
-    count carries into the next field.
+    the out-lists at a time (the zero row n past the end of a short
+    list).  A field holds maxdeg^k for the largest k, so no count
+    carries into the next field.
     """
-    slots = list(zip_longest(*map(set, d.out), fillvalue=d.n))
+    slots = list(zip_longest(*d.out, fillvalue=d.n))
     width = lengths[-1] * len(slots).bit_length() + 1
     mask = (1 << width) - 1
     shifts = range(0, d.n * width, width)

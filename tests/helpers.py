@@ -1,15 +1,16 @@
 """Graph builders, notation and oracles the tests share: fault
-injection, two disjoint copies of a graph, a fixed corpus of damaged
-inputs, one step along a labelled arc, the two named slot permutations,
-the vertex index of a pencil and the one-by-one lift of a pencil map
-(the oracle of autos.lift_vertex_map), the long and row/column vertex
-notations and the compact-symbol parser, the adjacency matrix the
-numpy oracles start from, the Fano collineations by frame images, the
-full-round colour refinement that autos._refine must agree with, the
-per-edge girth, the generator-sum intersection numbers, the
-object-built Coxeter neighbours and the per-vertex automorphism test
-that the coxeter and autos routines must agree with, and the
-composition, inverse and closure of permutations, the group oracles."""
+injection and its Hypothesis strategy, two disjoint copies of a graph,
+a fixed corpus of damaged inputs, one step along a labelled arc, the
+two named slot permutations, the vertex index of a pencil and the
+one-by-one lift of a pencil map (the oracle of autos.lift_vertex_map),
+the long and row/column vertex notations and the compact-symbol parser,
+the adjacency matrix the numpy oracles start from, the Fano
+collineations by frame images, the full-round colour refinement that
+autos._refine must agree with, the per-edge girth, the generator-sum
+intersection numbers, the object-built Coxeter neighbours and the
+per-vertex automorphism test that the coxeter and autos routines must
+agree with, and the composition, inverse and closure of permutations,
+the group oracles."""
 
 import itertools
 import random
@@ -18,6 +19,7 @@ from collections import Counter, namedtuple
 from functools import cache
 
 import numpy as np
+from hypothesis import strategies as st
 
 from fanopencils.coxeter import NotDistanceRegular, edges
 from fanopencils.digraph import LABELS, Digraph, _images, bfs
@@ -30,6 +32,24 @@ def with_retargeted_arc(d: Digraph, u: int, slot: int, target: int) -> Digraph:
     rows = [list(row) for row in d.out]
     rows[u][slot] = target
     return Digraph(rows)
+
+
+@st.composite
+def retarget_lists(draw, d: Digraph):
+    """Strategy: one or two out-list entries of d at distinct (vertex,
+    slot) places, as (u, slot, target) triples that with_retargeted_arc
+    applies in order.  Each target is any vertex that no other slot of
+    u's row lists at that point, so loops and short circuits are drawn
+    but no repeated out-neighbour, which Digraph refuses."""
+    places = st.tuples(st.integers(0, d.n - 1), st.integers(0, 2))
+    rows = [list(row) for row in d.out]
+    retargets = []
+    for u, slot in draw(st.lists(places, min_size=1, max_size=2, unique=True)):
+        others = rows[u][:slot] + rows[u][slot + 1 :]
+        target = draw(st.sampled_from([w for w in range(d.n) if w not in others]))
+        rows[u][slot] = target
+        retargets.append((u, slot, target))
+    return retargets
 
 
 def two_copies(d: Digraph) -> Digraph:
@@ -156,7 +176,7 @@ def rowcol(v: Pencil) -> RowColSymbol:
 
 
 def adjacency_matrix(d: Digraph) -> np.ndarray:
-    """The 0/1 int64 adjacency matrix; a parallel arc sets its entry once."""
+    """The 0/1 int64 adjacency matrix."""
     a = np.zeros((d.n, d.n), dtype=np.int64)
     for u, w in d.arcs():
         a[u, w] = 1

@@ -95,6 +95,14 @@ def test_verify_bad_selector_usage_error(capsys):
         run_verification("bogus")
 
 
+def test_verify_refuses_a_graph_that_is_not_a_digraph(d):
+    # out-lists handed over as they are would raise in every check
+    with pytest.raises(TypeError, match="^d must be a Digraph, not list$"):
+        run_verification("all", d=[[1], [0]])
+    with pytest.raises(TypeError, match="^cox must be a Digraph, not tuple$"):
+        run_verification("coxeter", d=d, cox=d.out)
+
+
 def test_text_report_shows_the_detail_of_a_failed_check_only():
     # times are kept to 0.01 ms and printed with two decimals
     checks = (

@@ -161,9 +161,9 @@ def test_girth_and_array_equal_the_oracles_on_the_coxeter_graph(cox):
 
 
 def test_girth_reads_the_simple_graph_under_a_digraph():
-    # loops and parallel arcs close no cycle, and a one-way triangle is
-    # the triangle 0 - 1 - 2
-    assert girth_with_witness(Digraph([[0, 1, 1], [0, 0], [2]])) == (None, ())
+    # loops and a pair of opposite arcs close no cycle, and a one-way
+    # triangle is the triangle 0 - 1 - 2
+    assert girth_with_witness(Digraph([[0, 1], [0], [2]])) == (None, ())
     assert girth_with_witness(Digraph([[1], [2], [0]])) == (3, (0, 1, 2))
 
 

@@ -38,6 +38,7 @@ from fanopencils.verify import run_verification
 from helpers import (
     adjacency_matrix,
     parse_compact,
+    retarget_lists,
     step,
     two_copies,
     vertex_index,
@@ -193,14 +194,16 @@ def test_trace_oracle_counts_three_circuits(d):
 @given(
     st.integers(0, 6).flatmap(
         lambda n: st.lists(
-            st.lists(st.integers(0, max(n - 1, 0)), max_size=4), min_size=n, max_size=n
+            st.lists(st.integers(0, max(n - 1, 0)), max_size=4, unique=True),
+            min_size=n,
+            max_size=n,
         ).map(Digraph)
     ),
     st.sets(st.integers(1, 9), min_size=1).map(sorted),
 )
 def test_closed_walks_are_diagonals_of_matrix_powers(g, lengths):
-    # loops, parallel arcs (counted once) and empty out-lists; a length
-    # list that skips powers returns only the asked diagonals
+    # loops and empty out-lists; a length list that skips powers returns
+    # only the asked diagonals
     a = adjacency_matrix(g)
     want = [np.diag(np.linalg.matrix_power(a, k)).tolist() for k in lengths]
     assert closed_walks(g, lengths) == want
@@ -217,18 +220,10 @@ def test_trace_oracle_counts_past_int8():
     )
 
 
-# one or two out-list entries of D pointed at arbitrary vertices, which may
-# add loops, parallel arcs and short circuits
-retargets = st.lists(
-    st.tuples(st.integers(0, 167), st.integers(0, 2), st.integers(0, 167)),
-    min_size=1,
-    max_size=2,
-    unique_by=lambda r: r[:2],
-)
-
-
 @settings(max_examples=20)
-@given(retargets)
+# one or two out-list entries of D pointed at other vertices, which may
+# add loops and short circuits
+@given(retarget_lists(build_d()))
 def test_trace_oracle_matches_integer_powers(d, retargets):
     # the packed-row traces against exact int64 matrix powers
     g = d
@@ -369,6 +364,34 @@ def test_out_of_range_target_rejected(bad):
     # float, string or bool as the vertex it equals
     with pytest.raises(ValueError, match=f"vertex 0 has out-neighbour {re.escape(repr(bad))},"):
         Digraph([[1, bad], [0], []])
+
+
+def test_repeated_out_neighbour_rejected(d):
+    # an out-list names each out-neighbour once: a repeat would be read
+    # as one arc by some routines and as two by others
+    for rows in ([[1, 1], [0]], [[1, 2, 1], [0], [0]]):
+        with pytest.raises(ValueError, match="^vertex 0 lists out-neighbour 1 twice$"):
+            Digraph(rows)
+    with pytest.raises(ValueError, match="^vertex 1 lists out-neighbour 1 twice$"):
+        Digraph([[0, 1], [1, 1]])
+    # entries are checked in row order, each for its type and range
+    # before it is compared with the entries before it
+    for bad in (1.0, True, 5):
+        message = f"vertex 0 has out-neighbour {bad!r}, not a vertex 0..1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Digraph([[1, bad, 1], [0]])
+    with pytest.raises(ValueError, match="^vertex 0 lists out-neighbour 1 twice$"):
+        Digraph([[1, 1, 5], [0]])
+    with pytest.raises(
+        ValueError, match="^vertex 1 has out-list 0, not a list or tuple$"
+    ):
+        Digraph([[1], 0, [1, 1]])
+    # a loop and a pair of opposite arcs are single arcs
+    assert Digraph([[0, 1], [0]]).arc_count() == 3
+    # a retarget onto an out-neighbour that the row already lists too
+    w = d.out[4][1]
+    with pytest.raises(ValueError, match=f"^vertex 4 lists out-neighbour {w} twice$"):
+        with_retargeted_arc(d, 4, 0, w)
 
 
 @pytest.mark.parametrize("bad", [{0: "x"}, {0, 2}, None, 5, "0"])
