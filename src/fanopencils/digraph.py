@@ -69,7 +69,7 @@ class Digraph:
     bools); anything else raises ValueError naming the vertex and entry.
     """
 
-    __slots__ = ("n", "out", "inn", "_codes")
+    __slots__ = ("n", "out", "inn")
 
     def __init__(self, out_lists):
         rows = tuple(out_lists)
@@ -88,15 +88,6 @@ class Digraph:
                 incoming[w].append(u)
         self.out = tuple(map(tuple, rows))
         self.inn = tuple(map(tuple, incoming))
-        self._codes = None
-
-    def _arc_codes(self):
-        """(arcs, codes), built on the first call: the arcs (u, w) and the
-        set of their codes u * n + w."""
-        if self._codes is None:
-            arcs = list(self.arcs())
-            self._codes = arcs, {u * self.n + w for u, w in arcs}
-        return self._codes
 
     def arcs(self):
         for u, row in enumerate(self.out):
@@ -120,18 +111,19 @@ def arc_witness(d: Digraph, perm) -> str | None:
     """None when perm is an automorphism of d, else why not, worded to
     follow the map's name: a length other than d.n, else entries not the
     ints 0..n-1 once each (a float or a bool is not an int), else the
-    first arc whose coded image is not a code.  A vertex permutation
-    maps the codes one to one, so it is an automorphism iff every image
-    perm[u] * n + perm[w] is again a code."""
+    first arc whose image is not an arc.  With no parallel arcs, the arcs
+    are distinct pairs and a vertex permutation maps them to as many
+    distinct pairs, so it is an automorphism iff every image is an arc."""
     n = d.n
     if len(perm) != n:
         return f"acts on {len(perm)} vertices, the digraph has {n}"
     if not {int}.issuperset(map(type, perm)) or sorted(perm) != list(range(n)):
         return f"is not a permutation of 0..{n - 1}"
-    arcs, codes = d._arc_codes()
-    for u, w in arcs:
-        if perm[u] * n + perm[w] not in codes:
-            return f"maps arc {u} -> {w} to {perm[u]} -> {perm[w]}, not an arc"
+    for u, row in enumerate(d.out):
+        image = d.out[perm[u]]
+        for w in row:
+            if perm[w] not in image:
+                return f"maps arc {u} -> {w} to {perm[u]} -> {perm[w]}, not an arc"
     return None
 
 

@@ -2,6 +2,10 @@
 exact check, plus a mutation pass showing every suite catches a single
 retargeted arc with a located witness."""
 
+import random
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +24,7 @@ from fanopencils.digraph import (
     build_d,
     check_no_short_circuits,
     cycle_arc_cover,
+    enumerate_4cycles,
     golden_sublist_diff,
     label_permutations,
     short_circuit_matrix_check,
@@ -299,6 +304,58 @@ def test_every_check_reads_its_input(d, cox):
                     raised.append((label, c.name, c.detail))
     assert not raised
     assert sorted(names - failed) == ["digraph.symbol_grid"]
+
+
+# the checks that read the vertex ids of the construction, not only the
+# graph: each fails on a correct copy of D whose vertices are renumbered
+CONSTRUCTION_CHECKS = (
+    "digraph.golden_rows",
+    "cycles.known_example",
+    "uh.known_subgroups",
+    "voltage.action",
+    "voltage.quotient_shape",
+    "voltage.round_trip",
+    "voltage.closure",
+    "voltage.cycle_orbits",
+    "coxeter.alignment_consistency",
+)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_relabelled_d_fails_only_the_construction_checks(d, cycles, details_on_d, seed):
+    # a metamorphic property (Chen, Cheung & Yiu 1998): renumbering the
+    # vertices of D changes no claim, so every other check passes with
+    # D's detail, except that uh.extensions names its root arc, the first
+    # arc of cycle 0, by the new census
+    new = list(range(d.n))
+    random.Random(seed).shuffle(new)
+    rows = [None] * d.n
+    for u, row in enumerate(d.out):
+        rows[new[u]] = [new[w] for w in row]
+    h = Digraph(rows)
+    checks = run_verification("all", d=h).checks
+    assert [c.name for c in checks if not c.passed] == list(CONSTRUCTION_CHECKS)
+    roots = ["fix arc {} -> {},".format(*g[0][:2]) for g in (cycles, enumerate_4cycles(h))]
+    assert roots[0] in details_on_d["uh.extensions"]
+    for c in checks:
+        if c.name not in CONSTRUCTION_CHECKS:
+            assert c.detail == details_on_d[c.name].replace(*roots), c.name
+
+
+def test_readme_check_table_lists_every_check_in_order():
+    # only the table under "## Checks" is read: the prose also names
+    # functions, such as digraph.closed_walks, in the same form
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("\n## Checks\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert {len(cells) for cells in rows} == {3}
+    assert [name.strip("`") for name, _, _ in rows] == [name for name, _ in CHECKS]
+    marked = [name.strip("`") for name, _, mark in rows if mark == "yes"]
+    assert marked == list(CONSTRUCTION_CHECKS)
 
 
 @st.composite

@@ -97,7 +97,7 @@ small_digraphs = st.integers(1, 6).flatmap(
 
 
 @given(small_digraphs, st.data())
-def test_arc_codes_agree_with_the_per_vertex_test(d, data):
+def test_arc_test_agrees_with_the_per_vertex_test(d, data):
     perm = data.draw(
         st.one_of(
             st.permutations(range(d.n)),
@@ -108,15 +108,7 @@ def test_arc_codes_agree_with_the_per_vertex_test(d, data):
     assert is_automorphism(d, perm) == (arc_witness(d, perm) is None)
 
 
-@given(small_digraphs, st.data())
-def test_one_digraph_answers_several_maps_in_a_row(d, data):
-    # the codes are cached on the digraph after the first call; a stale
-    # or perm-dependent cache would answer a later map wrongly
-    for perm in data.draw(st.lists(st.permutations(range(d.n)), min_size=2, max_size=5)):
-        assert is_automorphism(d, perm) == automorphism_per_vertex(d, perm)
-
-
-def test_arc_codes_agree_on_d(d, group):
+def test_arc_test_agrees_on_d(d, group):
     perms = [*group.generators, slot_rotation(), tuple(range(d.n))]
     perms += [p[1:] + p[:1] for p in perms]
     for perm in perms:
