@@ -302,6 +302,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
 
 
 def vertex_orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the group on range(degree), each sorted, by least vertex."""
     return tuple(
         tuple(sorted(o))
         for o in orbits(range(group.degree), group.generators, getitem)
@@ -309,6 +310,7 @@ def vertex_orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def arc_orbits(d: Digraph, group: AutGroup) -> tuple[tuple, ...]:
+    """The orbits of the group on the arcs of d, each sorted, by first arc."""
     return tuple(
         tuple(sorted(o)) for o in orbits(d.arcs(), group.generators, arc_image)
     )

@@ -179,12 +179,19 @@ def _json(payload: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
+    """The report as text or JSON.  `verify uh --format json` writes
+    the extension certificate's record (autos.UHReport) instead:
+    {"pass", "aut_order", "failures"}, with at most one failure, a
+    {"cycle", "cycle2", "rotation"} triple, and aut_order the order the
+    certificate proves (0 when it is incomplete).  When the extension
+    check raised, that is the empty record's payload,
+    {"pass": false, "aut_order": 0, "failures": []}."""
     report = run_verification(args["selector"])
     if args["format"] == "text":
         text = report.format_text() + "\n"
     elif args["selector"] != "uh":
         text = _json(report.to_json_dict())
-    else:  # the certificate, or an empty one when the extension check raised
+    else:
         uh = report.uh_report or autos.UHReport(False, 0, (), 0, "")
         failures = [{"cycle": c, "cycle2": c2, "rotation": r} for c, c2, r in uh.failures]
         text = _json({"pass": uh.passed, "aut_order": uh.aut_order, "failures": failures})
@@ -248,6 +255,9 @@ def _cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the command argv names.  The exit status is 0 on overall pass
+    and after help, 1 on a failed check, a golden-table diff or an
+    unwritable output path, and 2 on a usage error."""
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except _Exit as stop:

@@ -88,9 +88,10 @@ def girth_with_witness(g: Digraph):
     under g (arcs taken both ways, loops and repeats dropped), or
     (None, ()) if it has no cycle.
 
-    A plain search runs from every vertex, one layer at a time: an edge
-    inside layer i closes a walk of length 2i + 1 through the root, and
-    a vertex reached from two vertices of layer i one of length 2i + 2.
+    A plain search runs from every vertex (Itai & Rodeh 1978), one layer
+    at a time: an edge inside layer i closes a walk of length 2i + 1
+    through the root, and a vertex reached from two vertices of layer i
+    one of length 2i + 2.
     Each walk shorter than the best found so far is read back along the
     parents and kept; at the minimum it is a cycle, as a repeated vertex
     would close a shorter one.  Layers that cannot beat the best length

@@ -128,6 +128,7 @@ def arc_witness(d: Digraph, perm) -> str | None:
 
 
 def is_automorphism(d: Digraph, perm) -> bool:
+    """Whether perm is an automorphism of d: arc_witness gives no reason."""
     return arc_witness(d, perm) is None
 
 

@@ -1,9 +1,12 @@
 """Frozen reference data for the base-0 block of the digraph.
 
 The adjacency rows (one per base-0 vertex, entries in label order 1, 2, 0)
-and the symbol grid are golden data: the test suite and the `table`
-command diff freshly generated output against them.  The full 168-vertex
-adjacency list follows from these rows by translation.
+are what digraph.golden_sublist_diff compares the built digraph with, for
+the digraph.golden_rows check and the `table` command.  The full
+168-vertex adjacency list follows from these rows by translation.  The
+digraph.symbol_grid check compares the symbol grid with
+pencils.symbol_grid, and the cycles.known_example check looks the example
+cycle up in the census.
 """
 
 from __future__ import annotations

@@ -27,6 +27,9 @@ class VerificationReport(namedtuple("VerificationReport", "selector checks uh_re
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
+        """A plain dict for json: the selector, the overall pass, and each
+        check's name, pass, detail and time in ms, the number the text
+        shows.  Only the times differ between two runs."""
         return {
             "selector": self.selector,
             "pass": self.passed,
@@ -37,6 +40,9 @@ class VerificationReport(namedtuple("VerificationReport", "selector checks uh_re
         }
 
     def format_text(self) -> str:
+        """One `CHECK <suite>.<name>: PASS|FAIL (<ms>ms)` line per check,
+        its time to two decimals and a failed check's detail indented on
+        the next line, then `OVERALL: PASS|FAIL`."""
         lines = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"

@@ -120,10 +120,6 @@ MUTANTS = (
         "                    elif p not in xs:\n                        return False\n",
         "",
         PRUNED,
-        "changes only the work done: every complete map is checked by"
-        " is_automorphism before it is yielded, and on D the search stays"
-        " within the pinned assign and branch bounds; only a pinned work"
-        " count on a graph where the test prunes would kill it",
     ),
     Mutant(
         "extensions-tie-by-highest-index",

@@ -2,8 +2,10 @@
 exact check, plus a mutation pass showing every suite catches a single
 retargeted arc with a located witness."""
 
+import importlib
 import random
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanopencils import autos as autos_mod
+from fanopencils import cli
 from fanopencils import coxeter as cox_mod
 from fanopencils import digraph as digraph_mod
 from fanopencils import voltage as voltage_mod
@@ -356,6 +359,41 @@ def test_readme_check_table_lists_every_check_in_order():
     assert [name.strip("`") for name, _, _ in rows] == [name for name, _ in CHECKS]
     marked = [name.strip("`") for name, _, mark in rows if mark == "yes"]
     assert marked == list(CONSTRUCTION_CHECKS)
+
+
+def test_readme_names_and_command_lines_resolve():
+    # a rename in src must reach the README: each backticked dotted name
+    # outside the code blocks is a check or an attribute of a fanopencils
+    # module (a .py file name aside), and each command line without a
+    # shell variable parses
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    checks = {name for name, _ in CHECKS}
+    unresolved = []
+    for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", prose):
+        module, *path = dotted.split(".")
+        if dotted in checks or path == ["py"]:
+            continue
+        try:
+            obj = importlib.import_module(f"fanopencils.{module}")
+            for name in path:
+                obj = getattr(obj, name)
+        except (ImportError, AttributeError):
+            unresolved.append(dotted)
+    assert unresolved == []
+    commands = [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("fanopencils ") and "$" not in line
+    ]
+    assert commands
+    for argv in commands:
+        try:
+            cli._parse(argv)
+        except cli._Exit as stop:
+            pytest.fail(f"{argv}: {stop.args}")
 
 
 @st.composite

@@ -508,12 +508,21 @@ def test_commands_run_without_numpy():
 
 
 def test_import_leaves_out_dataclasses_inspect_and_typing():
-    # every fresh process would pay for these imports: alone in a fresh
-    # `python -S` (Python 3.11, 2-vCPU container, 5 runs each) dataclasses,
-    # inspect and typing take 29-33 ms, json 14 ms and argparse with gettext
-    # 15-16 ms, and its first ArgumentParser 5-6 ms more (locale, shutil);
-    # only the JSON outputs need json. -S leaves out site .pth files, which
-    # may import typing before the package does
+    """Import is a fixed cost of every command, and without cached
+    bytecode each fresh process compiles every source line again.  So the
+    records (CheckResult, VerificationReport, AutGroup, VoltageGraph,
+    UHReport) are namedtuples, Pencil is a small __slots__ class, and
+    importing fanopencils.cli pulls in none of dataclasses (which imports
+    inspect and compiles code for each @dataclass), typing, json or
+    argparse.  json is imported only by the command that writes JSON, and
+    the argument parser is cli's own.
+
+    Alone in a fresh `python -S` (Python 3.11, 2-vCPU container, 5 runs
+    each) dataclasses, inspect and typing take 29-33 ms, json 14 ms and
+    argparse with gettext 15-16 ms, and its first ArgumentParser 5-6 ms
+    more (locale, shutil).  -S leaves out site .pth files, which may
+    import typing before the package does.
+    """
     src = str(ROOT / "src")
     left_out = {"dataclasses", "inspect", "typing", "json", "argparse", "gettext", "locale"}
     script = (
