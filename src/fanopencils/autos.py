@@ -147,17 +147,22 @@ def _refine(colors: list[int], d: Digraph, moved=None) -> list[int]:
 
 def _derivation(d, colors, b):
     """Breadth-first steps (x, y, rows) from b and the singletons of
-    `colors`: x is the only vertex of its colour among rows[y], rows
-    being d.out or d.inn.  None unless they reach every vertex."""
+    `colors`: x is the only vertex of its colour among rows[y] not yet
+    reached, rows being d.out or d.inn.  None unless they reach every
+    vertex.  Then individualizing b and refining gives a discrete
+    colouring: each equitable cell lies inside or outside rows[y] of a
+    singleton y, and x's colour there holds only x and singletons."""
     sizes = _cell_sizes(colors)
     found = [b, *(v for v, c in enumerate(colors) if sizes[c] == 1)]
     seen = set(found)
     steps = []
     for y in found:
         for rows in (d.out, d.inn):
-            hues = [colors[x] for x in rows[y]]
             for x in rows[y]:
-                if x not in seen and hues.count(colors[x]) == 1:
+                if x in seen:
+                    continue
+                hues = [colors[v] for v in rows[y] if v not in seen]
+                if hues.count(colors[x]) == 1:
                     seen.add(x)
                     found.append(x)
                     steps.append((x, y, rows))
@@ -167,16 +172,22 @@ def _derivation(d, colors, b):
 def _transfer(derivation, first, b, colors, w):
     """The map taking b to w, each singleton of `first` to the vertex of
     its colour in `colors`, then the x of each step (x, y, rows) of the
-    derivation to the one vertex of x's colour in rows[image of y]; None
-    when a step does not find exactly one."""
+    derivation to the one vertex of x's colour in rows[image of y] that
+    is not yet an image; None when a step does not find exactly one.
+    If an automorphism g takes b to w and `first` to `colors`, the rest
+    of x's colour in rows[g(y)] is the image of vertices reached before
+    x, so the map is g."""
     pos = {c: v for v, c in enumerate(colors)}
     perm = [pos[c] for c in first]
     perm[b] = w
+    sizes = _cell_sizes(first)
+    used = {w, *(perm[v] for v, c in enumerate(first) if sizes[c] == 1)}
     for x, y, rows in derivation:
-        xs = [v for v in rows[perm[y]] if colors[v] == first[x]]
+        xs = [v for v in rows[perm[y]] if colors[v] == first[x] and v not in used]
         if len(xs) != 1:
             return None
         perm[x] = xs[0]
+        used.add(xs[0])
     return tuple(perm)
 
 
@@ -186,8 +197,9 @@ class AutGroup(namedtuple("AutGroup", "degree generators order base nodes leaves
     The pointwise stabilizer of `base` is trivial, and `order` is the
     product of the basic orbit lengths: the orbit of base[i] under the
     stabilizer of base[:i].  `nodes` counts the search-tree nodes
-    visited (refined, or transferred at the last level) and `leaves` the
-    discrete leaves refined and the transfers that yield a map.
+    visited (refined, or transferred at the last level; the first leaf
+    even when it is not refined) and `leaves` the discrete leaves
+    refined and the transfers that yield a map.
     """
 
     __slots__ = ()
@@ -204,19 +216,22 @@ def automorphism_group(d: Digraph) -> AutGroup:
     individualizes the first vertex of the largest cell (the lowest
     label on ties, as Traces does) at each level until the colouring is
     discrete; those vertices are the base.  Each individualization
-    re-refines outward from the individualized vertex.  Then, deepest
-    level first, level i branches only on cell members outside the
-    orbit of base[i] under the generators found so far (which all fix
-    base[:i]), and in each branch looks for one leaf that maps the first
-    leaf by an automorphism fixing base[:i] and taking base[i] to that
-    member.  Every kept leaf is checked by is_automorphism.  The orbits
-    reached are the basic orbits, and their lengths multiply to the order.
+    re-refines outward from the individualized vertex.  The path stops
+    a refinement early where a derivation from the chosen vertex proves
+    the leaf discrete (_derivation).  Then, deepest level first, level i
+    branches only on cell members outside the orbit of base[i] under the
+    generators found so far (which all fix base[:i]), and in each branch
+    looks for one leaf that maps the first leaf by an automorphism
+    fixing base[:i] and taking base[i] to that member.  Every kept leaf
+    is checked by is_automorphism.  The orbits reached are the basic
+    orbits, and their lengths multiply to the order.
 
-    At the last level a child is transferred, not refined, when the
-    first leaf's map can be rebuilt along neighbours of unique colour
-    (_derivation, _transfer); the map is a leaf, kept if it passes the
-    same tests, and a failed transfer rules the child out.  Refinement
-    is equivariant with canonical labels, so an automorphism taking the
+    Where the first path stopped early, a child at the last level is
+    transferred, not refined: the first leaf's map is rebuilt along the
+    derivation, each vertex the one of its colour not yet an image
+    (_transfer).  The map is a leaf, kept if it passes the same tests,
+    and a failed transfer rules the child out.  Refinement is
+    equivariant with canonical labels, so an automorphism taking the
     first leaf's node to the child's takes the first leaf to the child's
     refined leaf, each step finds its image, and only such a map can be
     kept: the group is that of refining.
@@ -228,6 +243,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
     path = [_refine(_closed_walk_colours(d), d)]
     sizes = [_cell_sizes(path[0])]
     base: list[int] = []
+    derivation = None
 
     def individualize(colors, level, v):
         nxt = list(colors)
@@ -238,13 +254,15 @@ def automorphism_group(d: Digraph) -> AutGroup:
         # the largest cell, the lowest label on ties
         c = sizes[-1].index(max(sizes[-1]))
         base.append(path[-1].index(c))
+        # a derivation proves the next leaf discrete: the base is complete
+        derivation = _derivation(d, path[-1], base[-1])
+        if derivation is not None:
+            break
         path.append(individualize(path[-1], len(base) - 1, base[-1]))
         sizes.append(_cell_sizes(path[-1]))
-    first_leaf = path[-1]
-    nodes = len(path)
+    nodes = len(base) + 1
     leaves = 1
     last = len(base) - 1
-    derivation = _derivation(d, path[last], base[last]) if base else None
 
     def leaf_search(colors, level, w, want):
         """An automorphism at a leaf below the child of this node that
@@ -270,7 +288,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
                             return perm
                 return None
             pos = {c: v for v, c in enumerate(colors)}
-            perm = tuple(map(pos.__getitem__, first_leaf))
+            perm = tuple(map(pos.__getitem__, path[level]))
         leaves += 1
         if [perm[b] for b in base[: len(want)]] == want and is_automorphism(d, perm):
             return perm
@@ -486,6 +504,9 @@ def verify_c4uh(d: Digraph, cycles, cover) -> UHReport:
 
     Then the automorphisms that fix the root arc are enumerated, and
     orbit-stabilizer gives the order, with no help from the group search.
+    They are the ones that fix cycle 0 with its rotation, four pins, not
+    two: the cycles partition the arcs, so cycle 0 is the only 4-cycle
+    through the root arc, which such an automorphism keeps.
     The enumeration stops at the first solution past ARC_STABILIZER;
     `aut_order` is 0 whenever the certificate is incomplete.
     """
@@ -515,7 +536,7 @@ def verify_c4uh(d: Digraph, cycles, cover) -> UHReport:
         found.append(perm)
         reached = set(orbits([root], found, arc_image)[0])
 
-    stab = list(islice(extensions(d, {u: u, w: w}), ARC_STABILIZER + 1))
+    stab = list(islice(extensions(d, _pin_map(cycles, 0, 0, 0)), ARC_STABILIZER + 1))
     runs = f"{len(found)} extension runs from cycle 0 reach all {len(reached)} arcs"
     if len(stab) > ARC_STABILIZER:
         v = next(x for x, y in enumerate(stab[-1]) if x != y)

@@ -94,6 +94,27 @@ MUTANTS = (
         ("tests/test_autos.py::test_search_refuses_a_transfer_that_misses_the_branch",),
     ),
     Mutant(
+        "derivation-counts-reached-vertices",
+        AUTOS,
+        "hues = [colors[v] for v in rows[y] if v not in seen]",
+        "hues = [colors[v] for v in rows[y]]",
+        ("tests/test_autos.py::test_coxeter_search_transfers_its_last_level",),
+    ),
+    Mutant(
+        "transfer-without-the-not-yet-an-image-test",
+        AUTOS,
+        "if colors[v] == first[x] and v not in used]",
+        "if colors[v] == first[x]]",
+        ("tests/test_autos.py::test_derivation_steps_by_elimination",),
+    ),
+    Mutant(
+        "first-path-refines-its-proven-leaf",
+        AUTOS,
+        "if derivation is not None:\n            break\n",
+        "if derivation is not None:\n            pass\n",
+        ("tests/test_autos.py::test_d_search_transfers_five_leaves",),
+    ),
+    Mutant(
         "assign-without-the-taken-image-block",
         AUTOS,
         "for ys, nbrs in ((inn[w], out), (out[w], inn)):",
@@ -119,6 +140,13 @@ MUTANTS = (
         AUTOS,
         "                    elif p not in xs:\n                        return False\n",
         "",
+        PRUNED,
+    ),
+    Mutant(
+        "stabilizer-pins-the-root-arc",
+        AUTOS,
+        "extensions(d, _pin_map(cycles, 0, 0, 0))",
+        "extensions(d, {u: u, w: w})",
         PRUNED,
     ),
     Mutant(

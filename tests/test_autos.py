@@ -398,12 +398,15 @@ def test_search_leaves_a_branch_whose_cell_sizes_differ():
     assert len(closure(grp.generators, g.n)) == 864
 
 
-def test_search_leaves_a_subtree_without_an_automorphism():
+def test_search_leaves_a_subtree_without_an_automorphism(monkeypatch):
     # a branch at level 1 passes its cell sizes but none of its leaves is
-    # an automorphism
+    # an automorphism: refined, its four leaves are rejected, and
+    # transferred, its four children find no map and count no leaf
     g = DEGREE_TWO
     grp = automorphism_group(g)
-    assert (grp.order, grp.nodes, grp.leaves) == (4, 16, 7)
+    assert (grp.order, grp.nodes, grp.leaves) == (4, 16, 3)
+    refined = _without_transfers(monkeypatch, g)
+    assert (refined.order, refined.nodes, refined.leaves) == (4, 16, 7)
     everything = itertools.permutations(range(g.n))
     assert sum(automorphism_per_vertex(g, p) for p in everything) == 4
 
@@ -551,8 +554,8 @@ def test_refine_matches_full_rounds(d, cox):
         _assert_refine_is_canonical(g, seed)
 
 
-# out- and in-degree 2: a map transferred at the last level is not an
-# automorphism, so the search rules that child out without refining it
+# out- and in-degree 2: two children at the last level have no transfer,
+# so the search rules them out without refining them
 UNTRANSFERABLE = Digraph([(5, 4), (2, 3), (3, 5), (1, 2), (0, 1), (4, 0)])
 
 
@@ -579,12 +582,19 @@ def _without_transfers(monkeypatch, g: Digraph) -> autos.AutGroup:
         return automorphism_group(g)
 
 
+def _assert_same_search(refined: autos.AutGroup, transferred: autos.AutGroup):
+    """The same group, base and nodes; a transfer that finds no map is
+    no leaf, where its refined leaf was one, so leaves can only drop."""
+    assert refined._replace(leaves=0) == transferred._replace(leaves=0)
+    assert refined.leaves >= transferred.leaves
+
+
 def test_transfer_is_exact(monkeypatch, d, group, cox, cox_group):
     # every child at the last level refined gives the same group, base
-    # and counts as the transfers do: a failed transfer rules out only a
+    # and nodes as the transfers do: a failed transfer rules out only a
     # child whose refined leaf would not be kept
     assert _without_transfers(monkeypatch, d) == group
-    assert _without_transfers(monkeypatch, cox) == cox_group
+    _assert_same_search(_without_transfers(monkeypatch, cox), cox_group)
     graphs = (
         *_two_arc_swaps(d, seed=5, count=20),
         *SMALL,
@@ -597,7 +607,7 @@ def test_transfer_is_exact(monkeypatch, d, group, cox, cox_group):
         two_copies(d),
     )
     for g in graphs:
-        assert _without_transfers(monkeypatch, g) == automorphism_group(g)
+        _assert_same_search(_without_transfers(monkeypatch, g), automorphism_group(g))
 
 
 # Cayley(Z_n, S): vertex-transitive, and the first leaf of most of them
@@ -611,18 +621,36 @@ circulants = st.integers(2, 30).flatmap(
 
 @given(circulants)
 def test_transfer_is_exact_on_circulants(monkeypatch, g):
-    assert _without_transfers(monkeypatch, g) == automorphism_group(g)
+    _assert_same_search(_without_transfers(monkeypatch, g), automorphism_group(g))
 
 
-def test_d_search_transfers_five_leaves(monkeypatch, d, group):
-    # the first leaf is refined; the other five are transferred, so the
-    # search refines 6 colourings for its 11 nodes
+def _refines(monkeypatch) -> list:
+    """Patch autos._refine to record one entry per call."""
     refine = autos._refine
     refined = []
     monkeypatch.setattr(autos, "_refine", lambda *args: refined.append(1) or refine(*args))
+    return refined
+
+
+def test_d_search_transfers_five_leaves(monkeypatch, d, group):
+    # the first path stops at the node whose derivation proves its leaf,
+    # and the other five leaves are transferred, so the search refines 5
+    # colourings for its 11 nodes
+    refined = _refines(monkeypatch)
     transfers = _recorded_transfers(monkeypatch, d)
     assert automorphism_group(d) == group
-    assert (len(refined), transfers) == (6, [True] * 5)
+    assert (len(refined), transfers) == (5, [True] * 5)
+
+
+def test_coxeter_search_transfers_its_last_level(monkeypatch, cox, cox_group):
+    # elimination gives the Coxeter graph a derivation at its last level:
+    # the first path refines 2 colourings and the one branch at level 0
+    # refines 1; three children at level 1 and one below that branch are
+    # transferred, each to an automorphism.  Refining them takes 8
+    refined = _refines(monkeypatch)
+    transfers = _recorded_transfers(monkeypatch, cox)
+    assert automorphism_group(cox) == cox_group
+    assert (len(refined), transfers) == (3, [True] * 4)
 
 
 def test_search_refuses_a_transfer_that_misses_the_branch(monkeypatch, d):
@@ -641,19 +669,45 @@ def test_search_refuses_a_transfer_that_misses_the_branch(monkeypatch, d):
 
 
 def test_search_rules_out_a_child_whose_transfer_fails(monkeypatch):
-    # only the first path is refined: every other child reaches the last
-    # level and is transferred, and the two that are no automorphism are
+    # only the root is refined: its derivation proves the first leaf, and
+    # the other children are transferred; the two that find no map are
     # not refined
     g = UNTRANSFERABLE
-    refine = autos._refine
-    refined = []
-    monkeypatch.setattr(autos, "_refine", lambda *args: refined.append(1) or refine(*args))
+    refined = _refines(monkeypatch)
     transfers = _recorded_transfers(monkeypatch, g)
     grp = automorphism_group(g)
-    assert (len(refined), transfers) == (2, [False, False, True])
+    assert (len(refined), transfers) == (1, [None, None, True])
     everything = itertools.permutations(range(g.n))
     assert grp.order == sum(automorphism_per_vertex(g, p) for p in everything)
     assert all(is_automorphism(g, p) for p in grp.generators)
+
+
+# 0 -> 1, 4 -> 1, 4 -> 2, 2 -> 3, coloured B A A B S: from b = 0 and the
+# singleton 4, 1 is the out-neighbour of 0, 2 the out-neighbour of 4 left
+# once 1 is reached, and 3 the out-neighbour of 2
+ELIMINATION = Digraph([[1], [], [3], [], [1, 2]])
+ELIMINATION_COLOURS = [1, 0, 0, 1, 2]
+
+
+def test_derivation_steps_by_elimination():
+    g = ELIMINATION
+    steps = autos._derivation(g, ELIMINATION_COLOURS, 0)
+    # 4 -> 2 is a step although 4 has two out-neighbours coloured A
+    assert steps == [(1, 0, g.out), (2, 4, g.out), (3, 2, g.out)]
+    identity = autos._transfer(steps, ELIMINATION_COLOURS, 0, ELIMINATION_COLOURS, 0)
+    assert identity == (0, 1, 2, 3, 4)
+
+
+def test_transfer_refuses_without_exactly_one_unused_candidate():
+    g = ELIMINATION
+    first = ELIMINATION_COLOURS
+    steps = autos._derivation(g, first, 0)
+    # 1 and 3 coloured A, 0 and 2 coloured B: 0 -> 0 takes 1 to 1, and
+    # then 4's out-neighbours coloured A are 1 alone, already an image
+    assert autos._transfer(steps, first, 0, [1, 0, 1, 0, 2], 0) is None
+    # 0 singled out, 3 and 4 coloured B: 0 -> 4 leaves both of 4's
+    # out-neighbours coloured A unused
+    assert autos._transfer(steps, first, 0, [2, 0, 0, 1, 1], 4) is None
 
 
 def test_transfer_steps_need_one_vertex_each():
@@ -766,11 +820,12 @@ def test_extension_search_order_is_pinned(d, cycles):
 
 
 def test_certificate_search_stays_pruned(d, cycles):
-    # calls of the search's two closures over D's certificate: 49 of
-    # assign and 25 of branch.  Deleting the taken-image pruning in
-    # assign (its "w is taken" block) keeps every answer and the pinned
-    # order above, but raises them to 324 and 166; the bounds are twice
-    # 49 and 25.  On D the reverse neighbourhood test in assign never
+    # calls of the search's two closures over D's certificate: 23 of
+    # assign and 11 of branch, 10 and 5 of them in the enumeration of the
+    # root cycle's stabilizer (36 and 19 with only the root arc pinned).
+    # Deleting the taken-image pruning in assign (its "w is taken" block)
+    # keeps every answer and the pinned order above, but raises them to
+    # 106 and 56.  On D the reverse neighbourhood test in assign never
     # prunes, but on the two-arc swap 84 -> 44, 129 -> 11 (the fifth of
     # _two_arc_swaps(d, seed=1, count=5)) it does: the one search for
     # the pin 0 -> 5 finds nothing in exactly 190 and 94 calls, and in
@@ -795,7 +850,7 @@ def test_certificate_search_stays_pruned(d, cycles):
     finally:
         sys.setprofile(None)
     assert rep.aut_order == 1008
-    assert 0 < on_d["assign"] <= 98 and 0 < on_d["branch"] <= 50
+    assert on_d == {"assign": 23, "branch": 11}
     assert found is None
     assert calls == {"assign": 190, "branch": 94}
 
@@ -977,11 +1032,13 @@ def test_pin_map_shape(cycles):
 
 def test_root_arc_stabilizer_certifies_the_order(d, cycles):
     # 2 automorphisms fix the root arc, so |Aut D| = 504 * 2 by
-    # orbit-stabilizer, with no help from the group search
+    # orbit-stabilizer, with no help from the group search; they are the
+    # ones that fix the root cycle, the only 4-cycle through that arc
     u, w = cycles[0][:2]
     stab = list(extensions(d, {u: u, w: w}))
     assert len(stab) == ARC_STABILIZER == 2
     assert all(is_automorphism(d, g) and g[u] == u and g[w] == w for g in stab)
+    assert list(extensions(d, _pin_map(cycles, 0, 0, 0))) == stab
     assert verify_c4uh(d, cycles, cycle_arc_cover(d, cycles)).aut_order == 1008
 
 
@@ -993,9 +1050,10 @@ def test_stabilizer_enumeration_stops_past_the_bound():
     cycles = enumerate_4cycles(g)
     assert len(cycles) == 126 and cycle_arc_cover(g, cycles)[0]
     u, w = cycles[0][:2]
-    stab = list(islice(extensions(g, {u: u, w: w}), ARC_STABILIZER + 1))
-    assert len(stab) == 3 and len(set(stab)) == 3
-    assert all(is_automorphism(g, p) and p[u] == u and p[w] == w for p in stab)
+    for pins in ({u: u, w: w}, _pin_map(cycles, 0, 0, 0)):
+        stab = list(islice(extensions(g, pins), ARC_STABILIZER + 1))
+        assert len(stab) == 3 and len(set(stab)) == 3
+        assert all(is_automorphism(g, p) and p[u] == u and p[w] == w for p in stab)
 
 
 def test_certificate_incomplete_past_the_stabilizer_bound(monkeypatch, d, cycles):
