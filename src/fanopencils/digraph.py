@@ -187,9 +187,9 @@ def closed_walks(d: Digraph, lengths) -> list[list[int]]:
 
     Row v of A^k is one int whose field u counts the k-walks from v to
     u, and A^(k+1) sums the rows of A^k over out-neighbours, one slot of
-    the out-lists at a time (the zero row n past the end of a short
-    list).  A field holds maxdeg^k for the largest k, so no count
-    carries into the next field.
+    the out-lists at a time from the first (zero rows if there is none;
+    the zero row n past the end of a short list).  A field holds maxdeg^k
+    for the largest k, so no count carries into the next field.
     """
     slots = list(zip_longest(*d.out, fillvalue=d.n))
     width = lengths[-1] * len(slots).bit_length() + 1
@@ -199,8 +199,8 @@ def closed_walks(d: Digraph, lengths) -> list[list[int]]:
     diagonals = []
     for k in range(1, lengths[-1] + 1):
         get = (rows + [0]).__getitem__
-        rows = [0] * d.n
-        for slot in slots:
+        rows = list(map(get, slots[0])) if slots else [0] * d.n
+        for slot in slots[1:]:
             rows = list(map(add, rows, map(get, slot)))
         if k in lengths:
             diagonals.append(list(map(and_, map(rshift, rows, shifts), repeat(mask))))

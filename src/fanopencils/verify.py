@@ -107,6 +107,11 @@ class Artifacts:
     def cox(self) -> digraph.Digraph:
         return coxeter.build_coxeter()
 
+    @cached_property
+    def cox_group(self) -> autos.AutGroup:
+        # read by coxeter.girth, .distance_regular and .automorphisms
+        return autos.automorphism_group(self.cox)
+
 
 def _check_digraph_counts(a: Artifacts):
     d = a.d
@@ -357,24 +362,23 @@ def _check_cox_cubic_connected(a: Artifacts):
 
 
 def _check_cox_shortest_cycle(a: Artifacts):
-    girth, witness = coxeter.girth_with_witness(a.cox)
+    girth, witness = coxeter.girth_with_witness(a.cox, a.cox_group.generators)
     return girth == 7, f"girth {girth}, witness {witness}"
 
 
 def _check_cox_dr(a: Artifacts):
     try:
-        arr = coxeter.distance_regular_array(a.cox)
+        arr = coxeter.distance_regular_array(a.cox, a.cox_group.generators)
     except coxeter.NotDistanceRegular as e:
         return False, f"not distance-regular: {e}"
     return arr == coxeter.EXPECTED_ARRAY, f"intersection array {arr}"
 
 
 def _check_cox_aut(a: Artifacts):
-    group = autos.automorphism_group(a.cox)
-    orbits = autos.vertex_orbits(group)
-    ok = group.order == 336 and len(orbits) == 1
+    orbits = autos.vertex_orbits(a.cox_group)
+    ok = a.cox_group.order == 336 and len(orbits) == 1
     witness = _outside(orbits, "vertex {}".format)
-    return ok, f"order {group.order}, {len(orbits)} vertex orbits{witness}"
+    return ok, f"order {a.cox_group.order}, {len(orbits)} vertex orbits{witness}"
 
 
 def _check_cox_consistency(a: Artifacts):

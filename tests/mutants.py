@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 Mutant = namedtuple("Mutant", "id file old new killers survives", defaults=(None,))
 
 AUTOS = "src/fanopencils/autos.py"
+COXETER = "src/fanopencils/coxeter.py"
 REFINE = ("tests/test_autos.py::test_refine_matches_full_rounds",)
 SEARCH_ORDER = ("tests/test_autos.py::test_extension_search_order_is_pinned",)
 PRUNED = ("tests/test_autos.py::test_certificate_search_stays_pruned",)
@@ -80,17 +81,11 @@ MUTANTS = (
         "equivalent: an in-count is at most the in-degree, which is at most n",
     ),
     Mutant(
-        "search-refines-a-child-whose-transfer-failed",
+        "search-counts-a-failed-transfer-as-a-leaf",
         AUTOS,
-        "        if level == last and derivation is not None:\n"
-        "            perm = _transfer(derivation, path[last], base[last], colors, w)\n"
-        "            if perm is None:\n"
-        "                return None\n"
+        "            if perm is None:\n                return None\n        else:\n",
+        "            if perm is None:\n                leaves += 1\n                return None\n"
         "        else:\n",
-        "        perm = None\n"
-        "        if level == last and derivation is not None:\n"
-        "            perm = _transfer(derivation, path[last], base[last], colors, w)\n"
-        "        if perm is None:\n",
         ("tests/test_autos.py::test_search_refuses_a_transfer_that_misses_the_branch",),
     ),
     Mutant(
@@ -169,6 +164,20 @@ MUTANTS = (
         "return best, [x for x in range(n) if src[x] < 0]",
         "return best, []",
         ("tests/test_autos.py::test_group_and_extensions_agree_with_every_permutation",),
+    ),
+    Mutant(
+        "orbit-scan-without-the-generator-check",
+        COXETER,
+        "        if reason is not None:\n            raise ValueError",
+        "        if False:\n            raise ValueError",
+        ("tests/test_coxeter.py::test_scans_refuse_a_generator_that_is_no_automorphism",),
+    ),
+    Mutant(
+        "orbit-scan-from-each-orbit-s-last-point",
+        COXETER,
+        "return [orbit[0] for orbit in",
+        "return [orbit[-1] for orbit in",
+        ("tests/test_coxeter.py::test_orbit_scans_equal_the_full_scans",),
     ),
     Mutant(
         "closure-telescoping-sum",

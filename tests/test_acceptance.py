@@ -436,6 +436,11 @@ def test_each_artifact_is_built_at_most_once(d, cox, given, monkeypatch):
             return build(*args)
 
         monkeypatch.setattr(module, name, counted)
+    searched = []
+    search = autos_mod.automorphism_group
+    monkeypatch.setattr(
+        autos_mod, "automorphism_group", lambda g: searched.append(g.n) or search(g)
+    )
     broken = with_retargeted_arc(d, 4, 0, 0 if d.out[4][0] != 0 else 1)
     kwargs = {
         "nothing": {},
@@ -450,6 +455,10 @@ def test_each_artifact_is_built_at_most_once(d, cox, given, monkeypatch):
     # the retargeted d has no Z7 action, so its quotient is never built
     assert calls["quotient"] == (given != "retargeted d"), calls
     assert given != "nothing" or set(calls.values()) == {1}, calls
+    # one group search for D and one for the Coxeter graph, although
+    # coxeter.girth, coxeter.distance_regular and coxeter.automorphisms
+    # all read the Coxeter group
+    assert sorted(searched) == [28, 168], searched
 
 
 def test_known_example_names_the_missing_arc(d):

@@ -658,7 +658,8 @@ def test_search_refuses_a_transfer_that_misses_the_branch(monkeypatch, d):
     # where the branch wants it, so every transfer is refused, and a
     # refused transfer rules its child out: no generator is found.  A
     # transfer that stops at a step rules its child out too, and the
-    # child is not counted as a leaf; refining it instead finds all 1008
+    # child is not counted as a leaf: leaves counts only the transfers
+    # that yield a map, here all 1008 identities or none
     for transfer, leaves in (
         (lambda *args: tuple(range(d.n)), 1008),
         (lambda *args: None, 1),

@@ -4,8 +4,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fanopencils import coxeter, verify
+from fanopencils.autos import automorphism_group
 from fanopencils.cli import main
 from fanopencils.coxeter import (
     EXPECTED_ARRAY,
@@ -17,7 +20,7 @@ from fanopencils.coxeter import (
     edges,
     girth_with_witness,
 )
-from fanopencils.digraph import Digraph, arc_label, bfs, strongly_connected
+from fanopencils.digraph import Digraph, arc_label, arc_witness, bfs, strongly_connected
 from fanopencils.pencils import Pencil, enumerate_vertices
 from fanopencils.verify import run_verification
 
@@ -197,6 +200,68 @@ def test_girth_and_array_equal_the_oracles_on_damaged_coxeter_graphs(cox):
         check_girth(g)
         got = array_or_message(distance_regular_array, g)
         assert got == array_or_message(array_by_sums, g)
+
+
+def scans(g, generators=()):
+    """The girth, its witness, and the array or NotDistanceRegular
+    message, each scan reading the generators."""
+    array = array_or_message(lambda h: distance_regular_array(h, generators), g)
+    return girth_with_witness(g, generators), array
+
+
+def test_orbit_scans_equal_the_full_scans(cox):
+    # the Coxeter graph, its 91 damaged copies and the named graphs: one
+    # source per orbit of the automorphism group gives every answer and
+    # message the scan of every vertex gives
+    named = (g for g, _, _ in NAMED_GRAPHS.values())
+    graphs = [cox, *damaged_coxeter_graphs(cox), *named]
+    assert len(graphs) == 103
+    fewer = 0
+    for g in graphs:
+        gens = automorphism_group(g).generators
+        assert scans(g, gens) == scans(g), g.out
+        fewer += len(coxeter._orbit_firsts(g, gens)) < g.n
+    # the Coxeter graph is vertex-transitive: one source does
+    assert coxeter._orbit_firsts(cox, automorphism_group(cox).generators) == [0]
+    assert fewer == 98
+
+
+@st.composite
+def small_symmetric_digraphs(draw):
+    """Simple graphs on 0-8 vertices as symmetric digraphs: circulants,
+    which are vertex-transitive, two copies of a random graph, and random
+    graphs."""
+    kind = draw(st.sampled_from(["circulant", "two copies", "random"]))
+    n = draw(st.integers(0, 8 if kind != "two copies" else 4))
+    if kind == "circulant":
+        jumps = draw(st.sets(st.integers(1, max(n // 2, 1))))
+        pairs = {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps}
+        return simple_graph(n, [(u, w) for u, w in pairs if u != w])
+    pairs = list(itertools.combinations(range(n), 2))
+    es = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if kind == "two copies":
+        return simple_graph(2 * n, es + [(u + n, w + n) for u, w in es])
+    return simple_graph(n, es)
+
+
+@given(g=small_symmetric_digraphs())
+def test_orbit_scans_equal_the_full_scans_on_small_symmetric_graphs(g):
+    assert scans(g, automorphism_group(g).generators) == scans(g)
+
+
+def test_scans_refuse_a_generator_that_is_no_automorphism(cox):
+    # the transposition of vertices 0 and 1, after an automorphism: both
+    # scans name it, generator 1, with arc_witness's reason
+    swap = list(range(cox.n))
+    swap[0], swap[1] = 1, 0
+    gens = (automorphism_group(cox).generators[0], tuple(swap))
+    reason = arc_witness(cox, swap)
+    assert reason is not None
+    for scan in girth_with_witness, distance_regular_array:
+        with pytest.raises(ValueError) as caught:
+            scan(cox, gens)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"generator 1 {reason}"
 
 
 def test_closed_form_neighbors_example():
