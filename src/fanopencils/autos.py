@@ -145,15 +145,24 @@ def _refine(colors: list[int], d: Digraph, moved=None) -> list[int]:
     return [rank[t if t >= 0 else ~t] for t in cell]
 
 
+def _equitable_start(d, colors) -> bool:
+    """Whether `colors` has one colour and d one out-degree and one
+    in-degree: the one cell's splitter counts are the degrees, so
+    _refine would return `colors` unchanged."""
+    return not any(colors) and all(len(set(map(len, rows))) < 2 for rows in (d.out, d.inn))
+
+
 def _derivation(d, colors, b):
     """Breadth-first steps (x, y, rows) from b and the singletons of
     `colors`: x is the only vertex of its colour among rows[y] not yet
     reached, rows being d.out or d.inn.  None unless they reach every
     vertex.  Then individualizing b and refining gives a discrete
     colouring: each equitable cell lies inside or outside rows[y] of a
-    singleton y, and x's colour there holds only x and singletons."""
+    singleton y, and x's colour there holds only x and singletons.
+    b=None individualizes nothing: refining alone is discrete."""
     sizes = _cell_sizes(colors)
-    found = [b, *(v for v, c in enumerate(colors) if sizes[c] == 1)]
+    found = [] if b is None else [b]
+    found += (v for v, c in enumerate(colors) if sizes[c] == 1)
     seen = set(found)
     steps = []
     for y in found:
@@ -199,7 +208,8 @@ class AutGroup(namedtuple("AutGroup", "degree generators order base nodes leaves
     stabilizer of base[:i].  `nodes` counts the search-tree nodes
     visited (refined, or transferred at the last level; the first leaf
     even when it is not refined) and `leaves` the discrete leaves
-    refined and the transfers that yield a map.
+    refined and the transfers that yield a map.  An unrefined root
+    still counts 1 node and 1 leaf.
     """
 
     __slots__ = ()
@@ -212,7 +222,12 @@ def automorphism_group(d: Digraph) -> AutGroup:
 
     The first refinement starts from each vertex's numbers of closed
     4- and 8-walks, invariants that split off the vertices near a
-    damaged spot of an otherwise symmetric graph.  The first path then
+    damaged spot of an otherwise symmetric graph.  It is skipped when
+    a linear-time argument gives its result: a derivation from that
+    colouring's singletons alone (_derivation, b=None) proves it
+    discrete, so only the identity preserves it; or the colouring has
+    one colour and d one in- and one out-degree, so it is already
+    equitable (_equitable_start).  The first path then
     individualizes the first vertex of the largest cell (the lowest
     label on ties, as Traces does) at each level until the colouring is
     discrete; those vertices are the base.  Each individualization
@@ -237,10 +252,13 @@ def automorphism_group(d: Digraph) -> AutGroup:
     kept: the group is that of refining.
     """
     n = d.n
+    colors = _closed_walk_colours(d)
+    if _derivation(d, colors, None) is not None:
+        return AutGroup(n, (), 1, (), 1, 1)
 
     # the first path: colourings and cell sizes by level, base; the
     # target cell at level i is path[i][base[i]]
-    path = [_refine(_closed_walk_colours(d), d)]
+    path = [colors if _equitable_start(d, colors) else _refine(colors, d)]
     sizes = [_cell_sizes(path[0])]
     base: list[int] = []
     derivation = None

@@ -75,7 +75,7 @@ def pencil_index() -> dict[tuple[int, tuple[int, int, int]], int]:
 
 
 def compact(v: Pencil) -> str:
-    return "".join(str(q) for q in v.line) + f"_{v.base}"
+    return "%d%d%d_%d" % (*v.line, v.base)
 
 
 def symbol_grid() -> dict[tuple[int, str], str]:

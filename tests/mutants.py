@@ -89,6 +89,27 @@ MUTANTS = (
         ("tests/test_autos.py::test_search_refuses_a_transfer_that_misses_the_branch",),
     ),
     Mutant(
+        "trivial-group-derivation-individualizes-vertex-0",
+        AUTOS,
+        "if _derivation(d, colors, None) is not None:",
+        "if _derivation(d, colors, 0) is not None:",
+        ("tests/test_autos.py::test_symmetric_input_search_budget",),
+    ),
+    Mutant(
+        "equitable-start-without-the-in-degree-test",
+        AUTOS,
+        "for rows in (d.out, d.inn))",
+        "for rows in (d.out,))",
+        ("tests/test_autos.py::test_search_refines_a_one_colour_start_with_uneven_in_degrees",),
+    ),
+    Mutant(
+        "equitable-start-without-the-one-colour-test",
+        AUTOS,
+        "return not any(colors) and all(",
+        "return all(",
+        ("tests/test_autos.py::test_near_asymmetric_search_budget",),
+    ),
+    Mutant(
         "derivation-counts-reached-vertices",
         AUTOS,
         "hues = [colors[v] for v in rows[y] if v not in seen]",

@@ -47,6 +47,7 @@ from helpers import (
     closure,
     collineations,
     compose,
+    damage_corpus,
     full_round_refine,
     inverse,
     lift_pencil_map,
@@ -481,18 +482,30 @@ SEED5_SWAP_SEARCHES = [
 ]
 
 
-def test_near_asymmetric_search_budget(d):
+# _refine calls of the search on each seed-5 swap: 0 where a derivation
+# from the closed-walk colouring's singletons proves the group trivial,
+# 1 for the root of the others (index 18 is trivial, but its colouring
+# has no singleton to derive from); no swap refines below its root
+SEED5_SWAP_REFINES = [0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0]
+
+
+def test_near_asymmetric_search_budget(monkeypatch, d):
     # a swap changes the closed walks near it, so the closed-walk counts
     # split the first colouring and the search stays small; one of these
     # swaps takes 24 nodes when the search starts from 4-walk counts alone
     searches = []
+    refines = []
+    calls = _refines(monkeypatch)
     for swapped in _two_arc_swaps(d, seed=5, count=20):
+        before = len(calls)
         grp = automorphism_group(swapped)
+        refines.append(len(calls) - before)
         assert grp.nodes <= 16, grp.nodes
         assert all(is_automorphism(swapped, g) for g in grp.generators)
         assert len(closure(list(grp.generators), swapped.n)) == grp.order
         searches.append((grp.base, grp.nodes, grp.leaves))
     assert searches == SEED5_SWAP_SEARCHES
+    assert refines == SEED5_SWAP_REFINES
 
 
 def _cells(colors) -> set[frozenset]:
@@ -624,6 +637,52 @@ def test_transfer_is_exact_on_circulants(monkeypatch, g):
     _assert_same_search(_without_transfers(monkeypatch, g), automorphism_group(g))
 
 
+def _without_shortcuts(monkeypatch, g: Digraph) -> autos.AutGroup:
+    """The group search on g refining its root colouring: no derivation
+    from the closed-walk colouring's singletons alone, and no equitable
+    start."""
+    derivation = autos._derivation
+
+    def rooted(d, colors, b):
+        return None if b is None else derivation(d, colors, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(autos, "_derivation", rooted)
+        m.setattr(autos, "_equitable_start", lambda d, colors: False)
+        return automorphism_group(g)
+
+
+# the directed 3-cycle with a tail 3 -> 0: its closed 4- and 8-walks are
+# all 0 and its out-degree is 1 everywhere, but 0 has in-degree 2 and 3
+# in-degree 0, so its one-colour start is not equitable
+TAILED_CYCLE = Digraph([[1], [2], [0], [0]])
+
+
+def test_search_shortcuts_are_exact(monkeypatch, d, group, cox, cox_group):
+    # skipping the root's refinement changes no field of the search
+    assert _without_shortcuts(monkeypatch, d) == group
+    assert _without_shortcuts(monkeypatch, cox) == cox_group
+    damaged = [g for _, kwargs in damage_corpus(d, cox) for g in kwargs.values()]
+    graphs = (*_two_arc_swaps(d, seed=0, count=100), *damaged, TAILED_CYCLE)
+    for g in graphs:
+        assert _without_shortcuts(monkeypatch, g) == automorphism_group(g)
+
+
+@given(circulants)
+def test_search_shortcuts_are_exact_on_circulants(monkeypatch, g):
+    assert _without_shortcuts(monkeypatch, g) == automorphism_group(g)
+
+
+def test_search_refines_a_one_colour_start_with_uneven_in_degrees(monkeypatch):
+    g = TAILED_CYCLE
+    colors = _closed_walk_colours(g)
+    assert colors == [0] * 4 and not autos._equitable_start(g, colors)
+    refined = _refines(monkeypatch)
+    grp = automorphism_group(g)
+    # refining by in-degree makes the root discrete: the trivial group
+    assert (len(refined), grp) == (1, autos.AutGroup(4, (), 1, (), 1, 1))
+
+
 def _refines(monkeypatch) -> list:
     """Patch autos._refine to record one entry per call."""
     refine = autos._refine
@@ -633,24 +692,25 @@ def _refines(monkeypatch) -> list:
 
 
 def test_d_search_transfers_five_leaves(monkeypatch, d, group):
-    # the first path stops at the node whose derivation proves its leaf,
-    # and the other five leaves are transferred, so the search refines 5
+    # D's one-colour start is equitable, so its root is not refined; the
+    # first path stops at the node whose derivation proves its leaf, and
+    # the other five leaves are transferred, so the search refines 4
     # colourings for its 11 nodes
     refined = _refines(monkeypatch)
     transfers = _recorded_transfers(monkeypatch, d)
     assert automorphism_group(d) == group
-    assert (len(refined), transfers) == (5, [True] * 5)
+    assert (len(refined), transfers) == (4, [True] * 5)
 
 
 def test_coxeter_search_transfers_its_last_level(monkeypatch, cox, cox_group):
     # elimination gives the Coxeter graph a derivation at its last level:
-    # the first path refines 2 colourings and the one branch at level 0
-    # refines 1; three children at level 1 and one below that branch are
-    # transferred, each to an automorphism.  Refining them takes 8
+    # the first path refines 1 colouring below its equitable root and the
+    # one branch at level 0 refines 1; three children at level 1 and one
+    # below that branch are transferred, each to an automorphism
     refined = _refines(monkeypatch)
     transfers = _recorded_transfers(monkeypatch, cox)
     assert automorphism_group(cox) == cox_group
-    assert (len(refined), transfers) == (3, [True] * 4)
+    assert (len(refined), transfers) == (2, [True] * 4)
 
 
 def test_search_refuses_a_transfer_that_misses_the_branch(monkeypatch, d):
@@ -697,6 +757,18 @@ def test_derivation_steps_by_elimination():
     assert steps == [(1, 0, g.out), (2, 4, g.out), (3, 2, g.out)]
     identity = autos._transfer(steps, ELIMINATION_COLOURS, 0, ELIMINATION_COLOURS, 0)
     assert identity == (0, 1, 2, 3, 4)
+
+
+def test_derivation_from_the_singletons_alone():
+    # the path 0 -> 1 -> 2 coloured B A A: from the singleton 0 alone, 1
+    # is its one out-neighbour and 2 that of 1, so refining needs no
+    # individualized vertex to be discrete
+    g = Digraph([[1], [2], []])
+    colours = [1, 0, 0]
+    assert autos._derivation(g, colours, None) == [(1, 0, g.out), (2, 1, g.out)]
+    assert sorted(_refine(colours, g)) == [0, 1, 2]
+    # with no singleton there is nothing to derive from
+    assert autos._derivation(g, [0, 0, 0], None) is None
 
 
 def test_transfer_refuses_without_exactly_one_unused_candidate():
