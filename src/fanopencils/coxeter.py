@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations
-from operator import getitem
 
-from .digraph import Digraph, arc_label, arc_witness, bfs, image_rows, orbits
+from .digraph import Digraph, arc_label, bfs, image_rows
 from .fano import lines_avoiding
 from .pencils import Pencil, enumerate_vertices
 
@@ -84,35 +83,25 @@ def edges(g: Digraph) -> list[tuple[int, int]]:
     return sorted((u, w) for u, w in g.arcs() if u < w)
 
 
-def _orbit_firsts(g: Digraph, generators) -> list[int]:
-    """The least vertex of each orbit of the permutations `generators`,
-    ascending.  ValueError names the first that is not an automorphism of
-    g: one maps the breadth-first layers from v onto those from its image."""
-    for k, perm in enumerate(generators):
-        reason = arc_witness(g, perm)
-        if reason is not None:
-            raise ValueError(f"generator {k} {reason}")
-    return [orbit[0] for orbit in orbits(range(g.n), generators, getitem)]
-
-
-def girth_with_witness(g: Digraph, generators=()):
+def girth_with_witness(g: Digraph, roots=None):
     """Shortest cycle length and one witness cycle of the simple graph
     under g (arcs taken both ways, loops and repeats dropped), or
     (None, ()) if it has no cycle.
 
-    A layered search (Itai & Rodeh 1978) runs from the least vertex of
-    each orbit of the automorphisms `generators`, which map the layers
-    from v onto those from its image, so no other vertex is the first to
-    beat a length.  An edge inside layer i closes a walk of length 2i + 1
-    through the root, and a vertex reached from two vertices of layer i
-    one of length 2i + 2.  Each walk shorter than the best is read back
-    along the parents and kept; at the minimum it is a cycle, as a
-    repeated vertex would close a shorter one.  Layers that cannot beat
-    the best are skipped.
+    A layered search (Itai & Rodeh 1978) runs from each of `roots`, or
+    every vertex if None.  Roots with a vertex in every orbit of a group
+    of automorphisms of g, which map the layers from v onto those from
+    its image, give the same length, and each orbit's least vertex, in
+    ascending order, the same witness.  An edge inside layer i closes a
+    walk of length 2i + 1 through the root, and a vertex reached from
+    two vertices of layer i one of length 2i + 2.  Each walk shorter
+    than the best is read back along the parents and kept; at the
+    minimum it is a cycle, as a repeated vertex would close a shorter
+    one.  Layers that cannot beat the best are skipped.
     """
     rows = [sorted(set(o).union(i) - {u}) for u, (o, i) in enumerate(zip(g.out, g.inn))]
     best, witness = g.n + 1, ()
-    for v in _orbit_firsts(g, generators):
+    for v in range(g.n) if roots is None else roots:
         dist, parent = [-1] * g.n, [-1] * g.n
         dist[v] = 0
         frontier, i = [v], 0
@@ -138,16 +127,18 @@ class NotDistanceRegular(ValueError):
     """A graph whose intersection numbers depend on the vertex pair."""
 
 
-def distance_regular_array(g: Digraph, generators=()):
-    """Intersection numbers (b_0..b_{d-1}; c_1..c_d), counted from the
-    least vertex of each orbit of the automorphisms `generators`: one
-    taking v to x maps the counts from v onto those from x.  Raises
-    NotDistanceRegular naming the first vertex u whose counts from a base
-    vertex v disagree with an earlier pair's at the same distance, the
-    first vertex v cannot reach, or a graph with no vertices."""
-    roots = _orbit_firsts(g, generators)
+def distance_regular_array(g: Digraph, roots=None):
+    """Intersection numbers (b_0..b_{d-1}; c_1..c_d), counted from each
+    of `roots`, or every vertex if None.  Roots with a vertex in every
+    orbit of a group of automorphisms of g, which map the counts from v
+    onto those from its image, give the same array, and each orbit's
+    least vertex, ascending, the same error.  Raises NotDistanceRegular
+    naming the first vertex u whose counts from a base vertex v disagree
+    with an earlier pair's at the same distance, the first vertex v
+    cannot reach, or a graph with no vertices."""
     if g.n == 0:
         raise NotDistanceRegular("the graph has no vertices")
+    roots = range(g.n) if roots is None else roots
     dist = [bfs(g.out, v) for v in roots]
     diam = max(max(row) for row in dist)
     # b_d = 0 and c_0 = 0 hold in every connected graph

@@ -109,8 +109,16 @@ class Artifacts:
 
     @cached_property
     def cox_group(self) -> autos.AutGroup:
-        # read by coxeter.girth, .distance_regular and .automorphisms
+        # read by coxeter.automorphisms, and by the scans through cox_orbits
         return autos.automorphism_group(self.cox)
+
+    @cached_property
+    def cox_orbits(self):
+        return autos.vertex_orbits(self.cox_group)
+
+    @property
+    def cox_roots(self) -> list[int]:
+        return [o[0] for o in self.cox_orbits]
 
 
 def _check_digraph_counts(a: Artifacts):
@@ -362,20 +370,20 @@ def _check_cox_cubic_connected(a: Artifacts):
 
 
 def _check_cox_shortest_cycle(a: Artifacts):
-    girth, witness = coxeter.girth_with_witness(a.cox, a.cox_group.generators)
+    girth, witness = coxeter.girth_with_witness(a.cox, a.cox_roots)
     return girth == 7, f"girth {girth}, witness {witness}"
 
 
 def _check_cox_dr(a: Artifacts):
     try:
-        arr = coxeter.distance_regular_array(a.cox, a.cox_group.generators)
+        arr = coxeter.distance_regular_array(a.cox, a.cox_roots)
     except coxeter.NotDistanceRegular as e:
         return False, f"not distance-regular: {e}"
     return arr == coxeter.EXPECTED_ARRAY, f"intersection array {arr}"
 
 
 def _check_cox_aut(a: Artifacts):
-    orbits = autos.vertex_orbits(a.cox_group)
+    orbits = a.cox_orbits
     ok = a.cox_group.order == 336 and len(orbits) == 1
     witness = _outside(orbits, "vertex {}".format)
     return ok, f"order {a.cox_group.order}, {len(orbits)} vertex orbits{witness}"

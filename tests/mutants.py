@@ -34,10 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 Mutant = namedtuple("Mutant", "id file old new killers survives", defaults=(None,))
 
 AUTOS = "src/fanopencils/autos.py"
-COXETER = "src/fanopencils/coxeter.py"
 REFINE = ("tests/test_autos.py::test_refine_matches_full_rounds",)
 SEARCH_ORDER = ("tests/test_autos.py::test_extension_search_order_is_pinned",)
 PRUNED = ("tests/test_autos.py::test_certificate_search_stays_pruned",)
+INCOMPLETE = ("tests/test_autos.py::test_certificate_incomplete_past_the_stabilizer_bound",)
 
 MUTANTS = (
     Mutant(
@@ -89,6 +89,16 @@ MUTANTS = (
         ("tests/test_autos.py::test_search_refuses_a_transfer_that_misses_the_branch",),
     ),
     Mutant(
+        "search-keeps-a-leaf-without-the-automorphism-test",
+        AUTOS,
+        "== want and is_automorphism(d, perm):",
+        "== want:",
+        (
+            "tests/test_autos.py::test_search_leaves_a_subtree_without_an_automorphism",
+            "tests/test_autos.py::test_transfer_is_exact",
+        ),
+    ),
+    Mutant(
         "trivial-group-derivation-individualizes-vertex-0",
         AUTOS,
         "if _derivation(d, colors, None) is not None:",
@@ -108,6 +118,13 @@ MUTANTS = (
         "return not any(colors) and all(",
         "return all(",
         ("tests/test_autos.py::test_near_asymmetric_search_budget",),
+    ),
+    Mutant(
+        "equitable-start-takes-two-degrees-as-one",
+        AUTOS,
+        "len(set(map(len, rows))) < 2",
+        "len(set(map(len, rows))) < 3",
+        ("tests/test_autos.py::test_search_shortcuts_are_exact",),
     ),
     Mutant(
         "derivation-counts-reached-vertices",
@@ -166,6 +183,27 @@ MUTANTS = (
         PRUNED,
     ),
     Mutant(
+        "uh-no-cycle-gate-counts-a-run",
+        AUTOS,
+        '(), 0, "no oriented 4-cycles")',
+        '(), 1, "no oriented 4-cycles")',
+        ("tests/test_acceptance.py::test_criterion_11_fault_injection",),
+    ),
+    Mutant(
+        "incomplete-certificate-names-a-fixed-vertex",
+        AUTOS,
+        "if x != y)",
+        "if x == y)",
+        INCOMPLETE,
+    ),
+    Mutant(
+        "incomplete-certificate-reads-the-wrong-map",
+        AUTOS,
+        "stab[-1][v]}",
+        "stab[-2][v]}",
+        INCOMPLETE,
+    ),
+    Mutant(
         "extensions-tie-by-highest-index",
         AUTOS,
         "best = min(free, key=",
@@ -187,18 +225,14 @@ MUTANTS = (
         ("tests/test_autos.py::test_group_and_extensions_agree_with_every_permutation",),
     ),
     Mutant(
-        "orbit-scan-without-the-generator-check",
-        COXETER,
-        "        if reason is not None:\n            raise ValueError",
-        "        if False:\n            raise ValueError",
-        ("tests/test_coxeter.py::test_scans_refuse_a_generator_that_is_no_automorphism",),
-    ),
-    Mutant(
         "orbit-scan-from-each-orbit-s-last-point",
-        COXETER,
-        "return [orbit[0] for orbit in",
-        "return [orbit[-1] for orbit in",
-        ("tests/test_coxeter.py::test_orbit_scans_equal_the_full_scans",),
+        "src/fanopencils/verify.py",
+        "[o[0] for o in",
+        "[o[-1] for o in",
+        (
+            "tests/test_cli.py::test_verify_report_deterministic_apart_from_timings",
+            "tests/test_acceptance.py::test_criterion_11_fault_injection",
+        ),
     ),
     Mutant(
         "closure-telescoping-sum",

@@ -197,6 +197,7 @@ def test_criterion_11_fault_injection(d, cox):
     )
     ext = next(c for c in rep.checks if c.name == "uh.extensions")
     assert not ext.passed and ext.detail == "no oriented 4-cycles"
+    assert rep.uh_report.direct_checked == 0
     assert not any(c.detail.startswith("raised") for c in rep.checks)
 
     rep = run_verification("voltage", d=broken)

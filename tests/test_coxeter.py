@@ -1,14 +1,15 @@
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fanopencils import coxeter, verify
-from fanopencils.autos import automorphism_group
+from fanopencils import autos, coxeter, digraph, verify
+from fanopencils.autos import automorphism_group, vertex_orbits
 from fanopencils.cli import main
 from fanopencils.coxeter import (
     EXPECTED_ARRAY,
@@ -20,7 +21,7 @@ from fanopencils.coxeter import (
     edges,
     girth_with_witness,
 )
-from fanopencils.digraph import Digraph, arc_label, arc_witness, bfs, strongly_connected
+from fanopencils.digraph import Digraph, arc_label, bfs, strongly_connected
 from fanopencils.pencils import Pencil, enumerate_vertices
 from fanopencils.verify import run_verification
 
@@ -202,27 +203,32 @@ def test_girth_and_array_equal_the_oracles_on_damaged_coxeter_graphs(cox):
         assert got == array_or_message(array_by_sums, g)
 
 
-def scans(g, generators=()):
+def scans(g, roots=None):
     """The girth, its witness, and the array or NotDistanceRegular
-    message, each scan reading the generators."""
-    array = array_or_message(lambda h: distance_regular_array(h, generators), g)
-    return girth_with_witness(g, generators), array
+    message, each scan run from `roots`."""
+    array = array_or_message(lambda h: distance_regular_array(h, roots), g)
+    return girth_with_witness(g, roots), array
+
+
+def orbit_firsts(g) -> list[int]:
+    """The least vertex of each orbit of the automorphism group of g."""
+    return [o[0] for o in vertex_orbits(automorphism_group(g))]
 
 
 def test_orbit_scans_equal_the_full_scans(cox):
     # the Coxeter graph, its 91 damaged copies and the named graphs: one
-    # source per orbit of the automorphism group gives every answer and
+    # root per orbit of the automorphism group gives every answer and
     # message the scan of every vertex gives
     named = (g for g, _, _ in NAMED_GRAPHS.values())
     graphs = [cox, *damaged_coxeter_graphs(cox), *named]
     assert len(graphs) == 103
     fewer = 0
     for g in graphs:
-        gens = automorphism_group(g).generators
-        assert scans(g, gens) == scans(g), g.out
-        fewer += len(coxeter._orbit_firsts(g, gens)) < g.n
-    # the Coxeter graph is vertex-transitive: one source does
-    assert coxeter._orbit_firsts(cox, automorphism_group(cox).generators) == [0]
+        roots = orbit_firsts(g)
+        assert scans(g, roots) == scans(g), g.out
+        fewer += len(roots) < g.n
+    # the Coxeter graph is vertex-transitive: one root does
+    assert orbit_firsts(cox) == [0]
     assert fewer == 98
 
 
@@ -246,22 +252,7 @@ def small_symmetric_digraphs(draw):
 
 @given(g=small_symmetric_digraphs())
 def test_orbit_scans_equal_the_full_scans_on_small_symmetric_graphs(g):
-    assert scans(g, automorphism_group(g).generators) == scans(g)
-
-
-def test_scans_refuse_a_generator_that_is_no_automorphism(cox):
-    # the transposition of vertices 0 and 1, after an automorphism: both
-    # scans name it, generator 1, with arc_witness's reason
-    swap = list(range(cox.n))
-    swap[0], swap[1] = 1, 0
-    gens = (automorphism_group(cox).generators[0], tuple(swap))
-    reason = arc_witness(cox, swap)
-    assert reason is not None
-    for scan in girth_with_witness, distance_regular_array:
-        with pytest.raises(ValueError) as caught:
-            scan(cox, gens)
-        assert type(caught.value) is ValueError
-        assert str(caught.value) == f"generator 1 {reason}"
+    assert scans(g, orbit_firsts(g)) == scans(g)
 
 
 def test_closed_form_neighbors_example():
@@ -404,6 +395,30 @@ def test_validation_report(cox, cox_group):
         "coxeter.alignment_consistency",
     ]
     assert cox_group.order == 336
+
+
+def test_validation_walks_the_orbits_once_and_rechecks_no_generator(cox_group):
+    # one vertex_orbits call roots the girth and array scans and counts
+    # the orbits; the search's leaf test is the one place a generator is
+    # proved an automorphism, once for each kept leaf, so no other caller
+    # reaches arc_witness
+    leaf_test = digraph.is_automorphism.__code__
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back.f_code is not leaf_test:
+            calls[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        report = run_verification("coxeter")
+    finally:
+        sys.setprofile(previous)
+    assert report.passed
+    assert calls[autos.vertex_orbits.__code__] == 1
+    assert calls[digraph.arc_witness.__code__] == 0
+    assert calls[leaf_test] == len(cox_group.generators) == 4
 
 
 def test_validation_locates_retargeted_edge(cox):
