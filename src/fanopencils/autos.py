@@ -69,16 +69,17 @@ def _cell_sizes(colors: list[int]) -> list[int]:
 
 
 def _closed_walk_colours(d: Digraph) -> list[int]:
-    """Colour each vertex by its numbers of closed walks of length 4 and
-    of length 8 (digraph.closed_walks), ranked to 0..k-1.
+    """Colour each vertex by its out- and in-degree and its numbers of
+    closed walks of length 4 and of length 8 (digraph.closed_walks),
+    ranked to 0..k-1.
 
-    Automorphisms preserve both counts, so the colouring can seed the
+    Automorphisms preserve all four, so the colouring can seed the
     search.  The 4-walks split off the vertices near a damaged 4-cycle;
     the 8-walks also split a two-arc swap inside one 4-cycle, which
     trades the cycle for two 2-circuits and leaves every vertex on three
     closed 4-walks.
     """
-    keys = list(zip(*closed_walks(d, (4, 8))))
+    keys = list(zip(map(len, d.out), map(len, d.inn), *closed_walks(d, (4, 8))))
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [rank[key] for key in keys]
 
@@ -145,13 +146,6 @@ def _refine(colors: list[int], d: Digraph, moved=None) -> list[int]:
     return [rank[t if t >= 0 else ~t] for t in cell]
 
 
-def _equitable_start(d, colors) -> bool:
-    """Whether `colors` has one colour and d one out-degree and one
-    in-degree: the one cell's splitter counts are the degrees, so
-    _refine would return `colors` unchanged."""
-    return not any(colors) and all(len(set(map(len, rows))) < 2 for rows in (d.out, d.inn))
-
-
 def _derivation(d, colors, b):
     """Breadth-first steps (x, y, rows) from b and the singletons of
     `colors`: x is the only vertex of its colour among rows[y] not yet
@@ -208,8 +202,9 @@ class AutGroup(namedtuple("AutGroup", "degree generators order base nodes leaves
     stabilizer of base[:i].  `nodes` counts the search-tree nodes
     visited (refined, or transferred at the last level; the first leaf
     even when it is not refined) and `leaves` the discrete leaves
-    refined and the transfers that yield a map.  An unrefined root
-    still counts 1 node and 1 leaf.
+    refined and the transfers that yield a map.  A root that a
+    derivation proves discrete is not refined, yet still counts 1 node
+    and 1 leaf.
     """
 
     __slots__ = ()
@@ -220,14 +215,15 @@ def automorphism_group(d: Digraph) -> AutGroup:
     pruning by automorphisms (McKay & Piperno, Practical graph
     isomorphism II, 2014).
 
-    The first refinement starts from each vertex's numbers of closed
-    4- and 8-walks, invariants that split off the vertices near a
-    damaged spot of an otherwise symmetric graph.  It is skipped when
-    a linear-time argument gives its result: a derivation from that
-    colouring's singletons alone (_derivation, b=None) proves it
-    discrete, so only the identity preserves it; or the colouring has
-    one colour and d one in- and one out-degree, so it is already
-    equitable (_equitable_start).  The first path then
+    The first refinement starts from each vertex's degrees and numbers
+    of closed 4- and 8-walks, invariants that split off the vertices
+    near a damaged spot of an otherwise symmetric graph.  It is skipped
+    when a linear-time argument gives its result: a derivation from
+    that colouring's singletons alone (_derivation, b=None) proves it
+    discrete, so only the identity preserves it and the search ends at
+    the root; or the colouring has one colour, so every vertex has the
+    same out- and in-degree, which are the one cell's splitter counts,
+    and the colouring is already equitable.  The first path then
     individualizes the first vertex of the largest cell (the lowest
     label on ties, as Traces does) at each level until the colouring is
     discrete; those vertices are the base.  Each individualization
@@ -251,24 +247,20 @@ def automorphism_group(d: Digraph) -> AutGroup:
     refined leaf, each step finds its image, and only such a map can be
     kept: the group is that of refining.
     """
-    n = d.n
     colors = _closed_walk_colours(d)
-    if _derivation(d, colors, None) is not None:
-        return AutGroup(n, (), 1, (), 1, 1)
-
-    # the first path: colourings and cell sizes by level, base; the
-    # target cell at level i is path[i][base[i]]
-    path = [colors if _equitable_start(d, colors) else _refine(colors, d)]
+    # the first path: colourings and cell sizes by level, base and the
+    # derivation ending it; the target cell at level i is path[i][base[i]]
+    derivation = _derivation(d, colors, None)
+    path = [colors if derivation is not None or not any(colors) else _refine(colors, d)]
     sizes = [_cell_sizes(path[0])]
     base: list[int] = []
-    derivation = None
 
     def individualize(colors, level, v):
         nxt = list(colors)
         nxt[v] = len(sizes[level])
         return _refine(nxt, d, (v,))
 
-    while max(sizes[-1], default=0) > 1:
+    while derivation is None and max(sizes[-1], default=0) > 1:
         # the largest cell, the lowest label on ties
         c = sizes[-1].index(max(sizes[-1]))
         base.append(path[-1].index(c))
@@ -328,7 +320,7 @@ def automorphism_group(d: Digraph) -> AutGroup:
         order *= len(orbit)
 
     return AutGroup(
-        degree=n,
+        degree=d.n,
         generators=tuple(gens),
         order=order,
         base=tuple(base),

@@ -38,6 +38,7 @@ REFINE = ("tests/test_autos.py::test_refine_matches_full_rounds",)
 SEARCH_ORDER = ("tests/test_autos.py::test_extension_search_order_is_pinned",)
 PRUNED = ("tests/test_autos.py::test_certificate_search_stays_pruned",)
 INCOMPLETE = ("tests/test_autos.py::test_certificate_incomplete_past_the_stabilizer_bound",)
+TRIVIAL_BY_DEGREES = ("tests/test_autos.py::test_degrees_let_the_root_derivation_prove_a_trivial_group",)
 
 MUTANTS = (
     Mutant(
@@ -101,30 +102,23 @@ MUTANTS = (
     Mutant(
         "trivial-group-derivation-individualizes-vertex-0",
         AUTOS,
-        "if _derivation(d, colors, None) is not None:",
-        "if _derivation(d, colors, 0) is not None:",
+        "derivation = _derivation(d, colors, None)",
+        "derivation = _derivation(d, colors, 0)",
         ("tests/test_autos.py::test_symmetric_input_search_budget",),
     ),
     Mutant(
-        "equitable-start-without-the-in-degree-test",
+        "root-key-without-in-degrees",
         AUTOS,
-        "for rows in (d.out, d.inn))",
-        "for rows in (d.out,))",
-        ("tests/test_autos.py::test_search_refines_a_one_colour_start_with_uneven_in_degrees",),
+        "map(len, d.inn), *closed_walks(",
+        "*closed_walks(",
+        TRIVIAL_BY_DEGREES,
     ),
     Mutant(
-        "equitable-start-without-the-one-colour-test",
+        "root-key-without-out-degrees",
         AUTOS,
-        "return not any(colors) and all(",
-        "return all(",
-        ("tests/test_autos.py::test_near_asymmetric_search_budget",),
-    ),
-    Mutant(
-        "equitable-start-takes-two-degrees-as-one",
-        AUTOS,
-        "len(set(map(len, rows))) < 2",
-        "len(set(map(len, rows))) < 3",
-        ("tests/test_autos.py::test_search_shortcuts_are_exact",),
+        "zip(map(len, d.out), ",
+        "zip(",
+        TRIVIAL_BY_DEGREES,
     ),
     Mutant(
         "derivation-counts-reached-vertices",

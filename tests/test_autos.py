@@ -448,10 +448,12 @@ def test_closed_walk_colours_match_matrix_powers(d):
     graphs = (Digraph([]), Digraph([[]] * 5), uneven, loops, d, wide)
     for g in (*graphs, *_two_arc_swaps(d, seed=1, count=3)):
         a = adjacency_matrix(g)
-        walks = np.stack(
-            [np.diag(np.linalg.matrix_power(a, k)) for k in (4, 8)], axis=1
+        # out- and in-degrees, the row and column sums, then the walks
+        keys = np.stack(
+            [a.sum(1), a.sum(0), *(np.diag(np.linalg.matrix_power(a, k)) for k in (4, 8))],
+            axis=1,
         )
-        ranks = np.unique(walks, axis=0, return_inverse=True)[1].ravel()
+        ranks = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
         assert _closed_walk_colours(g) == ranks.tolist()
 
 
@@ -516,18 +518,19 @@ def _cells(colors) -> set[frozenset]:
     return set(map(frozenset, cells.values()))
 
 
-def _assert_refine_is_canonical(g: Digraph, seed: int):
+def _assert_refine_is_canonical(g: Digraph, seed: int, start=None):
     """_refine gives the set partition of the full-round oracle, and a
     copy of the input relabelled by a seeded permutation gives the same
-    labels, moved along: from the closed-walk colouring, from the
-    uniform one, and after every single individualization of a vertex
-    in a non-singleton cell of the stable colouring."""
+    labels, moved along: from `start` (by default the closed-walk
+    colouring), from the uniform one, and after every single
+    individualization of a vertex in a non-singleton cell of the stable
+    colouring from `start`."""
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     h = Digraph(
         [perm[w] for w in g.out[v]] for v in sorted(range(g.n), key=perm.__getitem__)
     )
-    start = _closed_walk_colours(g)
+    start = _closed_walk_colours(g) if start is None else start
     stable = _refine(start, g)
     sizes = Counter(stable)
     cases = [(start, None), ([0] * g.n, None)]
@@ -551,8 +554,8 @@ def _assert_refine_is_canonical(g: Digraph, seed: int):
 # keys 1 * m + 0 and 0 * m + 1, which a key base m equal to the largest
 # in-degree, 1, would not tell apart; a sink beside an isolated vertex,
 # told apart by in-counts only; and two digraphs, one without loops,
-# that a refinement leaves unstable when it queues only the smaller
-# parts of a cell still queued
+# that a refinement leaves unstable from UNSTABLE_STARTS when it queues
+# only the smaller parts of a cell still queued
 SMALL = (
     Digraph([[1], [2], []]),
     Digraph([[], [], [0, 3, 4], [0, 2, 4], [2, 3]]),
@@ -560,11 +563,18 @@ SMALL = (
     Digraph([[], [0, 1], [0, 1, 2], [3]]),
 )
 
+# the colourings of those two by closed 4- and 8-walks alone, two cells
+# each; their degrees split these further, so that _closed_walk_colours
+# does not start from them
+UNSTABLE_STARTS = ((SMALL[1], [0, 0, 1, 1, 1]), (SMALL[3], [0, 1, 1, 1]))
+
 
 def test_refine_matches_full_rounds(d, cox):
     graphs = (d, cox, *_two_arc_swaps(d, seed=2, count=20), *SMALL)
     for seed, g in enumerate(graphs):
         _assert_refine_is_canonical(g, seed)
+    for g, start in UNSTABLE_STARTS:
+        _assert_refine_is_canonical(g, 0, start)
 
 
 # out- and in-degree 2: two children at the last level have no transfer,
@@ -638,9 +648,9 @@ def test_transfer_is_exact_on_circulants(monkeypatch, g):
 
 
 def _without_shortcuts(monkeypatch, g: Digraph) -> autos.AutGroup:
-    """The group search on g refining its root colouring: no derivation
-    from the closed-walk colouring's singletons alone, and no equitable
-    start."""
+    """The group search on g with no derivation from the closed-walk
+    colouring's singletons alone: it refines its root colouring unless
+    that has one colour."""
     derivation = autos._derivation
 
     def rooted(d, colors, b):
@@ -648,43 +658,53 @@ def _without_shortcuts(monkeypatch, g: Digraph) -> autos.AutGroup:
 
     with monkeypatch.context() as m:
         m.setattr(autos, "_derivation", rooted)
-        m.setattr(autos, "_equitable_start", lambda d, colors: False)
         return automorphism_group(g)
+
+
+def _assert_shortcuts_are_exact(monkeypatch, g: Digraph, group: autos.AutGroup):
+    """Skipping the root's refinement changes no field of the search:
+    neither where the root derivation proves the group trivial, nor
+    where the seed has one colour, which refining leaves as it is."""
+    assert _without_shortcuts(monkeypatch, g) == group
+    colors = _closed_walk_colours(g)
+    if not any(colors):
+        assert _refine(colors, g) == colors
 
 
 # the directed 3-cycle with a tail 3 -> 0: its closed 4- and 8-walks are
 # all 0 and its out-degree is 1 everywhere, but 0 has in-degree 2 and 3
-# in-degree 0, so its one-colour start is not equitable
+# in-degree 0
 TAILED_CYCLE = Digraph([[1], [2], [0], [0]])
 
-# the one arc 1 -> 0: one colour, and two out- and two in-degrees, 0 and
-# 1, so its start is not equitable; refining it gives the discrete root
+# the same with the tail reversed, 0 -> 3: its in-degree is 1 everywhere,
+# but 0 has out-degree 2 and 3 out-degree 0
+REVERSED_TAIL = Digraph([[1, 3], [2], [0], []])
+
+# the one arc 1 -> 0: no closed walks, and out- and in-degrees 0 and 1
 ONE_ARC = Digraph([[], [0]])
 
 
 def test_search_shortcuts_are_exact(monkeypatch, d, group, cox, cox_group):
-    # skipping the root's refinement changes no field of the search
-    assert _without_shortcuts(monkeypatch, d) == group
-    assert _without_shortcuts(monkeypatch, cox) == cox_group
+    _assert_shortcuts_are_exact(monkeypatch, d, group)
+    _assert_shortcuts_are_exact(monkeypatch, cox, cox_group)
     damaged = [g for _, kwargs in damage_corpus(d, cox) for g in kwargs.values()]
     graphs = (*_two_arc_swaps(d, seed=0, count=100), *damaged, TAILED_CYCLE, ONE_ARC)
     for g in graphs:
-        assert _without_shortcuts(monkeypatch, g) == automorphism_group(g)
+        _assert_shortcuts_are_exact(monkeypatch, g, automorphism_group(g))
 
 
 @given(circulants)
 def test_search_shortcuts_are_exact_on_circulants(monkeypatch, g):
-    assert _without_shortcuts(monkeypatch, g) == automorphism_group(g)
+    _assert_shortcuts_are_exact(monkeypatch, g, automorphism_group(g))
 
 
-def test_search_refines_a_one_colour_start_with_uneven_in_degrees(monkeypatch):
-    g = TAILED_CYCLE
-    colors = _closed_walk_colours(g)
-    assert colors == [0] * 4 and not autos._equitable_start(g, colors)
+def test_degrees_let_the_root_derivation_prove_a_trivial_group(monkeypatch):
+    # the walks give each of these one colour; the degrees split off
+    # singletons, from which the root derivation proves the group
+    # trivial, so the search refines nothing
     refined = _refines(monkeypatch)
-    grp = automorphism_group(g)
-    # refining by in-degree makes the root discrete: the trivial group
-    assert (len(refined), grp) == (1, autos.AutGroup(4, (), 1, (), 1, 1))
+    for g in (TAILED_CYCLE, ONE_ARC, REVERSED_TAIL):
+        assert (automorphism_group(g), len(refined)) == (autos.AutGroup(g.n, (), 1, (), 1, 1), 0)
 
 
 def _refines(monkeypatch) -> list:
