@@ -237,6 +237,14 @@ def automorphism_group(d: Digraph) -> AutGroup:
     is checked by is_automorphism.  The orbits reached are the basic
     orbits, and their lengths multiply to the order.
 
+    Level i tries its members in descending colour in the first path's
+    next colouring path[i + 1], lowest label on ties.  A member far from
+    base[i] in that refinement rarely shares a proper block with base[i],
+    so the generator found there, with the stabilizer's, tends to give
+    the whole basic orbit at once.  The last level keeps label order:
+    only refining every child has a next colouring there (the discrete
+    leaf), and the transfer search must try children as that one does.
+
     Where the first path stopped early, a child at the last level is
     transferred, not refined: the first leaf's map is rebuilt along the
     derivation, each vertex the one of its colour not yet an image
@@ -310,8 +318,11 @@ def automorphism_group(d: Digraph) -> AutGroup:
         b = base[i]
         # the orbit of b under the generators found so far
         orbit = set(orbits([b], gens, getitem)[0])
-        for w, c in enumerate(path[i]):
-            if c != path[i][b] or w in orbit:
+        # farthest first by the first path's next colouring; label order last
+        order_by = path[i + 1] if i < last else path[i]
+        cell = [w for w, c in enumerate(path[i]) if c == path[i][b]]
+        for w in sorted(cell, key=order_by.__getitem__, reverse=True):
+            if w in orbit:
                 continue
             perm = leaf_search(path[i], i, w, base[:i] + [w])
             if perm is not None:

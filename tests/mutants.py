@@ -139,7 +139,29 @@ MUTANTS = (
         AUTOS,
         "if derivation is not None:\n            break\n",
         "if derivation is not None:\n            pass\n",
-        ("tests/test_autos.py::test_d_search_transfers_five_leaves",),
+        ("tests/test_autos.py::test_d_search_transfers_three_leaves",),
+    ),
+    Mutant(
+        "child-order-ascending",
+        AUTOS,
+        "key=order_by.__getitem__, reverse=True)",
+        "key=order_by.__getitem__)",
+        (
+            "tests/test_autos.py::test_symmetric_searches_keep_their_shape",
+            "tests/test_autos.py::test_search_leaves_a_branch_whose_cell_sizes_differ",
+            "tests/test_autos.py::test_d_search_transfers_three_leaves",
+            "tests/test_autos.py::test_d_search_shape_does_not_depend_on_labels",
+        ),
+    ),
+    Mutant(
+        "child-order-reads-the-leaf-at-the-last-level",
+        AUTOS,
+        "order_by = path[i + 1] if i < last else path[i]",
+        "order_by = path[min(i + 1, len(path) - 1)]",
+        (
+            "tests/test_autos.py::test_transfer_is_exact",
+            "tests/test_autos.py::test_transfer_is_exact_on_circulants",
+        ),
     ),
     Mutant(
         "assign-without-the-taken-image-block",

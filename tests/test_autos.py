@@ -350,7 +350,7 @@ def test_symmetric_searches_keep_their_shape(group, cox_group):
     # closed-walk counts and the starting colouring leaves both searches
     # alone; the search targets the largest cell, so D's basic orbits
     # are 168 and 6
-    assert (group.nodes, group.leaves, group.base) == (11, 6, (0, 82))
+    assert (group.nodes, group.leaves, group.base) == (7, 4, (0, 82))
     assert (cox_group.nodes, cox_group.leaves) == (8, 5)
 
 
@@ -518,6 +518,16 @@ def _cells(colors) -> set[frozenset]:
     return set(map(frozenset, cells.values()))
 
 
+def _relabelled(g: Digraph, seed: int) -> tuple[list[int], Digraph]:
+    """A seeded permutation of range(g.n) and the copy of g it relabels."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    h = Digraph(
+        [perm[w] for w in g.out[v]] for v in sorted(range(g.n), key=perm.__getitem__)
+    )
+    return perm, h
+
+
 def _assert_refine_is_canonical(g: Digraph, seed: int, start=None):
     """_refine gives the set partition of the full-round oracle, and a
     copy of the input relabelled by a seeded permutation gives the same
@@ -525,11 +535,7 @@ def _assert_refine_is_canonical(g: Digraph, seed: int, start=None):
     colouring), from the uniform one, and after every single
     individualization of a vertex in a non-singleton cell of the stable
     colouring from `start`."""
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    h = Digraph(
-        [perm[w] for w in g.out[v]] for v in sorted(range(g.n), key=perm.__getitem__)
-    )
+    perm, h = _relabelled(g, seed)
     start = _closed_walk_colours(g) if start is None else start
     stable = _refine(start, g)
     sizes = Counter(stable)
@@ -715,15 +721,28 @@ def _refines(monkeypatch) -> list:
     return refined
 
 
-def test_d_search_transfers_five_leaves(monkeypatch, d, group):
+def test_d_search_transfers_three_leaves(monkeypatch, d, group):
     # D's one-colour start is equitable, so its root is not refined; the
-    # first path stops at the node whose derivation proves its leaf, and
-    # the other five leaves are transferred, so the search refines 4
-    # colourings for its 11 nodes
+    # first path stops at the node whose derivation proves its leaf.
+    # Level 0 tries first a child far from vertex 0 in the first path's
+    # next colouring, whose generator completes the orbit of 168 with
+    # the stabilizer's, so the search refines 2 colourings for its 7
+    # nodes and transfers the other three leaves
     refined = _refines(monkeypatch)
     transfers = _recorded_transfers(monkeypatch, d)
     assert automorphism_group(d) == group
-    assert (len(refined), transfers) == (4, [True] * 5)
+    assert (len(refined), transfers) == (2, [True] * 3)
+
+
+def test_d_search_shape_does_not_depend_on_labels(monkeypatch, d):
+    # the child order follows colours, not labels: in label order a
+    # relabelling may first try a child in a proper block with base[0],
+    # and then needs (9, 5) and 3 refines
+    refined = _refines(monkeypatch)
+    for seed in range(20):
+        refined.clear()
+        grp = automorphism_group(_relabelled(d, seed)[1])
+        assert (grp.order, grp.nodes, grp.leaves, len(refined)) == (1008, 7, 4, 2), seed
 
 
 def test_coxeter_search_transfers_its_last_level(monkeypatch, cox, cox_group):
